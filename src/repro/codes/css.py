@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classical.linear_code import LinearCode
+from repro.codes.packed_decode import decode_syndrome_planes
 from repro.codes.stabilizer_code import StabilizerCode
 from repro.gf2 import gf2_inverse, gf2_matmul, gf2_rank, gf2_row_reduce
 from repro.paulis.pauli import Pauli
@@ -129,6 +130,18 @@ class CSSCode(StabilizerCode):
             return out_x[0], out_z[0]
         return out_x, out_z
 
+    def decode_planes(
+        self, syn: np.ndarray, act: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Packed twin of :meth:`correct_frame`'s decode: the Z-check
+        planes locate X errors and the X-check planes locate Z errors,
+        each through its own matrix's correction table."""
+        nz = self.hz.shape[0]
+        return (
+            decode_syndrome_planes(_correction_table(self.hz), syn[:nz], act),
+            decode_syndrome_planes(_correction_table(self.hx), syn[nz:], act),
+        )
+
     def x_syndrome_of_frame(self, fx: np.ndarray) -> np.ndarray:
         """Classical H_z syndrome of the X-error frame (bit-flip syndrome,
         the quantity Fig. 2's circuit computes)."""
@@ -143,13 +156,15 @@ class CSSCode(StabilizerCode):
 _CORRECTION_CACHE: dict[bytes, np.ndarray] = {}
 
 
-def _classical_correction(h: np.ndarray, syndromes: np.ndarray) -> np.ndarray:
-    """Vectorized min-weight classical decoding: map each row of
-    ``syndromes`` (shape (shots, m)) to a length-n error pattern.
+def _correction_table(h: np.ndarray) -> np.ndarray:
+    """Dense ``(2**m, n)`` min-weight correction table of parity-check ``h``.
 
-    A dense table indexed by the syndrome-as-integer is built once per
-    parity-check matrix (enumerating error patterns in weight order up to
-    the classical correction radius) and cached by matrix content.
+    Row ``sum(bit_j << j)`` holds the error pattern decoded for that
+    syndrome.  It is built once per parity-check matrix, by enumerating
+    error patterns in weight order up to the classical correction radius,
+    and cached by matrix content.  The unpacked decode
+    (:func:`_classical_correction`) and the packed one
+    (:func:`repro.codes.packed_decode.decode_syndrome_planes`) share it.
     """
     key = h.tobytes() + bytes([h.shape[1] % 251])
     table = _CORRECTION_CACHE.get(key)
@@ -169,9 +184,17 @@ def _classical_correction(h: np.ndarray, syndromes: np.ndarray) -> np.ndarray:
             idx = int(np.dot(np.array(syn_key, dtype=np.int64), weights))
             table[idx] = err
         _CORRECTION_CACHE[key] = table
+    return table
+
+
+def _classical_correction(h: np.ndarray, syndromes: np.ndarray) -> np.ndarray:
+    """Vectorized min-weight classical decoding: map each row of
+    ``syndromes`` (shape (shots, m)) to a length-n error pattern through
+    :func:`_correction_table`.
+    """
     weights = 1 << np.arange(h.shape[0])
     idx = np.atleast_2d(syndromes).astype(np.int64) @ weights
-    return table[idx]
+    return _correction_table(h)[idx]
 
 
 def _quotient_basis(h_kernel_of: np.ndarray, h_modulo: np.ndarray) -> list[np.ndarray]:

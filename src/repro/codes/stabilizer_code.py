@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from repro.codes.packed_decode import decode_syndrome_planes, parity_planes
 from repro.gf2 import gf2_rank, gf2_solve, in_row_space
 from repro.paulis.pauli import Pauli
 
@@ -204,34 +205,73 @@ class StabilizerCode:
         Residual logical action can then be read with
         :meth:`logical_action_of_frame`.
         """
-        table = self._frame_table()
+        n = self.n
         syn = self.syndrome_of_frame(fx, fz)
         syn2 = np.atleast_2d(syn)
         weights = 1 << np.arange(syn2.shape[1])
         keys = syn2.astype(np.int64) @ weights
-        cx, cz = table
-        fx2 = np.atleast_2d(np.asarray(fx, dtype=np.uint8)) ^ cx[keys]
-        fz2 = np.atleast_2d(np.asarray(fz, dtype=np.uint8)) ^ cz[keys]
+        corr = self._frame_table()[keys]
+        fx2 = np.atleast_2d(np.asarray(fx, dtype=np.uint8)) ^ corr[:, :n]
+        fz2 = np.atleast_2d(np.asarray(fz, dtype=np.uint8)) ^ corr[:, n:]
         if np.asarray(fx).ndim == 1:
             return fx2[0], fz2[0]
         return fx2, fz2
 
-    def _frame_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense syndrome->correction arrays for vectorized decoding."""
+    def _frame_table(self) -> np.ndarray:
+        """Dense ``(2**m, 2n)`` syndrome -> correction table for vectorized
+        decoding: row ``sum(bit_j << j)`` is the correction's ``x | z``."""
         cached = getattr(self, "_frame_table_cache", None)
         if cached is not None:
             return cached
         m = len(self.generators)
         table = self.decode_syndrome_table(max_weight=self._decoder_weight())
-        cx = np.zeros((2**m, self.n), dtype=np.uint8)
-        cz = np.zeros((2**m, self.n), dtype=np.uint8)
+        corr = np.zeros((2**m, 2 * self.n), dtype=np.uint8)
         weights = 1 << np.arange(m)
         for key, pauli in table.items():
             idx = int(np.dot(np.array(key, dtype=np.int64), weights))
-            cx[idx] = pauli.x
-            cz[idx] = pauli.z
-        self._frame_table_cache = (cx, cz)
-        return self._frame_table_cache
+            corr[idx] = np.concatenate([pauli.x, pauli.z])
+        self._frame_table_cache = corr
+        return corr
+
+    # -- packed twins over (rows, words) uint64 planes, 64 shots per word ---
+    def _anticommute_planes(
+        self, paulis: list[Pauli], fx: np.ndarray, fz: np.ndarray
+    ) -> np.ndarray:
+        """Row i: the lanes whose frame anticommutes with ``paulis[i]``."""
+        sym = self._symplectic_matrix(paulis).reshape(len(paulis), 2 * self.n)
+        return parity_planes(sym[:, self.n :], fx) ^ parity_planes(sym[:, : self.n], fz)
+
+    def syndrome_planes(self, fx: np.ndarray, fz: np.ndarray) -> np.ndarray:
+        """Packed twin of :meth:`syndrome_of_frame`: ``(n, words)`` frame
+        planes -> ``(n_gens, words)`` syndrome planes, generator order."""
+        return self._anticommute_planes(self.generators, fx, fz)
+
+    def decode_planes(
+        self, syn: np.ndarray, act: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Packed twin of :meth:`correct_frame`'s table lookup.
+
+        ``syn`` is ``(n_gens, words)`` syndrome planes; returns the
+        ``(n, words)`` X and Z correction planes.  ``act`` optionally
+        limits correction to the lanes it has set (see
+        :func:`repro.codes.packed_decode.decode_syndrome_planes`).
+        """
+        corr = decode_syndrome_planes(self._frame_table(), syn, act)
+        return corr[: self.n], corr[self.n :]
+
+    def logical_failure_plane(self, fx: np.ndarray, fz: np.ndarray) -> np.ndarray:
+        """Packed twin of ``logical_action_of_frame(*correct_frame(fx, fz))
+        .any(axis=1)``.
+
+        Ideally decodes ``(n, words)`` frame planes and returns the
+        ``(words,)`` plane of lanes whose residual frame acts as any
+        logical operator.  Padding lanes past the live shot count are not
+        masked.
+        """
+        cx, cz = self.decode_planes(self.syndrome_planes(fx, fz))
+        # Anticommuting with logical Z_i (X_i) = acting as logical X_i (Z_i).
+        action = self._anticommute_planes(self.logical_z + self.logical_x, fx ^ cx, fz ^ cz)
+        return np.bitwise_or.reduce(action, axis=0)
 
     def _decoder_weight(self) -> int:
         """Maximum error weight enumerated for the decoding table."""

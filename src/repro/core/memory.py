@@ -25,7 +25,6 @@ from repro.threshold.montecarlo import (
     memory_experiment,
 )
 from repro.util.rng import as_rng
-from repro.util.stats import binomial_confidence, logical_error_per_round
 
 __all__ = ["LogicalMemory", "UnencodedMemory"]
 
@@ -130,8 +129,4 @@ class UnencodedMemory:
         kind = rng.integers(0, 3, size=(shots, rounds))
         fx = np.bitwise_xor.reduce(hit & (kind != 2), axis=1)
         fz = np.bitwise_xor.reduce(hit & (kind != 0), axis=1)
-        failures = int((fx | fz).sum())
-        est, low, high = binomial_confidence(failures, shots)
-        return MemoryResult(
-            rounds, shots, failures, est, low, high, logical_error_per_round(est, rounds)
-        )
+        return MemoryResult.from_counts(rounds, shots, int((fx | fz).sum()))

@@ -17,6 +17,10 @@ Syndrome policy (§3.4), vectorized over shots:
 * ``"majority"`` — act on the bitwise majority over all repetitions
   (requires an odd repetition count).
 
+:func:`resolve_syndrome_policy` applies the policy to unpacked syndromes
+(the legacy engine's path); :func:`resolve_syndrome_policy_packed` applies
+it to packed syndrome planes, and the majority vote there is bit-sliced.
+
 Execution backends
 ------------------
 ``engine="compiled"`` (default) runs every circuit through
@@ -33,7 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codes.css import CSSCode, _classical_correction
+from repro.codes.css import CSSCode, _classical_correction, _correction_table
+from repro.codes.packed_decode import decode_syndrome_planes
 from repro.codes.steane import SteaneCode
 from repro.codes.stabilizer_code import StabilizerCode
 from repro.ft.shor_ec import ShorSyndromeExtraction
@@ -50,7 +55,12 @@ from repro.pauliframe.packing import (
 )
 from repro.util.rng import as_rng
 
-__all__ = ["SteaneECProtocol", "ShorECProtocol", "resolve_syndrome_policy"]
+__all__ = [
+    "SteaneECProtocol",
+    "ShorECProtocol",
+    "resolve_syndrome_policy",
+    "resolve_syndrome_policy_packed",
+]
 
 
 def resolve_syndrome_policy(syndromes: np.ndarray, policy: str) -> tuple[np.ndarray, np.ndarray]:
@@ -79,6 +89,37 @@ def resolve_syndrome_policy(syndromes: np.ndarray, policy: str) -> tuple[np.ndar
     else:
         raise ValueError(f"unknown syndrome policy {policy!r}")
     return accepted, act
+
+
+def resolve_syndrome_policy_packed(
+    syn: np.ndarray, policy: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Plane twin of :func:`resolve_syndrome_policy`.
+
+    ``syn`` is ``(reps, m, words)`` uint64 syndrome planes.  Returns
+    ``(accepted, act)``: the ``(m, words)`` planes to decode and a
+    ``(words,)`` act plane, or ``None`` where the policy acts exactly on
+    nontrivial syndromes.  Table decoding never corrects the trivial
+    syndrome, so that ``None`` needs no mask.
+    """
+    reps = syn.shape[0]
+    if policy == "first":
+        return syn[0], None
+    if policy == "paper":
+        if reps < 2:
+            raise ValueError("the paper policy needs >= 2 repetitions")
+        return syn[0], ~np.bitwise_or.reduce(syn[0] ^ syn[1], axis=0)
+    if policy == "majority":
+        if reps % 2 == 0:
+            raise ValueError("majority policy needs an odd repetition count")
+        # at_least[k]: lanes where at least k readings so far are 1.
+        need = reps // 2 + 1
+        at_least = np.zeros((need + 1,) + syn.shape[1:], dtype=np.uint64)
+        at_least[0] = ~np.uint64(0)
+        for reading in syn:
+            at_least[1:] |= at_least[:-1] & reading
+        return at_least[need], None
+    raise ValueError(f"unknown syndrome policy {policy!r}")
 
 
 def _check_engine(engine: str) -> None:
@@ -200,38 +241,17 @@ class SteaneECProtocol:
             self._buffers[shots] = buf
         return buf
 
-    def _corrections_packed(self, syn: np.ndarray) -> np.ndarray | None:
-        """Packed twin of :meth:`_corrections` for the Hamming decode.
+    def _corrections_packed(self, syn: np.ndarray) -> np.ndarray:
+        """Packed twin of :meth:`_corrections`.
 
         ``syn`` is ``(repetitions, 3, words)`` uint64 syndrome planes.
-        Returns ``(7, words)`` packed correction planes, or ``None`` when
-        the policy needs the generic unpacked path.  A qubit's correction
-        plane is ``act & (syndrome == binary(q+1))``, evaluated bitwise.
-        Bit lanes beyond the live shot range may carry junk (the padded
-        factory batch simulates real noise there); every consumer discards
-        them by unpacking with ``count=shots``.
+        Returns ``(7, words)`` packed correction planes from the Hamming
+        code's correction table.  Bit lanes beyond the live shot range may
+        carry junk (the padded factory batch simulates real noise there);
+        the final count masks them.
         """
-        first = syn[0]
-        nontrivial = first[0] | first[1] | first[2]
-        if self.policy == "paper":
-            if syn.shape[0] < 2:
-                raise ValueError("the paper policy needs >= 2 repetitions")
-            second = syn[1]
-            agree = ~((first[0] ^ second[0]) | (first[1] ^ second[1]) | (first[2] ^ second[2]))
-            act = agree & nontrivial
-        elif self.policy == "first":
-            act = nontrivial
-        else:
-            return None
-        corr = np.zeros((7, syn.shape[2]), dtype=np.uint64)
-        for q in range(7):
-            position = q + 1  # Eq. (3): syndrome read as binary, 1-indexed
-            mask = act
-            for j in range(3):
-                want = (position >> (2 - j)) & 1
-                mask = mask & (first[j] if want else ~first[j])
-            corr[q] = mask
-        return corr
+        accepted, act = resolve_syndrome_policy_packed(syn, self.policy)
+        return decode_syndrome_planes(_correction_table(self.code.hz), accepted, act)
 
     def run_round_packed(
         self,
@@ -247,8 +267,7 @@ class SteaneECProtocol:
         decode and the syndrome policy are evaluated as plane algebra
         (:meth:`SteaneAncillaPrep.parse_packed`,
         :meth:`_corrections_packed`), and every buffer is allocated once
-        per shot count and reused across rounds.  Only the ``"majority"``
-        policy drops to the unpacked decode.
+        per shot count and reused across rounds.
         """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
@@ -274,15 +293,9 @@ class SteaneECProtocol:
             ext_fx[anc] = afx[:, cols]
             ext_fz[anc] = afz[:, cols]
         self._extract_prog.run_packed(shots, rng, ext_fx, ext_fz, ext_flips)
-        x_syn_p, z_syn_p = self.extraction.parse_syndromes_packed(ext_flips)
-        corr_x = self._corrections_packed(x_syn_p)
-        if corr_x is not None:
-            data_fx[:] = ext_fx[:7] ^ corr_x
-            data_fz[:] = ext_fz[:7] ^ self._corrections_packed(z_syn_p)
-            return
-        x_syn, z_syn = self.extraction.parse_syndromes(unpack_shot_major(ext_flips, shots))
-        data_fx[:] = ext_fx[:7] ^ pack_shot_major(self._corrections(x_syn))
-        data_fz[:] = ext_fz[:7] ^ pack_shot_major(self._corrections(z_syn))
+        x_syn, z_syn = self.extraction.parse_syndromes_packed(ext_flips)
+        data_fx[:] = ext_fx[:7] ^ self._corrections_packed(x_syn)
+        data_fz[:] = ext_fz[:7] ^ self._corrections_packed(z_syn)
 
     def run_round(
         self,
@@ -468,7 +481,11 @@ class ShorECProtocol:
         data_fx: np.ndarray,
         data_fz: np.ndarray,
     ) -> None:
-        """One EC round over packed ``(n, words)`` data frames, in place."""
+        """One EC round over packed ``(n, words)`` data frames, in place.
+
+        Cats are resampled unpacked (:meth:`_cat_batch_packed`); syndrome
+        parsing, the policy and the table decode run on packed planes.
+        """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
         rng = as_rng(rng)
@@ -486,10 +503,10 @@ class ShorECProtocol:
                 ext_fx[wires] = pack_rows(cfx[:, cols])
                 ext_fz[wires] = pack_rows(cfz[:, cols])
         self._extract_prog.run_packed(shots, rng, ext_fx, ext_fz, ext_flips)
-        syn = self.extraction.parse_syndromes(unpack_shot_major(ext_flips, shots))
-        corr_x, corr_z = self._corrections(syn)
-        data_fx[:] = ext_fx[:n] ^ pack_shot_major(corr_x)
-        data_fz[:] = ext_fz[:n] ^ pack_shot_major(corr_z)
+        syn = self.extraction.parse_syndromes_packed(ext_flips)
+        corr_x, corr_z = self._corrections_packed(syn)
+        data_fx[:] = ext_fx[:n] ^ corr_x
+        data_fz[:] = ext_fz[:n] ^ corr_z
 
     def run_round(
         self,
@@ -532,14 +549,20 @@ class ShorECProtocol:
             corr_x = _classical_correction(self.code.hz, accepted[:, :nz])
             corr_z = _classical_correction(self.code.hx, accepted[:, nz:])
         else:
-            cx_table, cz_table = self.code._frame_table()
             weights = 1 << np.arange(accepted.shape[1])
             keys = accepted.astype(np.int64) @ weights
-            corr_x = cx_table[keys]
-            corr_z = cz_table[keys]
+            corr = self.code._frame_table()[keys]
+            corr_x, corr_z = corr[:, : self.code.n], corr[:, self.code.n :]
         mask = ~act.astype(bool)
         corr_x = corr_x.copy()
         corr_z = corr_z.copy()
         corr_x[mask] = 0
         corr_z[mask] = 0
         return corr_x, corr_z
+
+    def _corrections_packed(
+        self, syn: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Packed twin of :meth:`_corrections`: ``(repetitions, m, words)``
+        syndrome planes -> ``(n, words)`` X and Z correction planes."""
+        return self.code.decode_planes(*resolve_syndrome_policy_packed(syn, self.policy))

@@ -192,6 +192,23 @@ class ShorSyndromeExtraction:
             out[:, block.repetition, block.generator_index] = parity
         return out
 
+    def parse_syndromes_packed(self, flips: np.ndarray) -> np.ndarray:
+        """:meth:`parse_syndromes` over bit-packed measurement planes.
+
+        ``flips`` is ``(total_cbits, words)`` uint64.  Returns
+        ``(repetitions, n_generators, words)`` syndrome planes, each the
+        XOR of one ancilla block's measurement rows.
+        """
+        out = np.empty(
+            (self.repetitions, len(self.code.generators), flips.shape[1]), dtype=np.uint64
+        )
+        for block in self.blocks:
+            np.bitwise_xor.reduce(
+                flips[list(block.cbits)], axis=0,
+                out=out[block.repetition, block.generator_index],
+            )
+        return out
+
     def initial_ancilla_layout(self) -> list[AncillaBlock]:
         """Blocks in circuit order, for factory-frame injection."""
         return list(self.blocks)

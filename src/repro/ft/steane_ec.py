@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.circuit import Circuit
+from repro.codes.packed_decode import parity_planes
 from repro.codes.steane import SteaneCode
 
 __all__ = ["SteaneAncillaPrep", "SteaneSyndromeExtraction", "SteaneBlockLayout"]
@@ -102,14 +103,11 @@ class SteaneAncillaPrep:
         ``raw_parity ^ (syndrome != 0)`` — all computable as plane-wise
         XOR/OR without unpacking a single shot.
         """
-        h = self.code.hz.astype(bool)
+        h = self.code.hz
 
         def decode(block: np.ndarray) -> np.ndarray:
             parity = np.bitwise_xor.reduce(block, axis=0)
-            nonzero_syndrome = np.zeros_like(parity)
-            for check in h:
-                nonzero_syndrome |= np.bitwise_xor.reduce(block[check], axis=0)
-            return parity ^ nonzero_syndrome
+            return parity ^ np.bitwise_or.reduce(parity_planes(h, block), axis=0)
 
         return decode(flips[0:7]) & decode(flips[7:14])
 
@@ -217,17 +215,12 @@ class SteaneSyndromeExtraction:
         syndrome bit-planes, each the XOR of the measurement rows in one
         Hamming check's support.
         """
-        h = self.code.hz.astype(bool)
         nwords = flips.shape[1]
         x_syn = np.zeros((self.repetitions, 3, nwords), dtype=np.uint64)
         z_syn = np.zeros_like(x_syn)
         for layout in self.layouts:
-            cbits = np.asarray(layout.cbits, dtype=np.intp)
             target = x_syn if layout.kind == "bitflip" else z_syn
-            for j, check in enumerate(h):
-                target[layout.repetition, j] = np.bitwise_xor.reduce(
-                    flips[cbits[check]], axis=0
-                )
+            target[layout.repetition] = parity_planes(self.code.hz, flips[list(layout.cbits)])
         return x_syn, z_syn
 
     def ancilla_factory(self) -> SteaneAncillaPrep:

@@ -122,7 +122,12 @@ def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Runs through the float64 BLAS matmul: 0/1 dot products are exact in
     float64 up to 2^53 summands (far beyond any shot count here) and BLAS
     is an order of magnitude faster than NumPy's integer matmul loop at
-    Monte-Carlo batch sizes — this sits on the syndrome-decode hot path.
+    Monte-Carlo batch sizes.  It serves the unpacked ``(shots, n)``
+    syndrome decodes (``CSSCode.correct_frame``, used by
+    ``code_capacity_memory`` and the reference decoders in the tests).
+    The circuit-level shot path of ``memory_experiment`` does not call it:
+    it decodes packed planes with word-wise XOR/AND
+    (:mod:`repro.codes.packed_decode`).
     """
     aa = np.asarray(a).astype(np.uint8) & 1
     bb = np.asarray(b).astype(np.uint8) & 1

@@ -120,16 +120,11 @@ class ResultCache:
         with Wilson bounds recomputed on the merged counts, or ``None``
         when no completed run of this physics is cached."""
         from repro.threshold.montecarlo import MemoryResult
-        from repro.util.stats import binomial_confidence, logical_error_per_round
 
         shots, failures = self.pooled_counts(kind, args)
         if shots == 0:
             return None
-        est, low, high = binomial_confidence(failures, shots)
-        return MemoryResult(
-            rounds, shots, failures, est, low, high,
-            logical_error_per_round(est, rounds),
-        )
+        return MemoryResult.from_counts(rounds, shots, failures)
 
     # -- maintenance ---------------------------------------------------
     def stats(self) -> dict:

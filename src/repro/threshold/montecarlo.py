@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.codes.stabilizer_code import StabilizerCode
-from repro.pauliframe.packing import unpack_shot_major, words_for
+from repro.pauliframe.packing import WORD_BITS, pack_shot_major, words_for
 from repro.util.rng import as_rng
 from repro.util.stats import binomial_confidence, fit_power_law, logical_error_per_round
 
@@ -60,6 +60,12 @@ class MemoryResult:
     high: float
     per_round_rate: float
 
+    @classmethod
+    def from_counts(cls, rounds: int, shots: int, failures: int) -> "MemoryResult":
+        """The estimate, Wilson bounds and per-round rate of a count."""
+        est, low, high = binomial_confidence(failures, shots)
+        return cls(rounds, shots, failures, est, low, high, logical_error_per_round(est, rounds))
+
 
 class PseudoThresholdWarning(UserWarning):
     """A pseudo-threshold grid never bracketed the crossing."""
@@ -86,15 +92,25 @@ def _wants_sharded(resilience: dict) -> bool:
     )
 
 
-def _finalize(code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, rounds: int) -> MemoryResult:
-    cfx, cfz = code.correct_frame(fx, fz)
-    action = code.logical_action_of_frame(cfx, cfz)
-    failures = int(action.any(axis=1).sum())
-    shots = fx.shape[0]
-    est, low, high = binomial_confidence(failures, shots)
-    return MemoryResult(
-        rounds, shots, failures, est, low, high, logical_error_per_round(est, rounds)
-    )
+def _check_run_size(shots: int, rounds: int) -> None:
+    """Reject an empty run at the entry point, before any shard is planned
+    or any round runs (a bad size inside a shard would look like a worker
+    fault and be retried)."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+
+
+def _count_failures(code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, shots: int) -> int:
+    """Shots whose packed ``(n, words)`` residual frames fail the ideal
+    decode, counted by popcount over the live lanes only: lanes past
+    ``shots`` in the last word may hold simulated junk."""
+    failed = code.logical_failure_plane(fx, fz)
+    tail = shots % WORD_BITS
+    if tail:
+        failed[-1] &= np.uint64((1 << tail) - 1)
+    return int(np.bitwise_count(failed).sum())
 
 
 def code_capacity_memory(
@@ -118,6 +134,7 @@ def code_capacity_memory(
     ``checkpoint`` or ``chaos`` routes through it even at ``workers=1``
     (in-process sharded execution — journaling needs a shard plan).
     """
+    _check_run_size(shots, rounds)
     if workers != 1 or num_shards is not None or _wants_sharded(resilience):
         from repro.threshold.sharded import sharded_code_capacity_memory
 
@@ -144,11 +161,7 @@ def code_capacity_memory(
         logical_fz ^= action[:, 1]
         fx[:] = 0
         fz[:] = 0
-    failures = int((logical_fx | logical_fz).sum())
-    est, low, high = binomial_confidence(failures, shots)
-    return MemoryResult(
-        rounds, shots, failures, est, low, high, logical_error_per_round(est, rounds)
-    )
+    return MemoryResult.from_counts(rounds, shots, int((logical_fx | logical_fz).sum()))
 
 
 def memory_experiment(
@@ -175,7 +188,13 @@ def memory_experiment(
     ``**resilience`` (``max_retries``, ``shard_timeout``, ``checkpoint``,
     ``resume``, ...) is forwarded to the sharded driver; ``checkpoint`` or
     ``chaos`` routes through it even at ``workers=1``.
+
+    After the last round the ideal decode runs on packed planes
+    (:meth:`~repro.codes.StabilizerCode.logical_failure_plane`) and
+    failures are counted by popcount; legacy-engine frames are packed once
+    to share that count.
     """
+    _check_run_size(shots, rounds)
     if workers != 1 or num_shards is not None or _wants_sharded(resilience):
         from repro.threshold.sharded import sharded_memory_experiment
 
@@ -193,13 +212,12 @@ def memory_experiment(
         dfz = np.zeros((n, nwords), dtype=np.uint64)
         for _ in range(rounds):
             protocol.run_round_packed(shots, rng, dfx, dfz)
-        fx = unpack_shot_major(dfx, shots)
-        fz = unpack_shot_major(dfz, shots)
-        return _finalize(code, fx, fz, rounds)
-    fx = fz = None
-    for _ in range(rounds):
-        fx, fz = protocol.run_round(shots, rng, data_fx=fx, data_fz=fz)
-    return _finalize(code, fx, fz, rounds)
+    else:
+        fx = fz = None
+        for _ in range(rounds):
+            fx, fz = protocol.run_round(shots, rng, data_fx=fx, data_fz=fz)
+        dfx, dfz = pack_shot_major(fx), pack_shot_major(fz)
+    return MemoryResult.from_counts(rounds, shots, _count_failures(code, dfx, dfz, shots))
 
 
 def _grid_seeds(seed: int | None, n: int) -> list[np.random.SeedSequence]:

@@ -51,7 +51,6 @@ import numpy as np
 from repro.threshold.chaos import ChaosPlan, IOChaosPlan
 from repro.threshold.journal import compute_physics_key, compute_run_key
 from repro.threshold.runtime import ResilienceOptions, execute_shards
-from repro.util.stats import binomial_confidence, logical_error_per_round
 
 __all__ = [
     "DEFAULT_NUM_SHARDS",
@@ -207,11 +206,8 @@ def _execute(
 def _pooled_result(counts: list[tuple[int, int]], rounds: int):
     from repro.threshold.montecarlo import MemoryResult
 
-    shots = sum(s for s, _ in counts)
-    failures = sum(f for _, f in counts)
-    est, low, high = binomial_confidence(failures, shots)
-    return MemoryResult(
-        rounds, shots, failures, est, low, high, logical_error_per_round(est, rounds)
+    return MemoryResult.from_counts(
+        rounds, sum(s for s, _ in counts), sum(f for _, f in counts)
     )
 
 

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.codes import SteaneCode
-from repro.ft import SteaneECProtocol
+from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
+from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.ft.steane_ec import SteaneAncillaPrep, SteaneSyndromeExtraction
 from repro.noise import NoiseModel, circuit_level
 from repro.pauliframe import (
@@ -259,6 +259,44 @@ class TestSeededDeterminism:
         assert r1.failures == r2.failures
         assert r1.failure_rate == r2.failure_rate
 
+    # Exact seeded counts.  Decoding draws no randomness, so any change to
+    # how syndromes are decoded or failures are counted must leave every
+    # one of these unchanged.  Shot counts that are not a multiple of 64
+    # leave padding lanes in the last packed word; Steane's padded factory
+    # batch fills them with real noise, which must never be counted.
+    PINNED = {
+        "steane": (lambda: (SteaneECProtocol(circuit_level(2e-3)), SteaneCode()),
+                   dict(rounds=3, shots=3001, seed=7), 207),
+        "steane_first": (lambda: (SteaneECProtocol(circuit_level(2e-3), repetitions=1,
+                                                   policy="first"), SteaneCode()),
+                         dict(rounds=2, shots=3001, seed=8), 145),
+        "steane_majority": (lambda: (SteaneECProtocol(circuit_level(2e-3), repetitions=3,
+                                                      policy="majority"), SteaneCode()),
+                            dict(rounds=2, shots=3001, seed=9), 327),
+        "shor_steane": (lambda: (ShorECProtocol(SteaneCode(), circuit_level(2e-3)),
+                                 SteaneCode()),
+                        dict(rounds=2, shots=2001, seed=11), 70),
+        "shor_shor9": (lambda: (ShorECProtocol(ShorNineCode(), circuit_level(2e-3)),
+                                ShorNineCode()),
+                       dict(rounds=2, shots=2001, seed=12), 37),
+        "shor_five": (lambda: (ShorECProtocol(FiveQubitCode(), circuit_level(2e-3)),
+                               FiveQubitCode()),
+                      dict(rounds=2, shots=2001, seed=13), 92),
+        "shor_majority": (lambda: (ShorECProtocol(SteaneCode(), circuit_level(2e-3),
+                                                  repetitions=3, policy="majority"),
+                                   SteaneCode()),
+                          dict(rounds=2, shots=2001, seed=14), 180),
+        "steane_sharded": (lambda: (SteaneECProtocol(circuit_level(2e-3)), SteaneCode()),
+                           dict(rounds=2, shots=3001, seed=15, num_shards=4), 115),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_memory_experiment_pinned_counts(self, case):
+        build, kwargs, failures = self.PINNED[case]
+        proto, code = build()
+        result = memory_experiment(proto, code, **kwargs)
+        assert (result.shots, result.failures) == (kwargs["shots"], failures)
+
 
 def wilson_compatible(k1, n1, k2, n2):
     """True when two binomial observations have overlapping 95% intervals."""
@@ -324,6 +362,25 @@ class TestStatisticalParity:
             cfx, cfz = code.correct_frame(fx, fz)
             action = code.logical_action_of_frame(cfx, cfz)
             counts[engine] = int(action.any(axis=1).sum())
+        assert wilson_compatible(counts["legacy"], self.SHOTS, counts["compiled"], self.SHOTS)
+
+    @pytest.mark.parametrize("method", ["steane", "shor"])
+    def test_majority_policy_rates_match(self, method):
+        # Three readings per round, majority vote: bit-sliced over packed
+        # planes on the compiled engine, byte per bit on the legacy one.
+        def build(engine):
+            noise = circuit_level(2e-3)
+            kwargs = dict(repetitions=3, policy="majority", engine=engine)
+            if method == "steane":
+                return SteaneECProtocol(noise, **kwargs)
+            return ShorECProtocol(SteaneCode(), noise, **kwargs)
+
+        counts = {
+            engine: memory_experiment(
+                build(engine), SteaneCode(), rounds=1, shots=self.SHOTS, seed=23
+            ).failures
+            for engine in ("legacy", "compiled")
+        }
         assert wilson_compatible(counts["legacy"], self.SHOTS, counts["compiled"], self.SHOTS)
 
     def test_packed_and_unpacked_protocol_entries_match(self):

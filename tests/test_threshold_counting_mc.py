@@ -1,11 +1,14 @@
 """Tests for fault-path counting and Monte-Carlo threshold machinery."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.codes import SteaneCode
-from repro.ft import SteaneECProtocol
-from repro.noise import circuit_level
+from repro.codes import FiveQubitCode, SteaneCode
+from repro.ft import ShorECProtocol, SteaneECProtocol
+from repro.noise import NoiseModel, circuit_level
 from repro.threshold import (
     code_capacity_memory,
     count_fault_paths,
@@ -108,3 +111,84 @@ class TestCircuitLevelMC:
         )
         assert len(curve) == 4
         assert 5e-5 < crossing < 3e-3
+
+
+class TestRunSizeValidation:
+    """Empty or negative runs fail with a ValueError at the entry point,
+    before any shard is planned or retried."""
+
+    ENTRY_POINTS = {
+        "memory_experiment": lambda **kw: memory_experiment(
+            SteaneECProtocol(NoiseModel()), SteaneCode(), seed=0, **kw
+        ),
+        "code_capacity_memory": lambda **kw: code_capacity_memory(
+            SteaneCode(), 1e-3, seed=0, **kw
+        ),
+    }
+    BAD_SIZES = {
+        "shots=0": dict(shots=0, rounds=1),
+        "shots=-5": dict(shots=-5, rounds=1),
+        "rounds=0": dict(shots=64, rounds=0),
+        "rounds=-1": dict(shots=64, rounds=-1),
+    }
+    PATHS = {"unsharded": {}, "num_shards=4": {"num_shards": 4}}
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("size", sorted(BAD_SIZES))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_size_raises_value_error_without_warning(
+        self, entry, size, path, monkeypatch
+    ):
+        from repro.threshold import sharded
+
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a shard ran for an invalid run size")
+
+        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=size.split("=")[0]):
+                self.ENTRY_POINTS[entry](**self.BAD_SIZES[size], **self.PATHS[path])
+        assert [str(w.message) for w in caught] == []
+
+
+class TestPackedShotPath:
+    """The compiled path decodes and counts on packed planes only."""
+
+    CASES = {
+        "steane": (lambda: SteaneCode(), SteaneECProtocol, {}),
+        "steane_majority": (lambda: SteaneCode(), SteaneECProtocol,
+                            dict(repetitions=3, policy="majority")),
+        "shor_steane": (lambda: SteaneCode(), ShorECProtocol, {}),
+        "shor_steane_majority": (lambda: SteaneCode(), ShorECProtocol,
+                                 dict(repetitions=3, policy="majority")),
+        "shor_five": (lambda: FiveQubitCode(), ShorECProtocol, {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_unpacked_decode_is_called(self, case, monkeypatch):
+        make_code, protocol_cls, kwargs = self.CASES[case]
+        code = make_code()
+        if protocol_cls is SteaneECProtocol:
+            proto = SteaneECProtocol(circuit_level(2e-3), **kwargs)
+        else:
+            proto = ShorECProtocol(code, circuit_level(2e-3), **kwargs)
+        # Building a correction table (once per parity-check matrix) may
+        # use gf2_matmul, so an untrapped run builds them first.
+        first = memory_experiment(proto, code, rounds=2, shots=1000, seed=3)
+
+        def trap(*args, **kwargs):
+            raise AssertionError("unpacked decode on the compiled shot path")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and hasattr(
+                module, "gf2_matmul"
+            ):
+                monkeypatch.setattr(module, "gf2_matmul", trap)
+        for cls in type(code).__mro__:
+            for name in ("correct_frame", "logical_action_of_frame"):
+                if name in vars(cls):
+                    monkeypatch.setattr(cls, name, trap)
+        monkeypatch.setattr(protocol_cls, "_corrections", trap)
+        again = memory_experiment(proto, code, rounds=2, shots=1000, seed=3)
+        assert again.failures == first.failures
