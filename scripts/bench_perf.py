@@ -51,8 +51,9 @@ from repro.threshold import memory_experiment  # noqa: E402
 from repro.threshold.sharded import DEFAULT_NUM_SHARDS  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_pauliframe.json"
-# v3 adds the optional cache_hit entry; v4 adds queue; v5 keys one record
-# per (hostname, cpu_count) host under "host_baselines".
+# v3 adds the optional cache_hit entry; v4 added a queue entry, no longer
+# written; v5 keys one record per (hostname, cpu_count) host under
+# "host_baselines".
 SCHEMA_VERSION = 5
 REGRESSION_TOLERANCE = 0.20  # refuse overwrite when >20% slower
 
@@ -128,44 +129,6 @@ def _time_cache(shots: int, rounds: int, eps: float, seed: int) -> dict:
     }
 
 
-def _time_queue(jobs: int, shots: int, eps: float, seed: int) -> dict:
-    """Time the durable scan queue: submit ``jobs`` small capacity scans
-    to a scratch queue and serve them to completion with one in-process
-    worker, against direct execution of the identical shard plans.  The
-    difference is pure scheduler machinery — sqlite transactions, lease
-    bookkeeping, journaled results — so ``overhead_ms_per_job`` is the
-    price of durability per job, not a statement about the physics."""
-    from repro.threshold import scheduler, sharded  # noqa: E402
-    from repro.threshold.runtime import (  # noqa: E402
-        ResilienceOptions,
-        execute_shards,
-    )
-
-    code = SteaneCode()
-    requests = [
-        ("capacity", (code, eps, 1), shots, seed + i) for i in range(jobs)
-    ]
-    t0 = time.perf_counter()
-    for kind, args, n, s in requests:
-        specs, _ = sharded._build_specs(kind, args, n, s, None)
-        execute_shards(specs, 1, options=ResilienceOptions())
-    direct_s = time.perf_counter() - t0
-    with tempfile.TemporaryDirectory() as tmp:
-        queue_path = Path(tmp) / "bench_queue.sqlite"
-        t0 = time.perf_counter()
-        results = scheduler.scan_via_queue(queue_path, requests)
-        queued_s = time.perf_counter() - t0
-    assert all(r.shots == shots for r in results), "queue dropped shots"
-    return {
-        "jobs": jobs,
-        "shots_per_job": shots,
-        "direct_seconds": round(direct_s, 4),
-        "queued_seconds": round(queued_s, 4),
-        "jobs_per_sec": round(jobs / queued_s, 1),
-        "overhead_ms_per_job": round(1000 * (queued_s - direct_s) / jobs, 2),
-    }
-
-
 def run_benchmark(
     shots: int = 10_000,
     rounds: int = 10,
@@ -173,7 +136,6 @@ def run_benchmark(
     seed: int = 2026,
     workers: int = 1,
     cache_bench: bool = False,
-    queue_bench: bool = False,
 ) -> dict:
     """Measure both engines on the same experiment; returns the record.
 
@@ -213,10 +175,6 @@ def run_benchmark(
         record["sharded"] = sharded
     if cache_bench:
         record["cache_hit"] = _time_cache(shots, rounds, eps, seed)
-    if queue_bench:
-        # Small fixed-size jobs: the datapoint is scheduler overhead per
-        # job, which a big physics workload would only bury.
-        record["queue"] = _time_queue(8, max(200, shots // 50), eps, seed)
     return record
 
 
@@ -251,16 +209,54 @@ def _host_key(record: dict) -> str:
     return f"{config.get('hostname', 'unknown')}|{config.get('cpu_count', 0)}cpu"
 
 
+class BaselineFileError(ValueError):
+    """The baseline file exists but is not a baseline this script reads."""
+
+
+def _baseline_problem(data) -> str | None:
+    """What makes parsed baseline JSON unreadable here, or ``None``."""
+    if not isinstance(data, dict):
+        return f"top level is a JSON {type(data).__name__}, not an object"
+    version = data.get("schema_version", 0)
+    if type(version) is not int or version > SCHEMA_VERSION:
+        return (
+            f"schema_version {version!r} is not one this script reads "
+            f"(it writes {SCHEMA_VERSION})"
+        )
+    if "host_baselines" in data:
+        hosts = data["host_baselines"]
+        if not isinstance(hosts, dict) or not all(
+            isinstance(r, dict) for r in hosts.values()
+        ):
+            return "host_baselines is not an object of host records"
+    elif not isinstance(data.get("config", {}), dict):
+        return "config is not an object"
+    return None
+
+
 def load_baselines(path: Path) -> dict[str, dict]:
     """Stored baselines as a ``host key -> record`` map.
 
     A v<=4 file (one bare record at the top level) is migrated under its
     own host key, so pre-existing baselines keep guarding the host that
-    recorded them.
+    recorded them.  A file that is not valid JSON, has the wrong shape,
+    or carries a newer ``schema_version`` raises
+    :class:`BaselineFileError` naming the file and the problem; it is
+    never guessed at, and so never rewritten.
     """
     if not Path(path).exists():
         return {}
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        problem = f"not valid JSON ({exc})"
+    else:
+        problem = _baseline_problem(data)
+    if problem is not None:
+        raise BaselineFileError(
+            f"{path}: {problem}; refusing to compare against or overwrite "
+            f"it (fix or remove the file)"
+        )
     if "host_baselines" in data:
         return dict(data["host_baselines"])
     return {_host_key(data): data}
@@ -316,7 +312,7 @@ def write_guarded(record: dict, path: Path = BENCH_PATH, force: bool = False) ->
     fresh (a new ratchet starts), never skips.  Against the same host's
     record: a different protocol (e.g. --quick vs the full-size baseline)
     is refused rather than silently replacing it, a stored sharded /
-    cache_hit / queue datapoint missing from this run is carried forward
+    cache_hit datapoint missing from this run is carried forward
     rather than silently dropped, a sharded run at a *different* worker
     count is refused (nothing to compare it against), and a >tolerance
     throughput regression is refused.  --force bypasses the refusals for
@@ -361,12 +357,6 @@ def write_guarded(record: dict, path: Path = BENCH_PATH, force: bool = False) ->
                 **record,
                 "cache_hit": {**old["cache_hit"], "carried_forward": True},
             }
-        if old.get("queue") and not record.get("queue"):
-            # ... and for the queue-throughput datapoint.
-            record = {
-                **record,
-                "queue": {**old["queue"], "carried_forward": True},
-            }
         err = check_regression(record, old)
         if err:
             print(f"REGRESSION: {err}", file=sys.stderr)
@@ -393,11 +383,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also time the result cache: a cold journaled run vs a full "
         "cache hit (replayed from sqlite without executing a shard)",
     )
-    parser.add_argument(
-        "--queue-bench", action="store_true",
-        help="also time the durable scan queue: submit+serve small jobs "
-        "against direct execution, recording scheduler overhead per job",
-    )
     parser.add_argument("--quick", action="store_true", help="CI-sized run (2k shots, 3 rounds)")
     parser.add_argument("--force", action="store_true", help="overwrite even on regression")
     parser.add_argument(
@@ -412,10 +397,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shots and --rounds must be positive")
     if args.workers < 1:
         parser.error("--workers must be positive")
+    # Read the stored baselines before measuring: an unreadable file fails
+    # in milliseconds, not after the benchmark, and is left untouched.
+    try:
+        baselines = load_baselines(args.out)
+    except BaselineFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     record = run_benchmark(
         args.shots, args.rounds, args.eps, args.seed, args.workers,
-        cache_bench=args.cache_bench, queue_bench=args.queue_bench,
+        cache_bench=args.cache_bench,
     )
     print(
         f"legacy:   {record['legacy']['seconds']:8.3f}s "
@@ -440,16 +432,9 @@ def main(argv: list[str] | None = None) -> int:
             f"cache:    miss {ch['miss_seconds']:.3f}s -> hit "
             f"{ch['hit_seconds']:.3f}s ({ch['hit_speedup']:.0f}x)"
         )
-    if "queue" in record:
-        q = record["queue"]
-        print(
-            f"queue:    {q['jobs']} jobs in {q['queued_seconds']:.3f}s "
-            f"({q['jobs_per_sec']:.1f} jobs/sec, "
-            f"+{q['overhead_ms_per_job']:.1f} ms/job vs direct)"
-        )
 
     if args.check:
-        old = load_baselines(args.out).get(_host_key(record))
+        old = baselines.get(_host_key(record))
         if old is None:
             print(
                 f"no stored baseline for host {_host_key(record)}; "

@@ -26,12 +26,10 @@ a worker pool; corrupted rows are quarantined and recomputed
 recomputation even when a cache path is configured.  ``cache stats`` and
 ``cache gc`` inspect and compact the store.
 
-Threshold-as-a-service: ``serve --queue PATH [--workers N]`` runs a
-claimant loop against a durable scan queue (``repro.threshold.scheduler``,
-see SCHEDULER.md) — lease-based claiming, heartbeats, graceful drain on
-SIGTERM/Ctrl-C (in-flight work requeued, completed shards durable).
-Run one ``serve`` per host against a shared queue file for multi-claimant
-dispatch.  ``queue stats`` / ``queue jobs [STATE]`` inspect the queue.
+Every Monte Carlo run takes one path: the experiment calls
+``memory_experiment`` (or ``code_capacity_memory``), which hands sharded
+or checkpointed work to the sharded driver; ``runtime.execute_shards``
+supervises the shards and commits each one to the ``CheckpointJournal``.
 """
 
 import argparse
@@ -112,29 +110,23 @@ def run_tests(quick: bool) -> int:
 
 def run_lint() -> int:
     """Static-analysis pass: the RPL rule catalog over src/scripts/tests
-    plus the committed baseline (``python -m repro.analysis --strict``),
-    then the scheduler protocol verifier (``--verify-protocol``): static
-    SQL conformance against the declared transition spec plus the bounded
-    exhaustive interleaving explorer.  See ANALYSIS.md for the catalog and
-    the suppression/baseline workflow, SCHEDULER.md for the protocol."""
+    plus the committed baseline (``python -m repro.analysis --strict``).
+    See ANALYSIS.md for the catalog and the suppression/baseline
+    workflow."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.analysis.__main__ import main as lint_main
 
-    rc = lint_main(["--strict", "--root", str(REPO_ROOT)])
-    if rc != 0:
-        return rc
-    return lint_main(["--verify-protocol", "--root", str(REPO_ROOT)])
+    return lint_main(["--strict", "--root", str(REPO_ROOT)])
 
 
-def run_cache_command(command: list[str], cache_path: str, queue_path: str | None = None) -> int:
+def run_cache_command(command: list[str], cache_path: str) -> int:
     """``cache stats`` / ``cache gc`` — inspect or compact the result cache.
 
-    ``gc`` only collects *stale* incomplete runs (grace window) and never
-    collects runs the scan queue still has pending or leased — a gc racing
-    a live scan must not eat its checkpointed shards mid-write.
+    ``gc`` only collects *stale* incomplete runs (grace window): a gc
+    racing a live scan must not eat its checkpointed shards mid-write.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.threshold import ResultCache, ScanQueue
+    from repro.threshold import CheckpointJournal
 
     sub = command[1] if len(command) > 1 else "stats"
     if sub not in ("stats", "gc"):
@@ -143,119 +135,18 @@ def run_cache_command(command: list[str], cache_path: str, queue_path: str | Non
     if not Path(cache_path).exists():
         print(f"no cache at {cache_path}", file=sys.stderr)
         return 1
-    protected: set = set()
-    if sub == "gc" and queue_path is not None and Path(queue_path).exists():
-        with ScanQueue(queue_path) as queue:
-            protected = queue.active_run_keys()
-    with ResultCache(cache_path) as cache:
-        report = (
-            cache.stats()
-            if sub == "stats"
-            else cache.gc(protected_keys=protected)
-        )
+    with CheckpointJournal(cache_path) as journal:
+        report = journal.stats() if sub == "stats" else journal.gc()
     print(json.dumps(report, indent=1))
     return 0
-
-
-def run_queue_command(command: list[str], queue_path: str) -> int:
-    """``queue stats`` / ``queue jobs [STATE]`` — inspect the scan queue."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.threshold import ScanQueue
-
-    sub = command[1] if len(command) > 1 else "stats"
-    if sub not in ("stats", "jobs"):
-        print(f"unknown queue subcommand {sub!r}; use 'stats' or 'jobs'", file=sys.stderr)
-        return 2
-    if not Path(queue_path).exists():
-        print(f"no queue at {queue_path}", file=sys.stderr)
-        return 1
-    with ScanQueue(queue_path) as queue:
-        if sub == "stats":
-            report = queue.stats()
-        else:
-            state = command[2] if len(command) > 2 else None
-            report = [
-                {
-                    k: row[k]
-                    for k in (
-                        "job_id", "run_key", "kind", "state", "priority",
-                        "attempts", "lease_owner", "source", "result_shots",
-                        "result_failures", "error",
-                    )
-                }
-                for row in queue.jobs(state)
-            ]
-    print(json.dumps(report, indent=1))
-    return 0
-
-
-def run_serve(args) -> int:
-    """Claimant loop against a shared scan queue (SIGTERM drains gracefully)."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.threshold import serve
-
-    try:
-        report = serve(
-            args.queue,
-            cache_path=args.cache or args.checkpoint or DEFAULT_CHECKPOINT,
-            workers=args.workers,
-            drain_on_empty=not args.keep_serving,
-            lease_seconds=args.lease_seconds,
-            shard_timeout=args.shard_timeout,
-            max_retries=args.max_retries,
-            install_signal_handlers=True,
-        )
-    except KeyboardInterrupt:
-        # A Ctrl-C that lands between jobs (claim/poll) rather than inside
-        # the drain-aware execution path: nothing was leased, clean exit.
-        print("interrupted while idle; queue untouched", file=sys.stderr)
-        return 0
-    print(
-        json.dumps(
-            {
-                "owner": report.owner,
-                "claimed": report.claimed,
-                "completed": report.completed,
-                "released": report.released,
-                "failed": report.failed,
-                "requeued": report.requeued,
-                "stale_completions": report.stale_completions,
-                "drained": report.drained,
-            },
-            indent=1,
-        )
-    )
-    return 0 if report.failed == 0 else 1
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "command", nargs="*", default=[],
-        help="optional subcommand: 'cache stats' (health summary), "
-        "'cache gc' (drop stale incomplete runs, purge quarantine, VACUUM), "
-        "'serve' (claimant loop against --queue), 'queue stats', or "
-        "'queue jobs [STATE]'",
-    )
-    parser.add_argument(
-        "--queue", default=str(REPO_ROOT / "scan_queue.sqlite"), metavar="PATH",
-        help="durable scan-queue sqlite file for 'serve' / 'queue' commands",
-    )
-    parser.add_argument(
-        "--via-queue", action="store_true",
-        help="route experiment Monte Carlo grids through the durable scan "
-        "queue at --queue (submit all points, drain with an inline "
-        "claimant; an interrupt requeues the remainder for resume)",
-    )
-    parser.add_argument(
-        "--keep-serving", action="store_true",
-        help="serve: keep polling when the queue is empty instead of "
-        "draining and exiting",
-    )
-    parser.add_argument(
-        "--lease-seconds", type=float, default=60.0,
-        help="serve: lease duration; a claimant that stops heartbeating "
-        "loses its job to another claimant after this long (default 60)",
+        help="optional subcommand: 'cache stats' (health summary) or "
+        "'cache gc' (drop stale incomplete runs, purge quarantine, VACUUM)",
     )
     parser.add_argument(
         "--bench", action="store_true",
@@ -321,14 +212,8 @@ def main() -> int:
     if args.command:
         if args.command[0] == "cache":
             return run_cache_command(
-                args.command,
-                args.cache or args.checkpoint or DEFAULT_CHECKPOINT,
-                queue_path=args.queue,
+                args.command, args.cache or args.checkpoint or DEFAULT_CHECKPOINT
             )
-        if args.command[0] == "queue":
-            return run_queue_command(args.command, args.queue)
-        if args.command[0] == "serve":
-            return run_serve(args)
         print(f"unknown command {args.command[0]!r}", file=sys.stderr)
         return 2
     if args.bench:
@@ -352,7 +237,6 @@ def main() -> int:
         resume=resume if checkpoint is not None else None,
         shard_timeout=args.shard_timeout,
         max_retries=args.max_retries,
-        queue=args.queue if args.via_queue else None,
     )
 
 

@@ -1,7 +1,7 @@
 """In-repo static analysis: the determinism/picklability/concurrency
-linter, the packed-program verifier, and the scheduler protocol verifier.
+linter and the packed-program verifier.
 
-Four entry points:
+Two entry points:
 
 * :func:`repro.analysis.linter.lint_paths` / ``python -m repro.analysis``
   — the AST linter (``RPL###`` rule catalog, per-line suppressions,
@@ -12,24 +12,12 @@ Four entry points:
   over its own instruction stream at build time (opcode validity,
   operand bounds, fused-batch aliasing, noise-plane budgets,
   probability ranges).
-* :func:`repro.analysis.protocheck.verify_scheduler_protocol` /
-  ``python -m repro.analysis --verify-protocol`` — static SQL
-  conformance of the scheduler's jobs-table DML against the declared
-  transition spec (``repro.analysis.protospec``), emitting ``RPL4xx``
-  diagnostics.
-* :func:`repro.analysis.explore.explore` — bounded exhaustive
-  interleaving exploration of the lease protocol (model claimants whose
-  atomic steps mirror the real transactions), with minimal
-  counterexample traces for any safety-invariant violation.
 
 See ``ANALYSIS.md`` at the repo root for the rule catalog, suppression
-syntax, and the baseline workflow; ``SCHEDULER.md`` embeds the declared
-transition diagram.
+syntax, and the baseline workflow.
 
 ``progcheck`` names are re-exported lazily so importing the linter (CI,
-pre-commit) never pulls numpy or the simulation engine; the protocol
-names are lazy only to keep the linter's import footprint minimal (they
-are stdlib-clean too).
+pre-commit) never pulls numpy or the simulation engine.
 """
 
 from __future__ import annotations
@@ -60,14 +48,6 @@ __all__ = [
     "OperandRangeError",
     "ProgramVerificationError",
     "verify_program",
-    # lazily re-exported from repro.analysis.protocheck / .explore
-    # (the explore() function itself is imported from its submodule —
-    # the bare name would clash with the submodule attribute):
-    "ExplorationReport",
-    "ModelConfig",
-    "ProtocolReport",
-    "check_source",
-    "verify_scheduler_protocol",
 ]
 
 _PROGCHECK_NAMES = {
@@ -79,29 +59,10 @@ _PROGCHECK_NAMES = {
     "verify_program",
 }
 
-_PROTOCHECK_NAMES = {
-    "ProtocolReport",
-    "check_source",
-    "verify_scheduler_protocol",
-}
-
-_EXPLORE_NAMES = {
-    "ExplorationReport",
-    "ModelConfig",
-}
-
 
 def __getattr__(name: str):
     if name in _PROGCHECK_NAMES:
         from repro.analysis import progcheck
 
         return getattr(progcheck, name)
-    if name in _PROTOCHECK_NAMES:
-        from repro.analysis import protocheck
-
-        return getattr(protocheck, name)
-    if name in _EXPLORE_NAMES:
-        from repro.analysis import explore
-
-        return getattr(explore, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,6 @@ Usage (from the repo root)::
     python -m repro.analysis --write-baseline
     python -m repro.analysis --list-rules
     python -m repro.analysis --verify-programs   # packed-program verifier
-    python -m repro.analysis --verify-protocol   # scheduler protocol verifier
     python -m repro.analysis path/to/file.py --profile tests
 
 Exit codes: 0 clean, 1 findings (or, under ``--strict``, stale baseline
@@ -61,41 +60,6 @@ def _verify_shipped_programs() -> int:
     return 0
 
 
-def _verify_protocol(root: Path, explore_depth: int | None) -> int:
-    """Static SQL conformance over the shipped scheduler plus a bounded
-    exhaustive interleaving exploration of the declared protocol.
-
-    Stdlib-only on purpose: CI runs this before installing anything.
-    """
-    from repro.analysis.explore import ModelConfig, explore
-    from repro.analysis.protocheck import verify_scheduler_protocol
-    from repro.analysis.protospec import TRANSITION_SPEC
-
-    scheduler = root / "src" / "repro" / "threshold" / "scheduler.py"
-    if not scheduler.is_file():
-        print(f"error: {scheduler} not found", file=sys.stderr)
-        return 2
-    report = verify_scheduler_protocol(scheduler)
-    for diag in report.diagnostics:
-        print(diag.format())
-    print(
-        f"protocheck: {len(report.statements)} jobs-table statement(s) "
-        f"checked against {len(TRANSITION_SPEC) + 1} declared rules, "
-        f"{len(report.diagnostics)} finding(s)"
-    )
-
-    config = ModelConfig() if explore_depth is None else ModelConfig(max_steps=explore_depth)
-    exploration = explore(config)
-    for violation in exploration.violations:
-        print(violation.format())
-    print(
-        f"explore: {config.claimants} claimants, depth {config.max_steps}: "
-        f"{exploration.states} states, {exploration.transitions} transitions, "
-        f"{len(exploration.violations)} violation(s)"
-    )
-    return 0 if report.ok and exploration.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis", description=__doc__.splitlines()[0]
@@ -142,17 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         help="build every shipped protocol's compiled programs and run the "
         "packed-program verifier over them",
     )
-    parser.add_argument(
-        "--verify-protocol", action="store_true",
-        help="check the scheduler's jobs-table SQL against the declared "
-        "transition spec (protocheck) and exhaustively explore claimant "
-        "interleavings (explore)",
-    )
-    parser.add_argument(
-        "--explore-depth", type=int, default=None, metavar="K",
-        help="schedule depth bound for --verify-protocol's explorer "
-        "(default: the model's built-in bound)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -163,8 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         return _verify_shipped_programs()
 
     root = (args.root or _find_root(Path.cwd())).resolve()
-    if args.verify_protocol:
-        return _verify_protocol(root, args.explore_depth)
     baseline_path = args.baseline if args.baseline is not None else root / BASELINE_NAME
     profile = None if args.profile == "auto" else args.profile
     try:

@@ -1,7 +1,7 @@
 """Diagnostic model, rule catalog, and suppression parsing for the linter.
 
 Every finding the static-analysis pass can emit is an ``RPL###`` rule
-(Repro Project Lint) registered here, grouped into four families:
+(Repro Project Lint) registered here, grouped into three families:
 
 * ``RPL1xx`` — **RNG discipline.**  Threshold claims are only credible if
   every Monte Carlo sample is reproducible, which the repo enforces by
@@ -143,77 +143,6 @@ RULES: dict[str, Rule] = {
             "wall-clock time (time.time/datetime.now) flowing into key/"
             "hash/fingerprint computation — cache keys must be "
             "time-independent to ever hit",
-        ),
-        Rule(
-            "RPL306",
-            "concurrency",
-            "monotonic clock (time.monotonic/perf_counter) inside lease/"
-            "heartbeat/claim/expire logic — process-local clocks cannot "
-            "order lease deadlines across claimants; use time.time()",
-        ),
-        Rule(
-            "RPL307",
-            "concurrency",
-            "UPDATE statement setting state='done' without a lease_owner "
-            "guard — an unguarded terminal write lets a stale claimant "
-            "clobber the result of the lease's current owner",
-        ),
-        # -- SQL visibility -------------------------------------------------
-        Rule(
-            "RPL308",
-            "sql",
-            "SQL assembled at runtime (f-string / % / .format / += / "
-            "concatenation with a non-constant) — built statements are "
-            "invisible to the protocol checker; use one static statement "
-            "per shape",
-        ),
-        # -- scheduler protocol conformance (emitted by protocheck, not the
-        # -- per-file lint; see ANALYSIS.md "The protocol verifier") --------
-        Rule(
-            "RPL401",
-            "protocol",
-            "jobs-table statement performs an undeclared transition or "
-            "defects from its declared column shape — every write must "
-            "match a TransitionRule in repro.analysis.protospec",
-        ),
-        Rule(
-            "RPL402",
-            "protocol",
-            "owner-scoped write dropped the lease fence (WHERE "
-            "lease_owner=?) — a stale claimant's write must lose, not "
-            "clobber; semantic generalization of RPL307",
-        ),
-        Rule(
-            "RPL403",
-            "protocol",
-            "identity columns written without recomputing the row checksum "
-            "in the same statement — a later claim would verify stale bytes",
-        ),
-        Rule(
-            "RPL404",
-            "protocol",
-            "fenced transition does not pin its declared source state "
-            "(WHERE state='...') or pins the wrong one — a terminal write "
-            "must be reachable only from its declared source",
-        ),
-        Rule(
-            "RPL405",
-            "protocol",
-            "lease grant missing a required stamp (lease_owner / "
-            "lease_expires_unix / heartbeat_unix / attempt charge) — an "
-            "unstamped lease can never expire or be fenced",
-        ),
-        Rule(
-            "RPL406",
-            "protocol",
-            "jobs-table SQL assembled dynamically or outside the verifiable "
-            "mini-dialect — protocheck cannot prove what it executes",
-        ),
-        Rule(
-            "RPL407",
-            "protocol",
-            "declared transition has no conforming statement — the "
-            "implementation dropped (or defected from) a protocol edge",
         ),
     )
 }

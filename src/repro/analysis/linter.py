@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis import rules_concurrency, rules_pickle, rules_rng, rules_sql
+from repro.analysis import rules_concurrency, rules_pickle, rules_rng
 from repro.analysis.diagnostics import Diagnostic, parse_suppressions
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
 
 BASELINE_NAME = ".analysis_baseline.json"
 
-_RULE_MODULES = (rules_rng, rules_pickle, rules_concurrency, rules_sql)
+_RULE_MODULES = (rules_rng, rules_pickle, rules_concurrency)
 
 # Rule families active per profile.  ``None`` means "every rule".
 # ``tools`` (scripts/, benchmarks/, the repo-root drivers) currently

@@ -24,17 +24,6 @@ next PR from quietly eroding any of that:
 * RPL305 — ``time.time()``/``datetime.now()`` inside key/hash/
   fingerprint/checksum computation: content-addressed cache keys must be
   time-independent or they never hit.
-* RPL306 — ``time.monotonic()``/``time.perf_counter()`` inside lease/
-  heartbeat/claim/expire logic: monotonic clocks have a per-process
-  arbitrary epoch, so a deadline one claimant stamps is meaningless to
-  the claimant that must decide whether the lease expired.  Lease
-  arithmetic is the one place wall-clock ``time.time()`` is *required*
-  (the dual of RPL305).
-* RPL307 — a SQL ``UPDATE`` string that sets ``state='done'`` without
-  ``lease_owner`` in it: the owner guard on terminal writes is the
-  scheduler's double-claim firewall; an unguarded completion lets a
-  stalled claimant whose lease was taken over clobber the successor's
-  row.
 """
 
 from __future__ import annotations
@@ -49,17 +38,6 @@ __all__ = ["check"]
 
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 _KEYISH_NAME = re.compile(r"(key|hash|fingerprint|digest|checksum)", re.IGNORECASE)
-_LEASE_NAME = re.compile(r"(lease|heartbeat|claim|expire)", re.IGNORECASE)
-_MONOTONIC_CHAINS = {
-    ("time", "monotonic"),
-    ("time", "monotonic_ns"),
-    ("time", "perf_counter"),
-    ("time", "perf_counter_ns"),
-}
-_TERMINAL_UPDATE_RE = re.compile(
-    r"\bUPDATE\b.*\bSET\b.*\bstate\s*=\s*'done'", re.IGNORECASE | re.DOTALL
-)
-_OWNER_GUARD_RE = re.compile(r"\blease_owner\b", re.IGNORECASE)
 _WALL_CLOCK_CHAINS = {
     ("time", "time"),
     ("time", "time_ns"),
@@ -293,48 +271,7 @@ class _Visitor(ast.NodeVisitor):
                         )
                         break
 
-        # RPL306 — process-local clocks inside lease-protocol code.
-        if len(chain) >= 2 and tuple(chain[-2:]) in _MONOTONIC_CHAINS:
-            enclosing = next(
-                (name for name in reversed(self._func_stack) if _LEASE_NAME.search(name)),
-                None,
-            )
-            if enclosing is not None:
-                self.diags.append(
-                    Diagnostic(
-                        "RPL306",
-                        self.ctx.path,
-                        node.lineno,
-                        f"{'.'.join(chain[-2:])}() inside {enclosing}(): "
-                        f"monotonic clocks have a per-process epoch, so "
-                        f"deadlines they stamp cannot be compared by the "
-                        f"claimant deciding expiry; lease arithmetic must "
-                        f"use wall-clock time.time()",
-                        _snippet(self.ctx, node),
-                    )
-                )
-
         self.generic_visit(node)
-
-    # -- RPL307 ---------------------------------------------------------
-    def visit_Constant(self, node: ast.Constant) -> None:
-        if (
-            isinstance(node.value, str)
-            and _TERMINAL_UPDATE_RE.search(node.value)
-            and not _OWNER_GUARD_RE.search(node.value)
-        ):
-            self.diags.append(
-                Diagnostic(
-                    "RPL307",
-                    self.ctx.path,
-                    node.lineno,
-                    "UPDATE sets state='done' with no lease_owner in the "
-                    "statement; terminal writes must be owner-guarded "
-                    "(WHERE ... AND lease_owner = ?) or a stale claimant "
-                    "can clobber the current owner's result",
-                    _snippet(self.ctx, node),
-                )
-            )
 
 
 def check(ctx) -> Iterator[Diagnostic]:

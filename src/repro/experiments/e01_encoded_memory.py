@@ -25,8 +25,6 @@ def run(
     resume: bool = True,
     shard_timeout: float | None = None,
     max_retries: int | None = None,
-    cache=None,
-    queue=None,
 ) -> dict:
     """``checkpoint``/``resume`` journal each grid point's shards under its
     own content-addressed run key (the per-point seed is spawned, hence
@@ -34,20 +32,11 @@ def run(
     ``max_retries`` bound hung and failing workers.  All four thread into
     :func:`repro.threshold.sharded.sharded_code_capacity_memory`.
 
-    ``cache`` is an alias for ``checkpoint`` under its result-cache
-    reading: the same sqlite store doubles as a content-addressed result
-    cache, so a rerun of an already-completed sweep replays every grid
-    point from disk without spawning a worker pool (corrupted rows are
-    quarantined and recomputed; storage faults degrade to uncheckpointed
-    execution instead of killing the sweep).
-
-    ``queue`` routes the encoded grid points through the durable scan
-    queue instead of blocking calls: all points are submitted up front
-    (coalescing against the cache), one inline claimant drains them, and
-    an interrupt requeues the remainder so a rerun resumes mid-grid —
-    see :func:`repro.threshold.scheduler.scan_via_queue`."""
-    if cache is not None:
-        checkpoint = cache
+    The journal doubles as a content-addressed result cache: a rerun of
+    an already-completed sweep replays every grid point from disk without
+    spawning a worker pool (corrupted rows are quarantined and
+    recomputed; storage faults degrade to uncheckpointed execution
+    instead of killing the sweep)."""
     resilience = {}
     if checkpoint is not None:
         resilience = {"checkpoint": checkpoint, "resume": resume}
@@ -61,29 +50,13 @@ def run(
     rows = []
     encoded_seeds = spawn_shard_seeds(100, len(eps_grid))
     bare_seeds = spawn_shard_seeds(200, len(eps_grid))
-    if queue is not None:
-        from repro.threshold import scan_via_queue
-
-        encoded_results = scan_via_queue(
-            queue,
-            [
-                ("capacity", (code, float(eps), 1), shots, encoded_seeds[i])
-                for i, eps in enumerate(eps_grid)
-            ],
-            cache_path=checkpoint,
-            workers=workers,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
-        )
-        encoded_rates = [r.failures / r.shots for r in encoded_results]
-    else:
-        encoded_rates = [
-            code_capacity_memory(
-                code, float(eps), rounds=1, shots=shots, seed=encoded_seeds[i],
-                workers=workers, **resilience,
-            ).failure_rate
-            for i, eps in enumerate(eps_grid)
-        ]
+    encoded_rates = [
+        code_capacity_memory(
+            code, float(eps), rounds=1, shots=shots, seed=encoded_seeds[i],
+            workers=workers, **resilience,
+        ).failure_rate
+        for i, eps in enumerate(eps_grid)
+    ]
     for i, eps in enumerate(eps_grid):
         bare = UnencodedMemory(float(eps)).run(1, shots, seed=bare_seeds[i])
         rows.append(

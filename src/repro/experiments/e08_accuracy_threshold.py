@@ -33,27 +33,13 @@ def run(
     resume: bool = True,
     shard_timeout: float | None = None,
     max_retries: int | None = None,
-    cache=None,
-    queue=None,
 ) -> dict:
     """Resilience knobs thread into the Monte Carlo scan: with
     ``checkpoint`` set, each grid point journals under its own
     content-addressed run key (the protocol embeds ε), so a killed scan
-    resumes mid-grid re-executing only unfinished shards.
-
-    ``cache`` aliases ``checkpoint``: the journal doubles as a
-    content-addressed result cache, so re-running a completed scan
-    replays every grid point from disk without spawning workers.
-
-    ``queue`` routes the Monte Carlo grid through the durable scan queue
-    (:func:`repro.threshold.scheduler.scan_via_queue`): every ε point is
-    submitted as a ``"memory"`` job with the same per-point spawned seed
-    the direct path uses, so the pooled counts — and the crossing fitted
-    from them — are bit-for-bit identical to a *checkpointed* blocking
-    scan (both use the default shard plan; an uncheckpointed
-    ``workers=1`` run takes the unsharded path and differs)."""
-    if cache is not None:
-        checkpoint = cache
+    resumes mid-grid re-executing only unfinished shards.  The journal
+    doubles as a content-addressed result cache, so re-running a completed
+    scan replays every grid point from disk without spawning workers."""
     resilience = {}
     if checkpoint is not None:
         resilience = {"checkpoint": checkpoint, "resume": resume}
@@ -67,43 +53,15 @@ def run(
     shots = 20_000 if quick else 150_000
     grid = np.array([5e-5, 1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3])
     code = SteaneCode()
-    if queue is not None:
-        from repro.threshold import scan_via_queue, spawn_shard_seeds
-        from repro.threshold.montecarlo import crossing_from_curve
-
-        grid = np.asarray(sorted(grid), dtype=float)
-        point_seeds = spawn_shard_seeds(8, len(grid))
-        results = scan_via_queue(
-            queue,
-            [
-                (
-                    "memory",
-                    (SteaneECProtocol(circuit_level(float(eps))), code, 1),
-                    shots,
-                    point_seeds[i],
-                )
-                for i, eps in enumerate(grid)
-            ],
-            cache_path=checkpoint,
-            workers=workers,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
-        )
-        curve = [
-            (float(eps), max(r.failures / r.shots, 1e-12))
-            for eps, r in zip(grid, results)
-        ]
-        crossing = crossing_from_curve(curve)
-    else:
-        crossing, curve = pseudo_threshold(
-            lambda eps: SteaneECProtocol(circuit_level(eps)),
-            code,
-            grid,
-            shots=shots,
-            seed=8,
-            workers=workers,
-            **resilience,
-        )
+    crossing, curve = pseudo_threshold(
+        lambda eps: SteaneECProtocol(circuit_level(eps)),
+        code,
+        grid,
+        shots=shots,
+        seed=8,
+        workers=workers,
+        **resilience,
+    )
     return {
         "experiment": "E08",
         "claim": "accuracy threshold ~6e-4 (crude), >1e-4 (conservative)",

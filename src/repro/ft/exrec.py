@@ -71,23 +71,18 @@ def resolve_syndrome_policy(syndromes: np.ndarray, policy: str) -> tuple[np.ndar
     """
     syn = np.asarray(syndromes, dtype=np.uint8)
     shots, reps, m = syn.shape
+    _check_policy(policy, reps)
     if policy == "first":
         accepted = syn[:, 0, :]
         act = accepted.any(axis=1)
     elif policy == "paper":
-        if reps < 2:
-            raise ValueError("the paper policy needs >= 2 repetitions")
         first, second = syn[:, 0, :], syn[:, 1, :]
         agree = (first == second).all(axis=1)
         act = agree & first.any(axis=1)
         accepted = first
-    elif policy == "majority":
-        if reps % 2 == 0:
-            raise ValueError("majority policy needs an odd repetition count")
+    else:  # majority
         accepted = ((syn.sum(axis=1) * 2) > reps).astype(np.uint8)
         act = accepted.any(axis=1)
-    else:
-        raise ValueError(f"unknown syndrome policy {policy!r}")
     return accepted, act
 
 
@@ -103,28 +98,36 @@ def resolve_syndrome_policy_packed(
     syndrome, so that ``None`` needs no mask.
     """
     reps = syn.shape[0]
+    _check_policy(policy, reps)
     if policy == "first":
         return syn[0], None
     if policy == "paper":
-        if reps < 2:
-            raise ValueError("the paper policy needs >= 2 repetitions")
         return syn[0], ~np.bitwise_or.reduce(syn[0] ^ syn[1], axis=0)
-    if policy == "majority":
-        if reps % 2 == 0:
-            raise ValueError("majority policy needs an odd repetition count")
-        # at_least[k]: lanes where at least k readings so far are 1.
-        need = reps // 2 + 1
-        at_least = np.zeros((need + 1,) + syn.shape[1:], dtype=np.uint64)
-        at_least[0] = ~np.uint64(0)
-        for reading in syn:
-            at_least[1:] |= at_least[:-1] & reading
-        return at_least[need], None
-    raise ValueError(f"unknown syndrome policy {policy!r}")
+    # majority — at_least[k]: lanes where at least k readings so far are 1.
+    need = reps // 2 + 1
+    at_least = np.zeros((need + 1,) + syn.shape[1:], dtype=np.uint64)
+    at_least[0] = ~np.uint64(0)
+    for reading in syn:
+        at_least[1:] |= at_least[:-1] & reading
+    return at_least[need], None
 
 
 def _check_engine(engine: str) -> None:
     if engine not in ("compiled", "legacy"):
         raise ValueError(f"unknown engine {engine!r}")
+
+
+def _check_policy(policy: str, repetitions: int) -> None:
+    """The one set of syndrome-policy rules: checked by both protocol
+    constructors, so a bad policy fails at construction instead of in the
+    first round (where the sharded runtime would retry it as a worker
+    fault), and by both policy resolvers."""
+    if policy not in ("first", "paper", "majority"):
+        raise ValueError(f"unknown syndrome policy {policy!r}")
+    if policy == "paper" and repetitions < 2:
+        raise ValueError("the paper policy needs >= 2 repetitions")
+    if policy == "majority" and repetitions % 2 == 0:
+        raise ValueError("majority policy needs an odd repetition count")
 
 
 def _run_round_via_packed(
@@ -179,6 +182,7 @@ class SteaneECProtocol:
         engine: str = "compiled",
     ) -> None:
         _check_engine(engine)
+        _check_policy(policy, repetitions)
         self.code = code or SteaneCode()
         self.noise = noise
         self.policy = policy
@@ -358,6 +362,7 @@ class ShorECProtocol:
         engine: str = "compiled",
     ) -> None:
         _check_engine(engine)
+        _check_policy(policy, repetitions)
         self.code = code
         self.noise = noise
         self.policy = policy

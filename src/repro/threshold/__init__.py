@@ -48,30 +48,12 @@ from repro.threshold.sharded import (
     spawn_shard_seeds,
 )
 from repro.threshold.runtime import (
-    DrainRequested,
     ResilienceOptions,
     RunDegraded,
     ShardRetryExhausted,
     ShardTimeout,
 )
-from repro.threshold.chaos import (
-    ChaosError,
-    ChaosPlan,
-    IOChaosPlan,
-    SchedulerChaosPlan,
-)
-from repro.threshold.scheduler import (
-    JobDegraded,
-    JobFailed,
-    JobHandle,
-    JobResult,
-    QueueCorrupt,
-    QueueSaturated,
-    ScanQueue,
-    ServeReport,
-    scan_via_queue,
-    serve,
-)
+from repro.threshold.chaos import ChaosError, ChaosPlan, IOChaosPlan
 from repro.threshold.journal import (
     CacheCorrupt,
     CheckpointJournal,
@@ -82,7 +64,6 @@ from repro.threshold.journal import (
     compute_run_key,
     row_checksum,
 )
-from repro.threshold.cache import CacheLookup, ResultCache
 from repro.threshold.resources import (
     FactoringProblem,
     FactoringPlan,
@@ -116,7 +97,6 @@ __all__ = [
     "sharded_memory_experiment",
     "shard_sizes",
     "spawn_shard_seeds",
-    "DrainRequested",
     "ResilienceOptions",
     "RunDegraded",
     "ShardRetryExhausted",
@@ -124,24 +104,11 @@ __all__ = [
     "ChaosError",
     "ChaosPlan",
     "IOChaosPlan",
-    "SchedulerChaosPlan",
-    "JobDegraded",
-    "JobFailed",
-    "JobHandle",
-    "JobResult",
-    "QueueCorrupt",
-    "QueueSaturated",
-    "ScanQueue",
-    "ServeReport",
-    "scan_via_queue",
-    "serve",
     "CacheCorrupt",
-    "CacheLookup",
     "CheckpointJournal",
     "JournalDegraded",
     "JournalMismatch",
     "JournalSchemaError",
-    "ResultCache",
     "compute_physics_key",
     "compute_run_key",
     "row_checksum",

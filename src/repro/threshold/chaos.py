@@ -61,36 +61,6 @@ executed through the connection; reads and PRAGMAs are never counted).
     verification must quarantine the row (``CacheCorrupt``) and recompute
     the shard.  Only meaningful on ``shard_results`` inserts; planned on
     any other statement it is a no-op.
-
-Scheduler fault kinds
----------------------
-The scan queue (:mod:`repro.threshold.scheduler`) adds a third fault
-plane: :class:`SchedulerChaosPlan` keys faults by **claim ordinal** (the
-1-based count of successful claims one ``serve`` loop makes), so every
-scheduler chaos test is exactly reproducible too.
-
-``"kill_claimant"``
-    The claimant process ``os._exit``\\ s immediately after claiming —
-    SIGKILL-equivalent, no cleanup, no requeue.  The job's lease simply
-    stops being heartbeaten; after expiry another claimant takes it over
-    and resumes from the journaled shards, bit-for-bit.
-``"heartbeat_stall"``
-    The claimant executes the job but never heartbeats (shard-boundary
-    callbacks and the background pump both suppressed) — a paused VM or a
-    livelocked host.  With a short lease another claimant takes the job
-    over mid-run; the stalled claimant's late completion is rejected by
-    the owner guard.
-``"interrupt_mid_job"``
-    ``DrainRequested`` is raised from the shard-completion callback after
-    the first shard — the operator-Ctrl-C-mid-job path.  The job must be
-    requeued without charging the attempt, with the finished shard
-    durable.
-
-Queue *storage* faults (lock-contention bursts, row tamper) are not a new
-plane: lock bursts reuse :class:`IOChaosPlan`/:class:`ChaosConnection` on
-the queue's own connection (``ScanQueue(io_chaos=...)``), and row tamper
-is direct SQL against the queue file — the identity checksum fixed at
-submit catches it at claim time regardless of how the bits were flipped.
 """
 
 from __future__ import annotations
@@ -103,8 +73,6 @@ __all__ = [
     "ChaosPlan",
     "IOChaosPlan",
     "IO_FAULTS",
-    "SCHEDULER_FAULTS",
-    "SchedulerChaosPlan",
     "VALID_FAULTS",
 ]
 
@@ -112,10 +80,6 @@ VALID_FAULTS = frozenset({"crash", "hang", "exception", "unpicklable"})
 
 IO_FAULTS = frozenset(
     {"io_error_on_write", "disk_full", "corrupt_row", "lock_contention"}
-)
-
-SCHEDULER_FAULTS = frozenset(
-    {"kill_claimant", "heartbeat_stall", "interrupt_mid_job"}
 )
 
 
@@ -225,38 +189,6 @@ class IOChaosPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IOChaosPlan({self.faults!r}, writes_seen={self.writes_seen})"
-
-
-class SchedulerChaosPlan:
-    """Deterministic claimant-level fault plan for the scan queue.
-
-    Parameters
-    ----------
-    faults:
-        Mapping of claim ordinal (1-based, counted over *successful*
-        claims one ``serve`` loop makes) → fault kind (one of
-        :data:`SCHEDULER_FAULTS`).  The ordinal addresses the claimant's
-        own claim sequence, so a plan means the same thing regardless of
-        how many claimants share the queue.
-    """
-
-    def __init__(self, faults: dict[int, str]) -> None:
-        bad = {kind for kind in faults.values() if kind not in SCHEDULER_FAULTS}
-        if bad:
-            raise ValueError(
-                f"unknown scheduler fault kinds {sorted(bad)}; "
-                f"valid: {sorted(SCHEDULER_FAULTS)}"
-            )
-        if any(int(ordinal) < 1 for ordinal in faults):
-            raise ValueError("claim ordinals are 1-based")
-        self.faults = {int(ordinal): kind for ordinal, kind in faults.items()}
-
-    def fault_for(self, claim_ordinal: int) -> str | None:
-        """Fault planned for this claim, or ``None``."""
-        return self.faults.get(int(claim_ordinal))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SchedulerChaosPlan({self.faults!r})"
 
 
 _WRITE_PREFIXES = ("INSERT", "UPDATE", "DELETE", "REPLACE")

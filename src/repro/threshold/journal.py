@@ -1,4 +1,4 @@
-"""Corruption-resilient checkpoint journal / result cache storage layer.
+"""Corruption-resilient checkpoint journal, which is also the result cache.
 
 Resolving 10⁻⁵–10⁻⁶ logical failure rates means hours-long scans; losing
 every completed shard to one crashed worker (or a Ctrl-C, or an OOM kill)
@@ -30,9 +30,23 @@ Each registered run also carries :func:`compute_physics_key` — the run key
 with seed, shots, and shard plan *excluded*.  Two completed runs over the
 same physics with different seeds (or shot budgets) therefore share a
 physics key, and :meth:`CheckpointJournal.pooled_physics_counts` merges
-them into one higher-shot ``(shots, failures)`` answer — the
-ROADMAP's content-addressed result cache (see
-:mod:`repro.threshold.cache` for the user-facing API).
+them into one higher-shot ``(shots, failures)`` answer.  Pooling
+independent seeds is legitimate by construction: every shard stream is an
+independent ``SeedSequence`` child, so the union of two runs is one larger
+experiment.
+
+The read API
+------------
+There is no separate cache layer; the journal's own reads are the API:
+
+* :meth:`CheckpointJournal.completed_shards` with ``expected_sizes`` (the
+  shard plan) is the run-key lookup the runtime does before computing.
+  Every planned shard present is a full hit (no worker pool is created),
+  some is a partial hit (resume re-executes only the remainder), none is
+  a miss;
+* :meth:`CheckpointJournal.pooled_physics_counts` is cross-run pooling;
+* :meth:`CheckpointJournal.stats` and :meth:`CheckpointJournal.gc` back
+  the ``scripts_run_full.py cache stats|gc`` subcommands.
 
 Integrity: trust nothing you did not verify
 -------------------------------------------
@@ -524,31 +538,19 @@ class CheckpointJournal:
             "bytes": self.path.stat().st_size if self.path.exists() else 0,
         }
 
-    def gc(
-        self,
-        grace_seconds: float = 3600.0,
-        protected_keys: "set[str] | frozenset[str] | tuple | list" = (),
-    ) -> dict:
+    def gc(self, grace_seconds: float = 3600.0) -> dict:
         """Reclaim space: drop *stale* incomplete runs, purge the
         quarantine, drop orphaned shard rows, and VACUUM.  Returns a
         report of what was removed.
 
         An incomplete run is only collectible when it is provably
         abandoned, not merely unfinished: WAL lets a gc run concurrently
-        with a live scan writing the same journal, and the original gc
-        collected the live run's rows mid-write (every one of its finished
-        shards silently recomputed).  Two guards close that race:
-
-        * ``grace_seconds`` — a run whose newest row (or registration) is
-          younger than this is presumed in flight and skipped;
-        * ``protected_keys`` — run keys that must never be collected
-          regardless of age, e.g. the scan queue's
-          :meth:`~repro.threshold.scheduler.ScanQueue.active_run_keys`
-          (a pending job may sit in the queue longer than any grace
-          window before its claimant starts writing).
+        with a live scan writing the same journal, and collecting the live
+        run's rows mid-write would silently recompute every one of its
+        finished shards.  So a run whose newest row (or registration) is
+        younger than ``grace_seconds`` is presumed in flight and skipped.
         """
         now = time.time()
-        protected = set(protected_keys)
         incomplete: list[str] = []
         live_skipped = 0
         for run_key, _, _, num_shards in self.runs():
@@ -559,9 +561,6 @@ class CheckpointJournal:
                 ).fetchone()[0]
             )
             if recorded == num_shards:
-                continue
-            if run_key in protected:
-                live_skipped += 1
                 continue
             newest = self._conn.execute(
                 "SELECT MAX(recorded_unix) FROM shard_results WHERE run_key = ?",

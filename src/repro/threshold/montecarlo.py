@@ -102,6 +102,14 @@ def _check_run_size(shots: int, rounds: int) -> None:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
 
 
+def _check_rate(eps: float) -> None:
+    """Reject a depolarizing rate outside [0, 1] (NaN included) before any
+    shard is planned: the sampler would not fail on one, it would return a
+    silently wrong count."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must be in [0, 1], got {eps}")
+
+
 def _count_failures(code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, shots: int) -> int:
     """Shots whose packed ``(n, words)`` residual frames fail the ideal
     decode, counted by popcount over the live lanes only: lanes past
@@ -135,6 +143,7 @@ def code_capacity_memory(
     (in-process sharded execution — journaling needs a shard plan).
     """
     _check_run_size(shots, rounds)
+    _check_rate(eps)
     if workers != 1 or num_shards is not None or _wants_sharded(resilience):
         from repro.threshold.sharded import sharded_code_capacity_memory
 

@@ -1,9 +1,18 @@
 """Resilient execution layer for the sharded Monte Carlo driver.
 
-PR 5's ``pool.map`` was all-or-nothing: one crashed, hung, or OOM-killed
-worker threw ``BrokenProcessPool`` through the whole scan and discarded
-every completed shard.  This module replaces it with per-shard ``submit``
-+ completion supervision:
+A Monte Carlo run has one path:
+:func:`~repro.threshold.montecarlo.memory_experiment` (or
+``code_capacity_memory``) → the sharded driver
+(:mod:`repro.threshold.sharded`) → :func:`execute_shards` here →
+:class:`~repro.threshold.journal.CheckpointJournal`.  Every finished
+shard, whether from a worker, a retry, or in-process degradation, passes
+through ``_record``: the one driver-side point where a count is pooled
+and committed.
+
+A plain ``pool.map`` is all-or-nothing: one crashed, hung, or OOM-killed
+worker throws ``BrokenProcessPool`` through the whole scan and discards
+every completed shard.  This module uses per-shard ``submit`` +
+completion supervision instead:
 
 * **per-shard timeouts** — a shard running longer than ``shard_timeout``
   is declared hung; the pool (which cannot cancel a running future) is
@@ -75,7 +84,6 @@ from repro.threshold.journal import (
 )
 
 __all__ = [
-    "DrainRequested",
     "ResilienceOptions",
     "RunDegraded",
     "ShardRetryExhausted",
@@ -139,15 +147,6 @@ class RunDegraded(UserWarning):
     of their specs."""
 
 
-class DrainRequested(KeyboardInterrupt):
-    """Raised (typically from an ``on_shard_complete`` callback) to stop a
-    sharded run at the next shard boundary.  Subclasses
-    ``KeyboardInterrupt`` deliberately: the runtime already handles Ctrl-C
-    by evicting the cached pool and unwinding cleanly, and a drain must
-    take exactly that path — every shard finished so far is journaled, so
-    a requeued job resumes re-executing only the remainder."""
-
-
 @dataclass(frozen=True)
 class ResilienceOptions:
     """Knobs for :func:`execute_shards` (all sharded entry points thread
@@ -163,13 +162,6 @@ class ResilienceOptions:
     turns exhaustion into :class:`ShardRetryExhausted` instead of
     in-process fallback (journal degradation is never fatal regardless —
     losing durability is not losing the run).
-
-    ``on_shard_complete`` is called as ``fn(shard_index, shots, failures)``
-    after each finished shard is journaled — the scheduler uses it to
-    heartbeat its lease and to honor drain requests (a callback raising
-    :class:`DrainRequested` stops the run at the shard boundary, with
-    everything finished so far already durable).  The callback runs on the
-    driver side, never in a worker, so it need not be picklable.
     """
 
     max_retries: int = 2
@@ -180,7 +172,6 @@ class ResilienceOptions:
     chaos: ChaosPlan | None = None
     degrade: bool = True
     io_chaos: IOChaosPlan | None = None
-    on_shard_complete: object | None = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -496,16 +487,12 @@ def _record(
     idx: int,
     shots: int,
     failures: int,
-    opts: "ResilienceOptions | None" = None,
 ) -> None:
+    """One finished shard: pooled in memory, then committed to the journal
+    (a no-op when the run is uncheckpointed or the journal degraded)."""
     results[idx] = (shots, failures)
     if journal is not None:
         journal.record(idx, shots, failures)
-    # The callback fires strictly *after* journaling: if it raises
-    # DrainRequested, every shard reported so far is already durable and a
-    # resumed run re-executes only the remainder.
-    if opts is not None and opts.on_shard_complete is not None:
-        opts.on_shard_complete(idx, shots, failures)
 
 
 def _degrade_shard(
@@ -532,7 +519,7 @@ def _degrade_shard(
         shots, failures = _run_shard_inprocess(specs[idx])
     except Exception as exc:
         raise ShardRetryExhausted(idx, attempts + 1, exc) from exc
-    _record(results, journal, idx, shots, failures, opts)
+    _record(results, journal, idx, shots, failures)
 
 
 def _execute_serial(
@@ -565,7 +552,7 @@ def _execute_serial(
                 if attempt < allowed:
                     _backoff_sleep(opts.backoff, attempt)
                 continue
-            _record(results, journal, idx, shots, failures, opts)
+            _record(results, journal, idx, shots, failures)
             break
         else:
             _degrade_shard(
@@ -650,7 +637,7 @@ def _execute_pool(
                     if on_failure(idx, exc):
                         retries.append(idx)
                     continue
-                _record(results, journal, idx, shots, failures, opts)
+                _record(results, journal, idx, shots, failures)
 
             timed_out: set[int] = set()
             if opts.shard_timeout is not None:

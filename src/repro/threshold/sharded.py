@@ -21,16 +21,20 @@ Determinism contract
   runtime's retries, degradations, and journal resumes are bit-for-bit
   identical to a clean run — faults can cost time, never correctness.
 
-Execution is supervised by :mod:`repro.threshold.runtime` (per-shard
-timeouts, bounded retry with backoff, pool replacement on
-``BrokenProcessPool``, in-process degradation) and optionally cached
-by :mod:`repro.threshold.journal` under a content-addressed run key: the
-store is consulted *before* computing, so a repeated identical run
-replays its pooled counts without spawning a pool, a killed scan resumes
-from disk re-executing only unfinished shards, and corrupted rows are
-quarantined and recomputed rather than replayed (see
-:mod:`repro.threshold.cache` for the cross-run pooling API).  The
-resilience knobs (``max_retries``, ``shard_timeout``, ``checkpoint``,
+A Monte Carlo run has one path: ``memory_experiment`` (or
+``code_capacity_memory``) hands any sharded call to this driver, which
+plans the shards and passes them to
+:func:`repro.threshold.runtime.execute_shards`.  The runtime supervises
+them (per-shard timeouts, bounded retry with backoff, pool replacement on
+``BrokenProcessPool``, in-process degradation) and, with ``checkpoint=``,
+journals them in :class:`repro.threshold.journal.CheckpointJournal` under
+a content-addressed run key: the store is consulted *before* computing,
+so a repeated identical run replays its pooled counts without spawning a
+pool, a killed scan resumes from disk re-executing only unfinished
+shards, and corrupted rows are quarantined and recomputed rather than
+replayed (cross-run pooling is
+:meth:`~repro.threshold.journal.CheckpointJournal.pooled_physics_counts`).
+The resilience knobs (``max_retries``, ``shard_timeout``, ``checkpoint``,
 ``resume``, ...) are keyword arguments on both entry points here and are
 threaded through every Monte Carlo caller.
 
@@ -296,7 +300,7 @@ def sharded_memory_experiment(
     uncheckpointed execution (``JournalDegraded``) instead of killing it.
     ``resume=False`` clears this run's rows first.  Completed runs over
     the same physics pool across seeds via
-    :meth:`repro.threshold.cache.ResultCache.pooled_counts`.
+    :meth:`repro.threshold.journal.CheckpointJournal.pooled_physics_counts`.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -343,6 +347,9 @@ def sharded_code_capacity_memory(
     Same contract, resilience knobs, and result-cache semantics as
     :func:`sharded_memory_experiment`.
     """
+    from repro.threshold.montecarlo import _check_rate
+
+    _check_rate(eps)
     if workers < 1:
         raise ValueError("workers must be positive")
     if (

@@ -9,6 +9,7 @@ imports the code under analysis.
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -337,114 +338,6 @@ class TestConcurrencyRules:
         )
         assert codes(clean) == []
 
-    def test_rpl306_monotonic_in_lease_logic_fires(self):
-        fired = lint(
-            """
-            import time
-
-            def lease_expired(deadline):
-                return time.monotonic() > deadline
-
-            def heartbeat(job):
-                job.beat_at = time.perf_counter()
-            """
-        )
-        assert codes(fired) == ["RPL306", "RPL306"]
-
-    def test_rpl306_quiet_for_wall_clock_leases_and_local_timing(self):
-        clean = lint(
-            """
-            import time
-
-            def claim_job(queue):
-                return queue.claim(now=time.time())
-
-            def elapsed(start):
-                return time.monotonic() - start
-            """
-        )
-        assert codes(clean) == []
-
-    def test_rpl307_unguarded_terminal_update_fires(self):
-        fired = lint(
-            """
-            def complete(conn, job_id):
-                conn.execute(
-                    "UPDATE jobs SET state='done' WHERE job_id=?", (job_id,)
-                )
-            """
-        )
-        assert codes(fired) == ["RPL307"]
-
-    def test_rpl307_quiet_when_owner_guarded(self):
-        clean = lint(
-            """
-            def complete(conn, job_id, owner):
-                conn.execute(
-                    "UPDATE jobs SET state='done' "
-                    "WHERE job_id=? AND lease_owner=?",
-                    (job_id, owner),
-                )
-            """
-        )
-        assert codes(clean) == []
-
-
-class TestSqlRules:
-    def test_rpl308_fstring_execute_fires(self):
-        fired = lint(
-            """
-            def fetch(conn, state):
-                return conn.execute(f"SELECT * FROM jobs WHERE state={state!r}")
-            """
-        )
-        assert codes(fired) == ["RPL308"]
-
-    def test_rpl308_accumulated_sql_fires(self):
-        """The canonical shape the scheduler used to carry: a static base
-        statement grown with `sql += " WHERE ..."` per optional filter."""
-        fired = lint(
-            """
-            def jobs(conn, state):
-                sql = "SELECT * FROM jobs"
-                if state is not None:
-                    sql += " WHERE state=?"
-                return conn.execute(sql)
-            """
-        )
-        assert codes(fired) == ["RPL308"]
-
-    def test_rpl308_nonconstant_concat_and_percent_fire(self):
-        fired = lint(
-            """
-            def events(conn, job_id, kind):
-                sql = "SELECT * FROM events" + (" WHERE job_id=?" if job_id else "")
-                conn.execute("DELETE FROM events WHERE kind=%s" % kind)
-                return conn.execute(sql)
-            """
-        )
-        assert codes(fired) == ["RPL308", "RPL308"]
-
-    def test_rpl308_quiet_on_static_sql_pragmas_and_prose(self):
-        """Static statements (including implicit/constant concatenation),
-        the schema-version PRAGMA f-string, and error messages that merely
-        *mention* SQL keywords are all fine."""
-        clean = lint(
-            """
-            VERSION = 3
-
-            def setup(conn, job_id):
-                conn.execute(f"PRAGMA user_version = {VERSION}")
-                sql = (
-                    "UPDATE jobs SET state='done' "
-                    "WHERE job_id=? AND lease_owner=?"
-                )
-                conn.execute(sql, (job_id, "owner"))
-                raise ValueError(f"expected = after SET column near {job_id}")
-            """
-        )
-        assert codes(clean) == []
-
 
 # ----------------------------------------------------------------------
 # Profiles, suppressions, baseline.
@@ -455,17 +348,22 @@ class TestMachinery:
             "RPL101", "RPL102", "RPL103", "RPL104",
             "RPL201", "RPL202", "RPL203",
             "RPL301", "RPL302", "RPL303", "RPL304", "RPL305",
-            "RPL306", "RPL307", "RPL308",
         }
-        # The RPL4xx protocol diagnostics are emitted by protocheck, not
-        # the per-file lint; their firing/quiet fixtures (scheduler
-        # mutants) live in tests/test_analysis_protocheck.py.
-        protocol = {code for code in RULES if code.startswith("RPL4")}
-        assert protocol == {
-            "RPL401", "RPL402", "RPL403", "RPL404",
-            "RPL405", "RPL406", "RPL407",
-        }
-        assert exercised == set(RULES) - protocol
+        assert exercised == set(RULES)
+
+    def test_list_rules_prints_the_catalog_in_code_order(self, capsys):
+        from repro.analysis.__main__ import main
+
+        assert main(["--list-rules"]) == 0
+        printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == sorted(RULES)
+
+    def test_analysis_md_documents_exactly_the_catalog(self):
+        """Every rule has a row in ANALYSIS.md's tables, and no row names
+        a rule the linter no longer has."""
+        text = (REPO_ROOT / "ANALYSIS.md").read_text()
+        documented = set(re.findall(r"^\| (RPL\d{3}) \|", text, flags=re.MULTILINE))
+        assert documented == set(RULES)
 
     def test_tests_profile_keeps_rng_rules_only(self):
         source = textwrap.dedent(
@@ -614,3 +512,21 @@ class TestRepoIsClean:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0
+
+    def test_monte_carlo_import_loads_no_analysis_module(self):
+        """`import repro.threshold` stays off the linter: the packed-program
+        verifier is imported when a program is built, not at import."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.threshold\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.analysis'))\n"
+            "assert loaded == [], loaded\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

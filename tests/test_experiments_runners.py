@@ -64,3 +64,41 @@ class TestExactClaims:
                 out = runner(quick=True)
                 assert out["experiment"] == name
                 assert isinstance(out["claim"], str) and out["claim"]
+
+
+class TestCheckpointedMonteCarloPins:
+    """E01 and E08 through the checkpointed sharded path, fresh and then
+    as a full-hit replay from the same store.  Both passes must equal the
+    seeded counts pinned below, so any change to the shard plan, the seed
+    derivation or the journal read shows up as a changed count."""
+
+    SHOTS = 20_000  # quick=True
+    # E01 encoded_failure per eps, as failures out of SHOTS.
+    E01_FAILURES = {3e-4: 0, 1e-3: 0, 3e-3: 3, 1e-2: 28, 3e-2: 247}
+    # E08 mc_curve per eps, as failures out of SHOTS (0 reads as 1e-12).
+    E08_FAILURES = {5e-5: 0, 1e-4: 0, 2e-4: 3, 4e-4: 18, 8e-4: 58, 1.6e-3: 202}
+    E08_CROSSING = 0.0002130082178879924
+
+    def test_e01_fresh_and_replayed(self, tmp_path):
+        from repro.experiments.e01_encoded_memory import run as run_e01
+
+        store = tmp_path / "e01.sqlite"
+        fresh = run_e01(quick=True, checkpoint=store)
+        replayed = run_e01(quick=True, checkpoint=store)
+        assert replayed == fresh
+        assert {r["eps"]: r["encoded_failure"] for r in fresh["rows"]} == {
+            eps: failures / self.SHOTS for eps, failures in self.E01_FAILURES.items()
+        }
+
+    def test_e08_fresh_and_replayed(self, tmp_path):
+        from repro.experiments.e08_accuracy_threshold import run as run_e08
+
+        store = tmp_path / "e08.sqlite"
+        fresh = run_e08(quick=True, checkpoint=store)
+        replayed = run_e08(quick=True, checkpoint=store)
+        assert replayed == fresh
+        assert fresh["mc_curve"] == [
+            (eps, max(failures / self.SHOTS, 1e-12))
+            for eps, failures in self.E08_FAILURES.items()
+        ]
+        assert fresh["mc_pseudothreshold"] == pytest.approx(self.E08_CROSSING, rel=1e-12)

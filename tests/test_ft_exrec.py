@@ -48,6 +48,48 @@ class TestSyndromePolicies:
             resolve_syndrome_policy(syn, "bogus")
 
 
+class TestPolicyAtConstruction:
+    """A policy the resolvers would reject fails when the protocol is
+    built, not in its first round, where the sharded runtime would retry
+    it as a worker fault and then degrade."""
+
+    PROTOCOLS = {
+        "steane": lambda **kw: SteaneECProtocol(NoiseModel(), **kw),
+        "shor": lambda **kw: ShorECProtocol(SteaneCode(), NoiseModel(), **kw),
+    }
+    BAD = {
+        "bogus": dict(policy="bogus"),
+        "majority-even": dict(policy="majority", repetitions=2),
+        "paper-single": dict(policy="paper", repetitions=1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_bad_policy_raises_value_error_without_warning(self, protocol, case):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="policy"):
+                self.PROTOCOLS[protocol](**self.BAD[case])
+        assert [str(w.message) for w in caught] == []
+
+    # The accepted neighbour of each rejected case above.
+    GOOD = {
+        "first-single": dict(policy="first", repetitions=1),
+        "majority-odd": dict(policy="majority", repetitions=3),
+        "paper-double": dict(policy="paper", repetitions=2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOOD))
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_good_policy_builds_and_runs_a_round(self, protocol, case):
+        proto = self.PROTOCOLS[protocol](**self.GOOD[case])
+        fx, fz = proto.run_round(16, seed=0)
+        assert fx.shape == fz.shape == (16, proto.code.n)
+        assert not fx.any() and not fz.any()
+
+
 class TestSteaneProtocol:
     def test_noiseless_identity(self, steane):
         proto = SteaneECProtocol(NoiseModel())

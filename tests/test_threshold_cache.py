@@ -1,6 +1,10 @@
 """The content-addressed result cache: read-before-compute, cross-run
 pooling, schema versioning/migration, and cache maintenance.
 
+The cache is the checkpoint journal itself; every read here goes through
+:class:`~repro.threshold.journal.CheckpointJournal`, the same reads the
+runtime does before computing.
+
 The acceptance contract under test:
 
 * a repeated identical run returns its cached pooled counts without a
@@ -22,7 +26,6 @@ from repro.threshold import (
     CacheCorrupt,
     CheckpointJournal,
     JournalSchemaError,
-    ResultCache,
     compute_physics_key,
     compute_run_key,
     row_checksum,
@@ -60,6 +63,13 @@ def run_capacity(code, cache_path, seed, shots=SHOTS, eps=EPS, **kw):
     return sharded_code_capacity_memory(
         code, eps, rounds=1, shots=shots, seed=seed, workers=1,
         num_shards=SHARDS, checkpoint=cache_path, **kw,
+    )
+
+
+def pooled(journal, code, eps=EPS):
+    """Cross-run pooled ``(shots, failures, run_keys)`` for this physics."""
+    return journal.pooled_physics_counts(
+        compute_physics_key("capacity", (code, eps, 1))
     )
 
 
@@ -115,92 +125,97 @@ class TestReadBeforeCompute:
         assert resumed == base
 
 
-class TestCacheLookup:
+class TestRunKeyLookup:
     def test_statuses(self, code, cache_path):
+        """Full hit, miss, and partial hit, as the runtime reads them:
+        ``completed_shards`` validated against the shard plan."""
         run_capacity(code, cache_path, seed=11)
         key = capacity_key(code, EPS, SHOTS, 11, SHARDS)
         sizes = sharded.shard_sizes(SHOTS, SHARDS)
-        with ResultCache(cache_path) as cache:
-            hit = cache.lookup(key, sizes)
-            assert hit.status == "full"
-            assert hit.shots == SHOTS
-            assert sorted(hit.counts) == [0, 1, 2, 3]
-            assert cache.lookup("no-such-key", sizes).status == "miss"
-            cache.journal._conn.execute(
+        with CheckpointJournal(cache_path) as journal:
+            hit = journal.completed_shards(key, expected_sizes=sizes)
+            assert sorted(hit) == [0, 1, 2, 3]
+            assert sum(s for s, _ in hit.values()) == SHOTS
+            assert journal.completed_shards("no-such-key", expected_sizes=sizes) == {}
+            journal._conn.execute(
                 "DELETE FROM shard_results WHERE run_key=? AND shard_index=0",
                 (key,),
             )
-            cache.journal._conn.commit()
-            partial = cache.lookup(key, sizes)
-            assert partial.status == "partial"
-            assert partial.shots == SHOTS - sizes[0]
+            journal._conn.commit()
+            partial = journal.completed_shards(key, expected_sizes=sizes)
+            assert sorted(partial) == [1, 2, 3]
+            assert sum(s for s, _ in partial.values()) == SHOTS - sizes[0]
 
     def test_lookup_quarantines_tampered_row(self, code, cache_path):
         run_capacity(code, cache_path, seed=11)
         key = capacity_key(code, EPS, SHOTS, 11, SHARDS)
         sizes = sharded.shard_sizes(SHOTS, SHARDS)
-        with ResultCache(cache_path) as cache:
-            cache.journal._conn.execute(
+        with CheckpointJournal(cache_path) as journal:
+            journal._conn.execute(
                 "UPDATE shard_results SET failures = failures + 5 "
                 "WHERE run_key=? AND shard_index=2",
                 (key,),
             )
-            cache.journal._conn.commit()
+            journal._conn.commit()
             with pytest.warns(CacheCorrupt):
-                hit = cache.lookup(key, sizes)
-            assert hit.status == "partial"
-            assert 2 not in hit.counts
-            assert cache.stats()["quarantined_rows"] == 1
+                hit = journal.completed_shards(key, expected_sizes=sizes)
+            assert sorted(hit) == [0, 1, 3]
+            assert journal.stats()["quarantined_rows"] == 1
 
 
 class TestCrossRunPooling:
     def test_same_physics_different_seeds_pool(self, code, cache_path):
         a = run_capacity(code, cache_path, seed=11)
         b = run_capacity(code, cache_path, seed=12)
-        with ResultCache(cache_path) as cache:
-            shots, failures = cache.pooled_counts("capacity", (code, EPS, 1))
-            assert shots == a.shots + b.shots
-            assert failures == a.failures + b.failures
-            assert len(cache.pooled_runs("capacity", (code, EPS, 1))) == 2
+        with CheckpointJournal(cache_path) as journal:
+            shots, failures, runs = pooled(journal, code)
+        assert shots == a.shots + b.shots
+        assert failures == a.failures + b.failures
+        assert len(runs) == 2
 
     def test_pooled_result_recomputes_wilson_bounds(self, code, cache_path):
+        from repro.threshold.montecarlo import MemoryResult
         from repro.util.stats import binomial_confidence
 
         a = run_capacity(code, cache_path, seed=11)
         b = run_capacity(code, cache_path, seed=12)
-        with ResultCache(cache_path) as cache:
-            pooled = cache.pooled_result("capacity", (code, EPS, 1), rounds=1)
-        assert pooled.shots == a.shots + b.shots
-        assert pooled.failures == a.failures + b.failures
-        est, low, high = binomial_confidence(pooled.failures, pooled.shots)
-        assert (pooled.failure_rate, pooled.low, pooled.high) == (est, low, high)
+        with CheckpointJournal(cache_path) as journal:
+            shots, failures, _ = pooled(journal, code)
+        pooled_result = MemoryResult.from_counts(1, shots, failures)
+        assert pooled_result.shots == a.shots + b.shots
+        assert pooled_result.failures == a.failures + b.failures
+        est, low, high = binomial_confidence(failures, shots)
+        assert (pooled_result.failure_rate, pooled_result.low, pooled_result.high) == (
+            est, low, high
+        )
         # The pooled interval is tighter than either constituent's.
-        assert (pooled.high - pooled.low) <= min(a.high - a.low, b.high - b.low)
+        assert (pooled_result.high - pooled_result.low) <= min(
+            a.high - a.low, b.high - b.low
+        )
 
     def test_different_physics_never_pool(self, code, cache_path):
         run_capacity(code, cache_path, seed=11)
         other = run_capacity(code, cache_path, seed=11, eps=0.05)
-        with ResultCache(cache_path) as cache:
-            shots, failures = cache.pooled_counts("capacity", (code, 0.05, 1))
-            assert (shots, failures) == (other.shots, other.failures)
+        with CheckpointJournal(cache_path) as journal:
+            shots, failures, _ = pooled(journal, code, eps=0.05)
+        assert (shots, failures) == (other.shots, other.failures)
 
     def test_incomplete_runs_excluded_from_pool(self, code, cache_path):
         a = run_capacity(code, cache_path, seed=11)
         run_capacity(code, cache_path, seed=12)
         key_b = capacity_key(code, EPS, SHOTS, 12, SHARDS)
-        with ResultCache(cache_path) as cache:
-            cache.journal._conn.execute(
+        with CheckpointJournal(cache_path) as journal:
+            journal._conn.execute(
                 "DELETE FROM shard_results WHERE run_key=? AND shard_index=0",
                 (key_b,),
             )
-            cache.journal._conn.commit()
-            shots, failures = cache.pooled_counts("capacity", (code, EPS, 1))
-            assert (shots, failures) == (a.shots, a.failures)
+            journal._conn.commit()
+            shots, failures, _ = pooled(journal, code)
+        assert (shots, failures) == (a.shots, a.failures)
 
     def test_pool_empty_without_completed_runs(self, code, cache_path):
-        with ResultCache(cache_path) as cache:
-            assert cache.pooled_counts("capacity", (code, EPS, 1)) == (0, 0)
-            assert cache.pooled_result("capacity", (code, EPS, 1), rounds=1) is None
+        with CheckpointJournal(cache_path) as journal:
+            assert pooled(journal, code) == (0, 0, [])
 
     def test_physics_key_excludes_seed_shots_shards(self, code):
         base = compute_physics_key("capacity", (code, EPS, 1))
@@ -308,13 +323,13 @@ class TestMaintenance:
         run_capacity(code, cache_path, seed=11)
         run_capacity(code, cache_path, seed=12)
         key = capacity_key(code, EPS, SHOTS, 12, SHARDS)
-        with ResultCache(cache_path) as cache:
-            cache.journal._conn.execute(
+        with CheckpointJournal(cache_path) as journal:
+            journal._conn.execute(
                 "DELETE FROM shard_results WHERE run_key=? AND shard_index=0",
                 (key,),
             )
-            cache.journal._conn.commit()
-            stats = cache.stats()
+            journal._conn.commit()
+            stats = journal.stats()
         assert stats["runs"] == 2
         assert stats["complete_runs"] == 1
         assert stats["shard_rows"] == 2 * SHARDS - 1
@@ -327,45 +342,43 @@ class TestMaintenance:
         run_capacity(code, cache_path, seed=12)
         key_b = capacity_key(code, EPS, SHOTS, 12, SHARDS)
         sizes = sharded.shard_sizes(SHOTS, SHARDS)
-        with ResultCache(cache_path) as cache:
+        with CheckpointJournal(cache_path) as journal:
             # Make run B incomplete and plant one quarantined row.
-            cache.journal._conn.execute(
+            journal._conn.execute(
                 "UPDATE shard_results SET failures = failures + 5 "
                 "WHERE run_key=? AND shard_index=0",
                 (key_b,),
             )
-            cache.journal._conn.commit()
+            journal._conn.commit()
             with pytest.warns(CacheCorrupt):
-                cache.lookup(key_b, sizes)
+                journal.completed_shards(key_b, expected_sizes=sizes)
             # grace_seconds=0: this test's incomplete run *is* abandoned
             # (the grace window itself is covered in TestGcLiveRunRace).
-            report = cache.gc(grace_seconds=0.0)
+            report = journal.gc(grace_seconds=0.0)
             assert report["incomplete_runs_dropped"] == 1
             assert report["quarantined_rows_purged"] == 1
-            stats = cache.stats()
+            stats = journal.stats()
             assert stats["runs"] == 1
             assert stats["complete_runs"] == 1
             assert stats["shard_rows"] == SHARDS
             assert stats["quarantined_rows"] == 0
             # The surviving complete run still answers.
-            shots, failures = cache.pooled_counts("capacity", (code, EPS, 1))
+            shots, failures, _ = pooled(journal, code)
             assert (shots, failures) == (a.shots, a.failures)
 
 
 class TestGcLiveRunRace:
     """``gc`` must never collect a run that is merely *unfinished* — only
     one that is provably abandoned.  WAL lets a gc run concurrently with a
-    live scan writing the same journal; the guards under test here are
-    the grace window (fresh rows mean a claimant is mid-write) and the
-    scan queue's ``active_run_keys`` (a pending job may sit in the queue
-    longer than any grace window before its claimant starts)."""
+    live scan writing the same journal; the guard under test here is the
+    grace window (fresh rows mean a scan is mid-write)."""
 
-    def _make_incomplete(self, cache, key):
-        cache.journal._conn.execute(
+    def _make_incomplete(self, journal, key):
+        journal._conn.execute(
             "DELETE FROM shard_results WHERE run_key=? AND shard_index=0",
             (key,),
         )
-        cache.journal._conn.commit()
+        journal._conn.commit()
 
     def test_default_grace_presumes_fresh_incomplete_runs_live(
         self, code, cache_path
@@ -373,59 +386,19 @@ class TestGcLiveRunRace:
         run_capacity(code, cache_path, seed=11)
         run_capacity(code, cache_path, seed=12)
         key_b = capacity_key(code, EPS, SHOTS, 12, SHARDS)
-        with ResultCache(cache_path) as cache:
+        with CheckpointJournal(cache_path) as journal:
             # Run B looks exactly like an in-flight scan: incomplete, but
             # its surviving rows were journaled moments ago.
-            self._make_incomplete(cache, key_b)
-            report = cache.gc()
+            self._make_incomplete(journal, key_b)
+            report = journal.gc()
             assert report["incomplete_runs_dropped"] == 0
             assert report["live_runs_skipped"] == 1
-            stats = cache.stats()
+            stats = journal.stats()
             assert stats["runs"] == 2
             assert stats["shard_rows"] == 2 * SHARDS - 1
             # Once the grace window has elapsed the same run is abandoned
             # and collectible.
-            report = cache.gc(grace_seconds=0.0)
+            report = journal.gc(grace_seconds=0.0)
             assert report["incomplete_runs_dropped"] == 1
             assert report["live_runs_skipped"] == 0
-            assert cache.stats()["runs"] == 1
-
-    def test_queue_active_run_keys_protect_regardless_of_age(
-        self, code, cache_path, tmp_path
-    ):
-        from repro.threshold.scheduler import ScanQueue
-
-        run_capacity(code, cache_path, seed=12)
-        key = capacity_key(code, EPS, SHOTS, 12, SHARDS)
-        with ResultCache(cache_path) as cache:
-            # A claimant journaled 3 of 4 shards, then died; the job was
-            # requeued and has sat pending far longer than any grace
-            # window.  Backdate every trace of activity to the epoch.
-            self._make_incomplete(cache, key)
-            cache.journal._conn.execute(
-                "UPDATE runs SET created_unix=0 WHERE run_key=?", (key,)
-            )
-            cache.journal._conn.execute(
-                "UPDATE shard_results SET recorded_unix=0 WHERE run_key=?",
-                (key,),
-            )
-            cache.journal._conn.commit()
-            with ScanQueue(
-                tmp_path / "queue.sqlite", cache_path=cache_path
-            ) as queue:
-                queue.submit_scan(
-                    "capacity", (code, EPS, 1), SHOTS, 12, num_shards=SHARDS
-                )
-                assert key in queue.active_run_keys()
-                # Stale by age, but the queue still owns this run key: the
-                # partial shards must survive for the next claimant.
-                report = cache.gc(
-                    grace_seconds=0.0,
-                    protected_keys=queue.active_run_keys(),
-                )
-                assert report["incomplete_runs_dropped"] == 0
-                assert report["live_runs_skipped"] == 1
-                assert cache.stats()["shard_rows"] == SHARDS - 1
-            # With the queue out of the picture the run is collectible.
-            report = cache.gc(grace_seconds=0.0)
-            assert report["incomplete_runs_dropped"] == 1
+            assert journal.stats()["runs"] == 1

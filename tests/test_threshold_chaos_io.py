@@ -14,6 +14,7 @@ re-executes and advances the counter, so a lock-contention *burst* is
 modelled as consecutive planned ordinals.
 """
 
+import sqlite3
 import warnings
 
 import pytest
@@ -25,9 +26,12 @@ from repro.threshold import (
     CheckpointJournal,
     IOChaosPlan,
     JournalDegraded,
+    ResilienceOptions,
+    compute_run_key,
     sharded_code_capacity_memory,
 )
-from repro.threshold import sharded
+from repro.threshold import runtime, sharded
+from repro.threshold.chaos import ChaosConnection
 
 EPS = 0.08
 SHOTS = 400
@@ -58,15 +62,104 @@ def run_with_io_chaos(code, cache_path, io_faults, workers=1, **kw):
     )
 
 
-def shard_rows(cache_path, code):
+def run_key(code):
     key_specs, fp = sharded._build_specs(
         "capacity", (code, EPS, 1), SHOTS, SEED, SHARDS
     )
-    from repro.threshold import compute_run_key
+    return compute_run_key("capacity", (code, EPS, 1), SHOTS, fp, len(key_specs))
 
-    key = compute_run_key("capacity", (code, EPS, 1), SHOTS, fp, len(key_specs))
+
+def shard_rows(cache_path, code):
     with CheckpointJournal(cache_path) as journal:
-        return journal.completed_shards(key)
+        return journal.completed_shards(run_key(code))
+
+
+@pytest.fixture()
+def spy_run_shard(monkeypatch):
+    """Counts real shard executions so replays are observable."""
+    calls = []
+    original = sharded._run_shard
+    monkeypatch.setattr(
+        sharded, "_run_shard", lambda spec: calls.append(spec) or original(spec)
+    )
+    return calls
+
+
+class TestIOChaosPlan:
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown I/O fault"):
+            IOChaosPlan({1: "meteor"})
+
+    @pytest.mark.parametrize("ordinal", [0, -3])
+    def test_rejects_non_positive_ordinals(self, ordinal):
+        with pytest.raises(ValueError, match="1-based"):
+            IOChaosPlan({ordinal: "disk_full"})
+
+    def test_reset_rewinds_the_write_counter(self):
+        plan = IOChaosPlan({2: "disk_full"})
+        assert [plan.next_write_fault() for _ in range(3)] == [None, "disk_full", None]
+        plan.reset()
+        assert plan.writes_seen == 0
+        assert [plan.next_write_fault() for _ in range(2)] == [None, "disk_full"]
+
+
+def chaos_connection(plan):
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE t (x)")
+    return ChaosConnection(conn, plan)
+
+
+class TestChaosConnection:
+    """Write ordinals count DML only, so the journal's reads and PRAGMAs
+    never shift which write a plan addresses."""
+
+    # statement -> whether it advances the write counter
+    STATEMENTS = {
+        "select": ("SELECT COUNT(*) FROM t", False),
+        "pragma": ("PRAGMA user_version", False),
+        "create": ("CREATE TABLE u (y)", False),
+        "insert": ("INSERT INTO t VALUES (1)", True),
+        "update": ("UPDATE t SET x = 2", True),
+        "delete": ("DELETE FROM t", True),
+        "replace": ("REPLACE INTO t VALUES (3)", True),
+        "indented_lowercase_insert": ("\n    insert into t values (4)", True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    def test_only_dml_advances_the_write_counter(self, name):
+        sql, counted = self.STATEMENTS[name]
+        plan = IOChaosPlan({})
+        chaos_connection(plan).execute(sql)
+        assert plan.writes_seen == int(counted)
+
+    @pytest.mark.parametrize(
+        "kind", ["disk_full", "io_error_on_write", "lock_contention"]
+    )
+    def test_error_kinds_fail_the_write_before_it_lands(self, kind):
+        conn = chaos_connection(IOChaosPlan({1: kind}))
+        with pytest.raises(sqlite3.OperationalError) as info:
+            conn.execute("INSERT INTO t VALUES (1)")
+        assert conn.execute("SELECT COUNT(*) FROM t").fetchone()[0] == 0
+        # Only contention is worth retrying; the runtime degrades on the rest.
+        assert runtime._is_lock_error(info.value) == (kind == "lock_contention")
+        conn.execute("INSERT INTO t VALUES (1)")
+        assert conn.execute("SELECT COUNT(*) FROM t").fetchone()[0] == 1
+
+    def test_corrupt_row_tampers_only_shard_inserts(self, tmp_path):
+        plan = IOChaosPlan({1: "corrupt_row", 2: "corrupt_row"})
+        with CheckpointJournal(tmp_path / "c.sqlite", io_chaos=plan) as journal:
+            journal.register_run("k1", kind="memory", shots=50, num_shards=1)
+            journal.record_shard("k1", 0, 50, 3)
+            assert plan.writes_seen == 2
+            # The run registration is stored as written ...
+            assert journal.runs() == [("k1", "memory", 50, 1)]
+            # ... the shard row silently is not, and its checksum catches it.
+            stored = journal._conn.execute(
+                "SELECT failures FROM shard_results"
+            ).fetchone()[0]
+            assert stored == 3 ^ 1
+            with pytest.warns(CacheCorrupt, match="checksum mismatch"):
+                assert journal.completed_shards("k1") == {}
 
 
 class TestIOFaultKinds:
@@ -161,6 +254,100 @@ class TestIOFaultKinds:
                 num_shards=SHARDS, checkpoint=tmp_path,
             )
         assert result == baseline
+
+
+class TestStorageFirewall:
+    """The runtime's journal paths that no planned write ordinal reaches
+    on a fresh run: each costs cache reuse or durability, never the run."""
+
+    def test_conflicting_registration_is_quarantined_and_recomputed(
+        self, code, baseline, tmp_path, spy_run_shard
+    ):
+        """Stored metadata that contradicts the run key (here: one shot
+        too many) means every row under that key is suspect, including a
+        shard row with a valid checksum."""
+        path = tmp_path / "c.sqlite"
+        key = run_key(code)
+        with CheckpointJournal(path) as journal:
+            journal.register_run(key, kind="capacity", shots=SHOTS + 1, num_shards=SHARDS)
+            journal.record_shard(key, 0, SHOTS // SHARDS, 99)
+        with pytest.warns(CacheCorrupt, match="contradicts this run"):
+            result = run_with_io_chaos(code, path, None)
+        assert result == baseline
+        assert len(spy_run_shard) == SHARDS
+        with CheckpointJournal(path) as journal:
+            assert journal.runs() == [(key, "capacity", SHOTS, SHARDS)]
+            assert journal.merged_counts(key) == (baseline.shots, baseline.failures)
+            assert journal._conn.execute(
+                "SELECT shard_index, failures, reason FROM quarantine"
+            ).fetchall() == [(0, 99, "metadata mismatch")]
+
+    def test_garbage_checkpoint_file_degrades_and_is_left_alone(
+        self, code, baseline, tmp_path
+    ):
+        path = tmp_path / "c.sqlite"
+        path.write_bytes(b"not a journal, just bytes " * 64)
+        before = path.read_bytes()
+        with pytest.warns(JournalDegraded, match="while opening"):
+            result = run_with_io_chaos(code, path, None)
+        assert result == baseline
+        assert path.read_bytes() == before
+
+    def test_checkpoint_without_a_run_key_is_refused(self, code, tmp_path):
+        specs, _ = sharded._build_specs(
+            "capacity", (code, EPS, 1), SHOTS, SEED, SHARDS
+        )
+        path = tmp_path / "c.sqlite"
+        with pytest.raises(ValueError, match="run_key"):
+            runtime.execute_shards(
+                specs, 1, options=ResilienceOptions(checkpoint=path)
+            )
+        assert not path.exists()
+
+    def test_io_error_while_clearing_degrades(
+        self, code, baseline, tmp_path, spy_run_shard
+    ):
+        """``resume=False`` clears the run first (writes 1 and 2 are its
+        two DELETEs); failing there leaves a run that records nothing."""
+        path = tmp_path / "c.sqlite"
+        assert run_with_io_chaos(code, path, None) == baseline
+        spy_run_shard.clear()
+        plan = IOChaosPlan({1: "io_error_on_write"})
+        with pytest.warns(JournalDegraded, match="while clearing the run"):
+            result = sharded_code_capacity_memory(
+                code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=1,
+                num_shards=SHARDS, checkpoint=path, backoff=0.0,
+                io_chaos=plan, resume=False,
+            )
+        assert result == baseline
+        assert len(spy_run_shard) == SHARDS
+        assert plan.writes_seen == 1
+
+    def test_disk_full_while_quarantining_a_read_degrades(
+        self, code, baseline, tmp_path, spy_run_shard
+    ):
+        """A bad row found on the read before computing is quarantined by
+        a write (write 1 is the re-registration's physics-key backfill,
+        write 2 the quarantine insert).  If that write fails, the read
+        degrades and every shard is recomputed; the bad row stays on disk
+        and the next clean run quarantines it."""
+        path = tmp_path / "c.sqlite"
+        assert run_with_io_chaos(code, path, None) == baseline
+        with CheckpointJournal(path) as journal:
+            journal._conn.execute(
+                "UPDATE shard_results SET failures = failures + 1 "
+                "WHERE shard_index = 2"
+            )
+            journal._conn.commit()
+        spy_run_shard.clear()
+        with pytest.warns(JournalDegraded, match="while reading completed shards"):
+            result = run_with_io_chaos(code, path, {2: "disk_full"})
+        assert result == baseline
+        assert len(spy_run_shard) == SHARDS
+        spy_run_shard.clear()
+        with pytest.warns(CacheCorrupt):
+            assert run_with_io_chaos(code, path, None) == baseline
+        assert len(spy_run_shard) == 1
 
 
 class TestCombinedChaos:

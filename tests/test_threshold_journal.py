@@ -9,6 +9,8 @@ equivalent to re-executing them — and a key mismatch (any input changed)
 simply starts a fresh run rather than corrupting one.
 """
 
+import warnings
+
 import pytest
 
 from repro.codes import SteaneCode
@@ -177,6 +179,137 @@ class TestJournalStore:
                     journal.register_run("k1", **bad)
             # The stored row is untouched by the failed attempts.
             assert journal.runs() == [("k1", "memory", 100, 2)]
+
+    def test_reregistration_backfills_only_a_missing_physics_key(
+        self, journal_path
+    ):
+        """A run registered without a physics key (as a migrated v0 run
+        is) gains one on its next registration; an existing key is never
+        overwritten, so a run cannot migrate into another physics pool."""
+        with CheckpointJournal(journal_path) as journal:
+            journal.register_run("k1", kind="memory", shots=100, num_shards=2)
+            journal.record_shard("k1", 0, 50, 3)
+            journal.record_shard("k1", 1, 50, 1)
+            assert journal.pooled_physics_counts("p1") == (0, 0, [])
+            journal.register_run(
+                "k1", kind="memory", shots=100, num_shards=2, physics_key="p1"
+            )
+            journal.register_run(
+                "k1", kind="memory", shots=100, num_shards=2, physics_key="p2"
+            )
+            assert journal.pooled_physics_counts("p1") == (100, 4, ["k1"])
+            assert journal.pooled_physics_counts("p2") == (0, 0, [])
+
+    def test_quarantine_run_keeps_every_row_for_forensics(self, journal_path):
+        with CheckpointJournal(journal_path) as journal:
+            for key in ("k1", "k2"):
+                journal.register_run(key, kind="memory", shots=100, num_shards=2)
+                journal.record_shard(key, 0, 50, 3)
+                journal.record_shard(key, 1, 50, 1)
+            journal.quarantine_run("k1", "metadata mismatch")
+            assert journal.completed_shards("k1") == {}
+            assert journal.runs() == [("k2", "memory", 100, 2)]
+            assert journal.completed_shards("k2") == {0: (50, 3), 1: (50, 1)}
+            kept = journal._conn.execute(
+                "SELECT run_key, shard_index, shots, failures, reason "
+                "FROM quarantine ORDER BY shard_index"
+            ).fetchall()
+            assert kept == [
+                ("k1", 0, 50, 3, "metadata mismatch"),
+                ("k1", 1, 50, 1, "metadata mismatch"),
+            ]
+
+    def test_merged_counts_leave_out_a_tampered_row(self, journal_path):
+        with CheckpointJournal(journal_path) as journal:
+            journal.record_shard("k1", 0, 50, 3)
+            journal.record_shard("k1", 1, 50, 1)
+            journal._conn.execute(
+                "UPDATE shard_results SET failures = 0 WHERE shard_index = 0"
+            )
+            journal._conn.commit()
+            with pytest.warns(CacheCorrupt):
+                assert journal.merged_counts("k1") == (50, 1)
+
+
+class TestRowValidation:
+    """``completed_shards`` is the read the runtime does before computing.
+    Every way a stored row can be wrong is quarantined with its reason and
+    left out of the answer, so the caller recomputes that shard."""
+
+    PLAN = [50, 50, 50]
+
+    # Rewrite one column of shard 1 behind the journal's back, leaving the
+    # stored checksum stale.  No shard plan is passed: the checksum alone
+    # must catch it.
+    REWRITES = {
+        "run_key": "run_key = 'k2'",
+        "shard_index": "shard_index = 7",
+        "shots": "shots = shots + 1",
+        "failures": "failures = failures + 1",
+    }
+
+    @pytest.mark.parametrize("column", sorted(REWRITES))
+    def test_checksum_alone_catches_a_rewritten_column(self, journal_path, column):
+        with CheckpointJournal(journal_path) as journal:
+            for idx, size in enumerate(self.PLAN):
+                journal.record_shard("k1", idx, size, idx)
+            journal._conn.execute(
+                f"UPDATE shard_results SET {self.REWRITES[column]} "
+                "WHERE shard_index = 1"
+            )
+            journal._conn.commit()
+            moved_key = "k2" if column == "run_key" else "k1"
+            with pytest.warns(CacheCorrupt, match="checksum mismatch"):
+                clean = journal.completed_shards(moved_key)
+            assert 1 not in clean and 7 not in clean
+            assert journal.completed_shards("k1") == {0: (50, 0), 2: (50, 2)}
+            assert journal.stats()["quarantined_rows"] == 1
+
+    # Rows the plan contradicts: (plant, quarantined shard index, reason).
+    # Every plant except the NULL checksum carries a valid checksum, so
+    # only the plan check can catch it.
+    DEFECTS = {
+        "checksum_missing": (
+            lambda j: j._conn.execute(
+                "UPDATE shard_results SET checksum = NULL WHERE shard_index = 1"
+            ),
+            1, "checksum mismatch",
+        ),
+        "shots_off_plan": (
+            lambda j: j.record_shard("k1", 1, 49, 1),
+            1, "recorded shots 49 != planned 50",
+        ),
+        "index_past_plan": (
+            lambda j: j.record_shard("k1", 3, 50, 0),
+            3, "shard index 3 outside the 3-shard plan",
+        ),
+        "index_negative": (
+            lambda j: j.record_shard("k1", -1, 50, 0),
+            -1, "shard index -1 outside the 3-shard plan",
+        ),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_row_the_plan_contradicts_is_quarantined(self, journal_path, defect):
+        plant, bad_index, reason = self.DEFECTS[defect]
+        with CheckpointJournal(journal_path) as journal:
+            for idx, size in enumerate(self.PLAN):
+                journal.record_shard("k1", idx, size, idx)
+            plant(journal)
+            journal._conn.commit()
+            with pytest.warns(CacheCorrupt, match=f"shard {bad_index}\\)"):
+                clean = journal.completed_shards("k1", expected_sizes=self.PLAN)
+            expected = {i: (50, i) for i in range(3) if i != bad_index}
+            assert clean == expected
+            assert journal._conn.execute(
+                "SELECT shard_index, reason FROM quarantine"
+            ).fetchall() == [(bad_index, reason)]
+            # The row is gone, not re-reported: a second read is clean.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", CacheCorrupt)
+                assert journal.completed_shards(
+                    "k1", expected_sizes=self.PLAN
+                ) == expected
 
 
 class TestCheckpointedRuns:

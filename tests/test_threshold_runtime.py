@@ -73,6 +73,13 @@ class TestChaosPlan:
         assert sorted(plan.faults) == [0, 4, 8, 12]
         assert all(kind == "crash" for kind in plan.faults.values())
 
+    @pytest.mark.parametrize("stride", [0, -4])
+    def test_every_rejects_a_non_positive_stride(self, stride):
+        """A zero stride would fail inside range(); a negative one would
+        plan no faults at all and let a chaos test pass vacuously."""
+        with pytest.raises(ValueError, match="stride must be positive"):
+            ChaosPlan.every(stride, "crash", num_shards=16)
+
     def test_faults_vanish_after_times(self):
         plan = ChaosPlan({3: "exception"}, times=2)
         assert plan.fault_for(3, 1) == "exception"

@@ -428,6 +428,49 @@ class TestBenchGuard:
         assert data["schema_version"] == 5
         assert set(data["host_baselines"]) == {"vm|1cpu"}
 
+    # Each used to fail late or not at all: a raw JSONDecodeError, an
+    # AttributeError, a TypeError, and (worst) a future-schema file read
+    # as a v<=4 record under "unknown|0cpu" and rewritten as v5.  The last
+    # three were read as an empty baseline, returned a list as a host's
+    # record, and raised a raw AttributeError.
+    BAD_FILES = {
+        "truncated": '{"schema_version": 5, "host_baselines": {"vm|1cpu": {',
+        "top_level_list": "[]",
+        "host_baselines_list": json.dumps({"schema_version": 5, "host_baselines": []}),
+        "future_schema": json.dumps({"schema_version": 6, "hosts": {}}),
+        "schema_version_string": json.dumps(
+            {"schema_version": "5", "host_baselines": {}}
+        ),
+        "host_record_list": json.dumps(
+            {"schema_version": 5, "host_baselines": {"vm|1cpu": []}}
+        ),
+        "v4_config_list": json.dumps({"bench": "p01_frame_engine", "config": []}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_bad_baseline_file_fails_clearly_and_stays_untouched(
+        self, case, tmp_path, monkeypatch, capsys
+    ):
+        import bench_perf
+
+        path = tmp_path / "bench.json"
+        path.write_text(self.BAD_FILES[case])
+        before = path.read_bytes()
+        with pytest.raises(bench_perf.BaselineFileError, match="bench.json"):
+            bench_perf.load_baselines(path)
+        with pytest.raises(bench_perf.BaselineFileError):
+            bench_perf.write_guarded(self._record(), path, force=True)
+
+        def no_measuring(*args, **kwargs):
+            raise AssertionError("measured before reading the baseline file")
+
+        # --check and the guarded write both refuse before measuring.
+        monkeypatch.setattr(bench_perf, "run_benchmark", no_measuring)
+        for argv in (["--check"], [], ["--force"]):
+            assert bench_perf.main([*argv, "--out", str(path)]) == 2
+            assert "bench.json" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
     def test_write_refuses_protocol_mismatch(self, tmp_path):
         from bench_perf import write_guarded
 
