@@ -6,6 +6,7 @@ import pytest
 from repro.codes import FiveQubitCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol, resolve_syndrome_policy
 from repro.noise import NoiseModel, circuit_level
+from repro.pauliframe import words_for
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +190,15 @@ class TestShorProtocol:
         proto = ShorECProtocol(code, NoiseModel(eps_meas=1.0))
         with pytest.raises(RuntimeError):
             proto.run_round(50, seed=3)
+
+    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
+    def test_factory_exhaustion_raises_on_both_engines(self, engine):
+        # The packed round raises from its own entry point, the legacy
+        # round from the per-block factory runs.
+        proto = ShorECProtocol(SteaneCode(), NoiseModel(eps_meas=1.0), engine=engine)
+        with pytest.raises(RuntimeError, match="every cat preparation failed verification"):
+            if engine == "compiled":
+                dfx = np.zeros((7, words_for(50)), dtype=np.uint64)
+                proto.run_round_packed(50, 3, dfx, dfx.copy())
+            else:
+                proto.run_round(50, seed=3)

@@ -14,6 +14,9 @@ Plus packing round-trips and a seeded-determinism regression (same seed ⇒
 identical results, run to run and fused vs unfused).
 """
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,20 @@ def random_clifford_circuit(rng, num_qubits=6, num_cbits=6, depth=60, conditiona
             gate = ["X", "Y", "Z"][rng.integers(3)]
             c.append(gate, int(rng.integers(num_qubits)), condition=cond)
     return c
+
+
+# One model per noise opcode and sampling path (dense above the compiled
+# engine's sparse cutoff, skip-sampled below it).
+CHANNEL_NOISES = {
+    "gate1_dense": NoiseModel(eps_gate1=0.3),
+    "gate1_sparse": NoiseModel(eps_gate1=0.01),
+    "meas_dense": NoiseModel(eps_meas=0.15),
+    "prep_dense": NoiseModel(eps_prep=0.12),
+    "store_dense": NoiseModel(eps_store=0.08),
+    "gate2_both_damaged_dense": NoiseModel(eps_gate2=0.2, two_qubit_mode="both_damaged"),
+    "gate2_depolarizing15_dense": NoiseModel(eps_gate2=0.2, two_qubit_mode="depolarizing15"),
+    "gate2_depolarizing15_sparse": NoiseModel(eps_gate2=0.01, two_qubit_mode="depolarizing15"),
+}
 
 
 def assert_results_equal(a, b):
@@ -288,6 +305,19 @@ class TestSeededDeterminism:
                           dict(rounds=2, shots=2001, seed=14), 180),
         "steane_sharded": (lambda: (SteaneECProtocol(circuit_level(2e-3)), SteaneCode()),
                            dict(rounds=2, shots=3001, seed=15, num_shards=4), 115),
+        # Cat resampling where it bites: widths 2 and 6 at a rate where
+        # many cats are rejected, no verification at all, and a batch
+        # shorter than one 64-shot word, so block offsets split words.
+        "shor_shor9_1e-2": (lambda: (ShorECProtocol(ShorNineCode(), circuit_level(1e-2)),
+                                     ShorNineCode()),
+                            dict(rounds=2, shots=2001, seed=16), 630),
+        "shor_steane_unverified": (lambda: (ShorECProtocol(SteaneCode(), circuit_level(2e-3),
+                                                           verify_ancilla=False),
+                                            SteaneCode()),
+                                   dict(rounds=2, shots=2001, seed=17), 226),
+        "shor_steane_37": (lambda: (ShorECProtocol(SteaneCode(), circuit_level(1e-2)),
+                                    SteaneCode()),
+                           dict(rounds=3, shots=37, seed=18), 19),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -296,6 +326,55 @@ class TestSeededDeterminism:
         proto, code = build()
         result = memory_experiment(proto, code, **kwargs)
         assert (result.shots, result.failures) == (kwargs["shots"], failures)
+
+
+class TestEngineDigests:
+    """Exact seeded output of the compiled engine on every noise opcode.
+
+    A random circuit with conditional Paulis (so the masked gate noise
+    runs) is executed under each channel model on both sampling paths and
+    under the circuit-level model in both two-qubit modes.  The sha256 of
+    the result bytes must not change when the engine's internals do; fused
+    and unfused programs consume the RNG identically, so they share one
+    digest.
+    """
+
+    NOISES = {
+        **CHANNEL_NOISES,
+        "circuit_both_damaged": circuit_level(2e-3),
+        "circuit_depolarizing15": replace(circuit_level(2e-3), two_qubit_mode="depolarizing15"),
+    }
+    DIGESTS = {
+        "gate1_dense": "1a339840c4c2b3243224e1099237a33c84b491fb9862ee0f176593e44982105d",
+        "gate1_sparse": "95d9679e91134bae36dbcf26bc95b27c4ffa7e14fab4a60f02c1ad0d4b9a1cf7",
+        "meas_dense": "eecb67eacf9fe4178b43e9a5a026579601e0c2d680c181f4e53ae7dc88be976d",
+        "prep_dense": "13304760c4a8fa3d86160960ca896c3f1262ebd1f463dd3a7fc0e8c41ed5375b",
+        "store_dense": "0ffedfe9fe0ebad9a83bcbda3da1503771b5790d47f435299bd2743460b90c20",
+        "gate2_both_damaged_dense": (
+            "73f8b93e2ea7df4b327bef2e1862dbd1eed5fbb3e084c29951776ae506e4cb64"
+        ),
+        "gate2_depolarizing15_dense": (
+            "d0a065baed32040f35de82d6d1d3ae182d3dc04505746b6632fe700a1db3f69c"
+        ),
+        "gate2_depolarizing15_sparse": (
+            "a4f34ed5bf1f859dd438e222d1090d162c1a185eff75426eee980e1c06247a8c"
+        ),
+        "circuit_both_damaged": "7002d582cff593bdb3a13e9c87c9fd719fb0e5cb4bd169a1b936d1c57bc1bde3",
+        "circuit_depolarizing15": (
+            "21cf147ae85c1f46a4aeefac33444f78cadb51c28371b05e4f8fbbd2be60781b"
+        ),
+    }
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_output_digest(self, name, fuse):
+        c = random_clifford_circuit(np.random.default_rng(6), conditional=True)
+        assert any(op.condition for op in c)
+        res = CompiledFrameProgram(c, self.NOISES[name], fuse=fuse).run(1001, seed=29)
+        digest = hashlib.sha256()
+        for field in (res.meas_flips, res.fx, res.fz):
+            digest.update(np.ascontiguousarray(field).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[name]
 
 
 def wilson_compatible(k1, n1, k2, n2):
@@ -308,19 +387,7 @@ def wilson_compatible(k1, n1, k2, n2):
 class TestStatisticalParity:
     SHOTS = 40_000
 
-    @pytest.mark.parametrize(
-        "noise",
-        [
-            NoiseModel(eps_gate1=0.3),           # dense sampling path
-            NoiseModel(eps_gate1=0.01),          # sparse sampling path
-            NoiseModel(eps_meas=0.15),
-            NoiseModel(eps_prep=0.12),
-            NoiseModel(eps_store=0.08),
-            NoiseModel(eps_gate2=0.2, two_qubit_mode="both_damaged"),
-            NoiseModel(eps_gate2=0.2, two_qubit_mode="depolarizing15"),
-            NoiseModel(eps_gate2=0.01, two_qubit_mode="depolarizing15"),
-        ],
-    )
+    @pytest.mark.parametrize("noise", list(CHANNEL_NOISES.values()))
     def test_channel_rates_match(self, noise):
         c = Circuit(2, 2)
         c.h(0).cnot(0, 1).tick().reset(1).measure(0, 0).measure(1, 1)
