@@ -46,13 +46,7 @@ from repro.ft.steane_ec import SteaneAncillaPrep, SteaneSyndromeExtraction
 from repro.noise.models import NoiseModel
 from repro.pauliframe.compiled import CompiledFrameProgram
 from repro.pauliframe.engine import FrameSimulator
-from repro.pauliframe.packing import (
-    pack_rows,
-    pack_shot_major,
-    unpack_rows,
-    unpack_shot_major,
-    words_for,
-)
+from repro.pauliframe.packing import pack_shot_major, unpack_shot_major, words_for
 from repro.util.rng import as_rng
 
 __all__ = [
@@ -128,6 +122,51 @@ def _check_policy(policy: str, repetitions: int) -> None:
         raise ValueError("the paper policy needs >= 2 repetitions")
     if policy == "majority" and repetitions % 2 == 0:
         raise ValueError("majority policy needs an odd repetition count")
+
+
+def _set_lanes(plane: np.ndarray) -> np.ndarray:
+    """Sorted indices of the set bit lanes of one ``(words,)`` plane."""
+    words = np.flatnonzero(plane)
+    bits = np.unpackbits(plane[words].view(np.uint8), bitorder="little").reshape(-1, 64)
+    word, bit = np.nonzero(bits)
+    return words[word] * 64 + bit
+
+
+def _copy_lanes(src: np.ndarray, dst: np.ndarray, *planes: np.ndarray) -> None:
+    """Overwrite lane ``dst[i]`` with lane ``src[i]`` in every row, in place.
+
+    ``dst`` is sorted without repeats and shares no lane with ``src``, so
+    reads never see a write.  Each destination word is rewritten once:
+    the lanes landing in it are cleared and ORed in together.
+    """
+    one = np.uint64(1)
+    word = dst >> 6
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words = word[first]
+    dst_bit = one << (dst & 63).astype(np.uint64)
+    keep = ~np.bitwise_or.reduceat(dst_bit, first)
+    src_word, src_shift = src >> 6, (src & 63).astype(np.uint64)
+    for plane in planes:
+        moved = ((plane[:, src_word] >> src_shift) & one) * dst_bit
+        plane[:, words] = (plane[:, words] & keep) | np.bitwise_or.reduceat(moved, first, axis=1)
+
+
+def _lane_block(planes: np.ndarray, start: int, shots: int) -> np.ndarray:
+    """Lanes ``[start, start + shots)`` of packed planes, shifted to lane 0.
+
+    Returns fresh ``(rows, words_for(shots))`` planes with the lanes past
+    ``shots`` cleared; ``start`` need not be word-aligned.
+    """
+    nwords = words_for(shots)
+    base, shift = divmod(start, 64)
+    out = planes[:, base : base + nwords].copy()
+    if shift:
+        out >>= np.uint64(shift)
+        high = planes[:, base + 1 : base + nwords + 1] << np.uint64(64 - shift)
+        out[:, : high.shape[1]] |= high
+    if shots % 64:
+        out[:, -1] &= np.uint64((1 << (shots % 64)) - 1)
+    return out
 
 
 def _run_round_via_packed(
@@ -433,13 +472,17 @@ class ShorECProtocol:
     def _cat_batch_packed(
         self, width: int, shots: int, blocks: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(width, shots * blocks)`` unpacked rows of accepted cats.
+        """Packed ``(width, words)`` X and Z planes of accepted cats.
 
-        One factory run covers every block of this width; rejected cats are
-        resampled from accepted ones *of the same block slice*, matching
-        the legacy per-block batches — a replacement drawn across blocks
-        could hand two syndrome blocks of one shot identical correlated
-        errors.
+        One factory run covers every block of this width, block ``k`` in
+        lanes ``[k * shots, (k + 1) * shots)``.  Rejected cats are
+        overwritten on the packed planes by accepted ones *of the same
+        block*, matching the legacy per-block batches — a replacement drawn
+        across blocks could hand two syndrome blocks of one shot identical
+        correlated errors.  Each block draws exactly what
+        ``rng.choice(accepted, size=rejected)`` draws in
+        :meth:`sample_cat_frames`: an index into its accepted lanes, in
+        lane order.
         """
         total = shots * blocks
         prog = self._factory_progs[width]
@@ -452,23 +495,26 @@ class ShorECProtocol:
         fx[:] = 0
         fz[:] = 0
         prog.run_packed(total, rng, fx, fz, flips)
-        cfx = unpack_rows(fx[:width], total)
-        cfz = unpack_rows(fz[:width], total)
-        if self.verify_ancilla:
-            rejected = unpack_rows(flips[:1], total)[0].astype(bool)
-            for k in range(blocks):
-                cols = slice(k * shots, (k + 1) * shots)
-                block_rejected = rejected[cols]
-                accepted_idx = np.nonzero(~block_rejected)[0]
-                if accepted_idx.size == 0:
-                    raise RuntimeError(
-                        "every cat preparation failed verification; noise too high"
-                    )
-                bad_idx = np.nonzero(block_rejected)[0]
-                if bad_idx.size:
-                    replacement = rng.choice(accepted_idx, size=bad_idx.size)
-                    cfx[:, cols][:, bad_idx] = cfx[:, cols][:, replacement]
-                    cfz[:, cols][:, bad_idx] = cfz[:, cols][:, replacement]
+        cfx, cfz = fx[:width], fz[:width]
+        if not self.verify_ancilla:
+            return cfx, cfz
+        bad = _set_lanes(flips[0])
+        ends = np.searchsorted(bad, np.arange(1, blocks + 1) * shots)
+        src = np.empty_like(bad)
+        lo = 0
+        for k, hi in enumerate(ends):
+            if hi - lo == shots:
+                raise RuntimeError("every cat preparation failed verification; noise too high")
+            if hi > lo:
+                # The r-th accepted lane of the block sits after every
+                # rejected lane b_j with b_j - j <= r.
+                local = bad[lo:hi] - k * shots
+                r = rng.integers(0, shots - (hi - lo), size=hi - lo)
+                skipped = np.searchsorted(local - np.arange(hi - lo), r, side="right")
+                src[lo:hi] = k * shots + r + skipped
+            lo = hi
+        if bad.size:
+            _copy_lanes(src, bad, cfx, cfz)
         return cfx, cfz
 
     def _round_buffers(self, shots: int) -> tuple:
@@ -488,8 +534,10 @@ class ShorECProtocol:
     ) -> None:
         """One EC round over packed ``(n, words)`` data frames, in place.
 
-        Cats are resampled unpacked (:meth:`_cat_batch_packed`); syndrome
-        parsing, the policy and the table decode run on packed planes.
+        Cats are resampled on the packed factory planes
+        (:meth:`_cat_batch_packed`) and each block's lanes are shifted into
+        its wires; syndrome parsing, the policy and the table decode run on
+        packed planes too.
         """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
@@ -503,10 +551,9 @@ class ShorECProtocol:
         for width, blocks in self._width_blocks.items():
             cfx, cfz = self._cat_batch_packed(width, shots, len(blocks), rng)
             for k, block in enumerate(blocks):
-                cols = slice(k * shots, (k + 1) * shots)
                 wires = list(block.qubits)
-                ext_fx[wires] = pack_rows(cfx[:, cols])
-                ext_fz[wires] = pack_rows(cfz[:, cols])
+                ext_fx[wires] = _lane_block(cfx, k * shots, shots)
+                ext_fz[wires] = _lane_block(cfz, k * shots, shots)
         self._extract_prog.run_packed(shots, rng, ext_fx, ext_fz, ext_flips)
         syn = self.extraction.parse_syndromes_packed(ext_flips)
         corr_x, corr_z = self._corrections_packed(syn)

@@ -15,7 +15,11 @@ XOR touches 64 shots.  Two compile-time transformations carry the speedup:
   class is sampled in *one* vectorized draw covering all of its locations,
   instead of one RNG call per operation.  Below ``_SPARSE_MAX_P`` the draw
   uses exact geometric-gap (skip) sampling, so its cost scales with the
-  expected number of faults rather than locations x shots.
+  expected number of faults rather than locations x shots.  Faults are
+  applied the same way: each class's draw becomes one sorted hit list, an
+  entry per (location, 64-shot word) that any component hits, and each
+  noise instruction XORs its locations' entries into just the frame words
+  they name.  No dense locations x words noise plane is ever built.
 
 Semantics match the legacy interpreter in ``engine.py`` exactly on
 deterministic paths (no noise, arbitrary initial frames and fault
@@ -40,12 +44,7 @@ from repro.pauliframe.engine import (
     build_fault_schedule,
     validate_frame_circuit,
 )
-from repro.pauliframe.packing import (
-    pack_rows,
-    pack_shot_major,
-    unpack_shot_major,
-    words_for,
-)
+from repro.pauliframe.packing import pack_shot_major, unpack_shot_major, words_for
 from repro.util.rng import as_rng
 
 __all__ = ["CompiledFrameProgram"]
@@ -62,11 +61,11 @@ _OP_M = 7
 _OP_MX = 8
 _OP_R = 9
 _OP_COND = 10   # classically conditioned Pauli (+ masked gate noise)
-_OP_NG1 = 11    # single-qubit depolarizing planes
-_OP_NG2 = 12    # two-qubit error planes
-_OP_NM = 13     # measurement-record flip planes
-_OP_NP = 14     # faulty-preparation planes
-_OP_NSTORE = 15  # storage depolarizing planes (all qubits, one TICK)
+_OP_NG1 = 11    # single-qubit depolarizing faults
+_OP_NG2 = 12    # two-qubit gate faults
+_OP_NM = 13     # measurement-record flips
+_OP_NP = 14     # faulty preparations
+_OP_NSTORE = 15  # storage depolarizing faults (all qubits, one TICK)
 
 _ONE_QUBIT_KIND = {
     "H": "H",
@@ -99,15 +98,18 @@ _SPARSE_MAX_P = 0.05
 
 
 # ----------------------------------------------------------------------
-# Noise-plane sampling.  One call per channel class per run; identical
-# sampling order regardless of fusion, so fused and unfused programs give
+# Fault sampling.  One call per channel class per run; identical sampling
+# order regardless of fusion, so fused and unfused programs give
 # bit-identical results from the same seed.
 # ----------------------------------------------------------------------
 def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
     """Indices in ``[0, total)`` hit by independent Bernoulli(p) trials.
 
     Exact skip sampling: gaps between successive hits are geometric, so the
-    cost is O(total * p) instead of O(total).
+    cost is O(total * p) instead of O(total).  A gap longer than ``total``
+    ends the sequence whatever its length, so gaps are clamped to ``total +
+    1`` before summing: at tiny ``p`` the geometric draw saturates at the
+    int64 maximum and an unclamped running sum would wrap negative.
     """
     if total <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -118,7 +120,7 @@ def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.n
     parts: list[np.ndarray] = []
     last = -1
     while last < total:
-        gaps = rng.geometric(p, size=chunk)
+        gaps = np.minimum(rng.geometric(p, size=chunk), total + 1)
         positions = np.cumsum(gaps, dtype=np.int64) + last
         parts.append(positions)
         last = int(positions[-1])
@@ -126,135 +128,101 @@ def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.n
     return out[out < total]
 
 
-def _scatter(
-    count: int, nwords: int, loc: np.ndarray, shot: np.ndarray, sel: np.ndarray | None = None
-) -> np.ndarray:
-    """OR single bits (loc, shot) into a zeroed ``(count, nwords)`` plane."""
-    planes = np.zeros((count, nwords), dtype=np.uint64)
-    if sel is not None:
-        loc = loc[sel]
-        shot = shot[sel]
-    if loc.size:
-        bits = np.uint64(1) << (shot & 63).astype(np.uint64)
-        np.bitwise_or.at(planes, (loc, shot >> 6), bits)
-    return planes
+def _draw_hits(
+    rng: np.random.Generator, count: int, shots: int, p: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sorted hit positions ``location * shots + shot`` of one channel class.
+
+    Above ``_SPARSE_MAX_P`` the draw is dense, one uniform per (location,
+    shot), and the uniforms of the hits come back too: conditioned on ``u <
+    p``, ``u / p`` is uniform on [0, 1), so the caller derives each hit's
+    kind from them instead of drawing again.  Below it the draw is sparse
+    and the second value is ``None``.
+    """
+    if p > _SPARSE_MAX_P:
+        u = rng.random((count, shots)).ravel()
+        idx = np.flatnonzero(u < p)
+        return idx, u[idx]
+    return _bernoulli_positions(rng, count * shots, p), None
 
 
 def _conditional_kind(u: np.ndarray, p: float, sides: int) -> np.ndarray:
-    """Uniform {0..sides-1} from the same uniforms that decided hit = u < p.
-
-    Conditioned on ``u < p``, ``u / p`` is uniform on [0, 1), so one draw
-    yields both the hit mask and an independent kind — halving RNG cost on
-    the dense path.
-    """
+    """Uniform {0..sides-1} from the uniforms ``u < p`` of dense-path hits."""
     return np.minimum((u * (sides / p)).astype(np.int64), sides - 1)
 
 
-def _depolarize_planes(
-    rng: np.random.Generator, count: int, shots: int, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """X/Z flip planes for ``count`` uniform-X/Y/Z depolarizing locations."""
-    nwords = words_for(shots)
-    if count == 0 or p <= 0.0:
-        empty = np.zeros((count, nwords), dtype=np.uint64)
-        return empty, empty.copy()
-    if p > _SPARSE_MAX_P:
-        u = rng.random((count, shots))
-        hit = u < p
-        kind = _conditional_kind(u, p, 3)  # 0: X, 1: Y, 2: Z
-        return pack_rows(hit & (kind != 2)), pack_rows(hit & (kind != 0))
-    idx = _bernoulli_positions(rng, count * shots, p)
-    kind = rng.integers(0, 3, size=idx.size)
-    loc, shot = idx // shots, idx % shots
-    return (
-        _scatter(count, nwords, loc, shot, kind != 2),
-        _scatter(count, nwords, loc, shot, kind != 0),
-    )
+@dataclass
+class _Hits:
+    """The sampled faults of one channel class, one entry per hit word.
+
+    Entry ``i`` is the 64-shot word ``word[i]`` of location ``loc[i]``, and
+    ``bits[c, i]`` is the shots of that word where component ``c`` fires:
+    X and Z for depolarizing classes, ax, az, bx and bz for two-qubit
+    gates, the flip alone for measurement and preparation.  Entries are
+    sorted by (location, word) and never repeat a pair, and locations ``[lo,
+    lo + size)`` own entries ``[bounds[lo], bounds[lo + size])``.
+    """
+
+    loc: np.ndarray
+    word: np.ndarray
+    bits: np.ndarray
+    bounds: np.ndarray
+
+    def span(self, lo: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offset from ``lo``, word, bits) of the entries of ``size``
+        locations from ``lo``."""
+        a, b = self.bounds[lo], self.bounds[lo + size]
+        return self.loc[a:b] - lo, self.word[a:b], self.bits[:, a:b]
 
 
-def _bernoulli_planes(
-    rng: np.random.Generator, count: int, shots: int, p: float
-) -> np.ndarray:
-    """Flip planes for ``count`` plain Bernoulli(p) locations (meas/prep)."""
-    nwords = words_for(shots)
-    if count == 0 or p <= 0.0:
-        return np.zeros((count, nwords), dtype=np.uint64)
-    if p > _SPARSE_MAX_P:
-        return pack_rows(rng.random((count, shots)) < p)
-    idx = _bernoulli_positions(rng, count * shots, p)
-    return _scatter(count, nwords, idx // shots, idx % shots)
+def _hits(count: int, shots: int, idx: np.ndarray, *components: np.ndarray) -> _Hits:
+    """Fold sorted hit positions into one entry per (location, word).
+
+    ``components`` are per-hit booleans.  Sorted positions make ``location
+    * words + word`` non-decreasing, so each run of equal keys is one entry
+    and one ``reduceat`` ORs its shot bits per component.
+    """
+    loc, shot = np.divmod(idx, shots)
+    word = shot >> 6
+    first = np.flatnonzero(np.diff(loc * words_for(shots) + word, prepend=-1))
+    bit = np.uint64(1) << (shot & 63).astype(np.uint64)
+    bits = np.bitwise_or.reduceat(np.stack(components) * bit, first, axis=1)
+    loc = loc[first]
+    return _Hits(loc, word[first], bits, np.searchsorted(loc, np.arange(count + 1)))
 
 
-def _two_qubit_planes(
+def _depolarize_hits(rng: np.random.Generator, count: int, shots: int, p: float) -> _Hits:
+    """X/Z hits for ``count`` uniform-X/Y/Z depolarizing locations."""
+    idx, u = _draw_hits(rng, count, shots, p)
+    kind = rng.integers(0, 3, size=idx.size) if u is None else _conditional_kind(u, p, 3)
+    return _hits(count, shots, idx, kind != 2, kind != 0)  # 0: X, 1: Y, 2: Z
+
+
+def _bernoulli_hits(rng: np.random.Generator, count: int, shots: int, p: float) -> _Hits:
+    """Flip hits for ``count`` plain Bernoulli(p) locations (meas/prep)."""
+    idx, _ = _draw_hits(rng, count, shots, p)
+    return _hits(count, shots, idx, np.ones(idx.size, dtype=bool))
+
+
+def _two_qubit_hits(
     rng: np.random.Generator, count: int, shots: int, noise: NoiseModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ax, az, bx, bz) planes for ``count`` two-qubit gate locations."""
+) -> _Hits:
+    """(ax, az, bx, bz) hits for ``count`` two-qubit gate locations."""
     p = noise.eps_gate2
-    nwords = words_for(shots)
-    if count == 0 or p <= 0.0:
-        empty = np.zeros((count, nwords), dtype=np.uint64)
-        return empty, empty.copy(), empty.copy(), empty.copy()
+    idx, u = _draw_hits(rng, count, shots, p)
     if noise.two_qubit_mode == "both_damaged":
         # §5's pessimistic model: one hit draws an independent uniform
         # non-trivial-or-not X/Y/Z on each touched qubit.
-        if p > _SPARSE_MAX_P:
-            u = rng.random((count, shots))
-            hit = u < p
+        if u is None:
+            kind_a = rng.integers(0, 3, size=idx.size)
+            kind_b = rng.integers(0, 3, size=idx.size)
+        else:
             kind_a = _conditional_kind(u, p, 3)
-            kind_b = rng.integers(0, 3, size=(count, shots))
-            return (
-                pack_rows(hit & (kind_a != 2)),
-                pack_rows(hit & (kind_a != 0)),
-                pack_rows(hit & (kind_b != 2)),
-                pack_rows(hit & (kind_b != 0)),
-            )
-        idx = _bernoulli_positions(rng, count * shots, p)
-        kind_a = rng.integers(0, 3, size=idx.size)
-        kind_b = rng.integers(0, 3, size=idx.size)
-        loc, shot = idx // shots, idx % shots
-        return (
-            _scatter(count, nwords, loc, shot, kind_a != 2),
-            _scatter(count, nwords, loc, shot, kind_a != 0),
-            _scatter(count, nwords, loc, shot, kind_b != 2),
-            _scatter(count, nwords, loc, shot, kind_b != 0),
-        )
+            kind_b = rng.integers(0, 3, size=(count, shots)).ravel()[idx]
+        return _hits(count, shots, idx, kind_a != 2, kind_a != 0, kind_b != 2, kind_b != 0)
     # depolarizing15: uniform over the 15 nontrivial pair Paulis.
-    if p > _SPARSE_MAX_P:
-        u = rng.random((count, shots))
-        hit = u < p
-        pair = np.where(hit, _conditional_kind(u, p, 15) + 1, 0)
-    else:
-        idx = _bernoulli_positions(rng, count * shots, p)
-        pair_sparse = rng.integers(1, 16, size=idx.size)
-        loc, shot = idx // shots, idx % shots
-        return (
-            _scatter(count, nwords, loc, shot, ((pair_sparse >> 3) & 1) == 1),
-            _scatter(count, nwords, loc, shot, ((pair_sparse >> 2) & 1) == 1),
-            _scatter(count, nwords, loc, shot, ((pair_sparse >> 1) & 1) == 1),
-            _scatter(count, nwords, loc, shot, (pair_sparse & 1) == 1),
-        )
-    return (
-        pack_rows((pair >> 3) & 1),
-        pack_rows((pair >> 2) & 1),
-        pack_rows((pair >> 1) & 1),
-        pack_rows(pair & 1),
-    )
-
-
-@dataclass
-class _Planes:
-    """Pre-sampled packed noise bit-planes for one run, by channel class."""
-
-    g1x: np.ndarray
-    g1z: np.ndarray
-    g2ax: np.ndarray
-    g2az: np.ndarray
-    g2bx: np.ndarray
-    g2bz: np.ndarray
-    meas: np.ndarray
-    prep: np.ndarray
-    storex: np.ndarray
-    storez: np.ndarray
+    pair = rng.integers(1, 16, size=idx.size) if u is None else _conditional_kind(u, p, 15) + 1
+    return _hits(count, shots, idx, *[((pair >> s) & 1) == 1 for s in (3, 2, 1, 0)])
 
 
 def _inject_packed(fx: np.ndarray, fz: np.ndarray, shot: int, qubit: int, kind: str) -> None:
@@ -415,14 +383,16 @@ class CompiledFrameProgram:
         self._counts = counts
 
     # ------------------------------------------------------------------
-    def _sample_planes(self, rng: np.random.Generator, shots: int) -> _Planes:
+    def _sample_planes(self, rng: np.random.Generator, shots: int) -> dict[str, _Hits]:
+        """One hit list per channel class, drawn in this fixed order."""
         counts, noise = self._counts, self.noise
-        g1x, g1z = _depolarize_planes(rng, counts["g1"], shots, noise.eps_gate1)
-        g2ax, g2az, g2bx, g2bz = _two_qubit_planes(rng, counts["g2"], shots, noise)
-        meas = _bernoulli_planes(rng, counts["meas"], shots, noise.eps_meas)
-        prep = _bernoulli_planes(rng, counts["prep"], shots, noise.eps_prep)
-        storex, storez = _depolarize_planes(rng, counts["store"], shots, noise.eps_store)
-        return _Planes(g1x, g1z, g2ax, g2az, g2bx, g2bz, meas, prep, storex, storez)
+        return {
+            "g1": _depolarize_hits(rng, counts["g1"], shots, noise.eps_gate1),
+            "g2": _two_qubit_hits(rng, counts["g2"], shots, noise),
+            "meas": _bernoulli_hits(rng, counts["meas"], shots, noise.eps_meas),
+            "prep": _bernoulli_hits(rng, counts["prep"], shots, noise.eps_prep),
+            "store": _depolarize_hits(rng, counts["store"], shots, noise.eps_store),
+        }
 
     # ------------------------------------------------------------------
     def new_buffers(self, shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,9 +426,9 @@ class CompiledFrameProgram:
                 f"frame buffers must be ({self.circuit.num_qubits}, {nwords}) uint64"
             )
         flips[:] = 0
-        planes = self._sample_planes(rng, shots)
+        faults = self._sample_planes(rng, shots)
         if fault_injections is None:
-            self._execute(self._instructions, fx, fz, flips, planes)
+            self._execute(self._instructions, fx, fz, flips, faults)
             return
         if self.fuse:
             raise ValueError("fault injections require an unfused program (fuse=False)")
@@ -467,7 +437,7 @@ class CompiledFrameProgram:
             _inject_packed(fx, fz, shot, qubit, kind)
         for op_index, (start, end) in enumerate(self._op_slices):
             if end > start:
-                self._execute(self._instructions[start:end], fx, fz, flips, planes)
+                self._execute(self._instructions[start:end], fx, fz, flips, faults)
             for shot, qubit, kind in schedule.get(op_index, []):
                 _inject_packed(fx, fz, shot, qubit, kind)
 
@@ -504,8 +474,12 @@ class CompiledFrameProgram:
         fx: np.ndarray,
         fz: np.ndarray,
         flips: np.ndarray,
-        pl: _Planes,
+        faults: dict[str, _Hits],
     ) -> None:
+        # Each noise instruction XORs only the words its locations hit.
+        # Fancy-indexed ^= is exact here: within one instruction every
+        # (row, word) target occurs once, since a location owns at most one
+        # entry per word and a fused batch never repeats a qubit or cbit.
         for ins in instrs:
             op = ins[0]
             if op == _OP_CNOT:
@@ -523,30 +497,40 @@ class CompiledFrameProgram:
                 fz[qs] = tmp
             elif op == _OP_NG1:
                 _, qs, lo, size = ins
-                fx[qs] ^= pl.g1x[lo : lo + size]
-                fz[qs] ^= pl.g1z[lo : lo + size]
+                at, word, bits = faults["g1"].span(lo, size)
+                if word.size:
+                    rows = qs[at]
+                    fx[rows, word] ^= bits[0]
+                    fz[rows, word] ^= bits[1]
             elif op == _OP_NG2:
                 _, qa, qb, lo, size = ins
-                sl = slice(lo, lo + size)
-                fx[qa] ^= pl.g2ax[sl]
-                fz[qa] ^= pl.g2az[sl]
-                fx[qb] ^= pl.g2bx[sl]
-                fz[qb] ^= pl.g2bz[sl]
+                at, word, bits = faults["g2"].span(lo, size)
+                if word.size:
+                    rows_a, rows_b = qa[at], qb[at]
+                    fx[rows_a, word] ^= bits[0]
+                    fz[rows_a, word] ^= bits[1]
+                    fx[rows_b, word] ^= bits[2]
+                    fz[rows_b, word] ^= bits[3]
             elif op == _OP_R:
                 qs = ins[1]
                 fx[qs] = 0
                 fz[qs] = 0
             elif op == _OP_NM:
                 _, cs, lo, size = ins
-                flips[cs] ^= pl.meas[lo : lo + size]
+                at, word, bits = faults["meas"].span(lo, size)
+                if word.size:
+                    flips[cs[at], word] ^= bits[0]
             elif op == _OP_NP:
                 _, qs, lo, size = ins
-                fx[qs] ^= pl.prep[lo : lo + size]
+                at, word, bits = faults["prep"].span(lo, size)
+                if word.size:
+                    fx[qs[at], word] ^= bits[0]
             elif op == _OP_NSTORE:
-                lo = ins[1]
-                n = fx.shape[0]
-                fx ^= pl.storex[lo : lo + n]
-                fz ^= pl.storez[lo : lo + n]
+                # One location per qubit, in qubit order.
+                at, word, bits = faults["store"].span(ins[1], fx.shape[0])
+                if word.size:
+                    fx[at, word] ^= bits[0]
+                    fz[at, word] ^= bits[1]
             elif op == _OP_S:
                 qs = ins[1]
                 fz[qs] ^= fx[qs]
@@ -583,7 +567,9 @@ class CompiledFrameProgram:
                     fz[qubit] ^= mask
                 if loc >= 0:
                     # The conditional Pauli is physical only where it fires.
-                    fx[qubit] ^= pl.g1x[loc] & mask
-                    fz[qubit] ^= pl.g1z[loc] & mask
+                    _, word, bits = faults["g1"].span(loc, 1)
+                    if word.size:
+                        fx[qubit, word] ^= bits[0] & mask[word]
+                        fz[qubit, word] ^= bits[1] & mask[word]
             else:  # pragma: no cover
                 raise AssertionError(f"bad opcode {op}")

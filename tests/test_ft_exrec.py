@@ -5,8 +5,9 @@ import pytest
 
 from repro.codes import FiveQubitCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol, resolve_syndrome_policy
+from repro.ft.exrec import _copy_lanes, _lane_block, _set_lanes
 from repro.noise import NoiseModel, circuit_level
-from repro.pauliframe import words_for
+from repro.pauliframe import pack_rows, unpack_rows, words_for
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +203,35 @@ class TestShorProtocol:
                 proto.run_round_packed(50, 3, dfx, dfx.copy())
             else:
                 proto.run_round(50, seed=3)
+
+
+class TestPackedLaneHelpers:
+    """The packed cat-batch helpers against their unpacked meaning."""
+
+    @pytest.mark.parametrize("shots", [1, 37, 64, 65, 130])
+    def test_lane_block_is_the_packed_slice(self, shots):
+        rng = np.random.default_rng(shots)
+        blocks = 5
+        bits = (rng.random((3, shots * blocks)) < 0.5).astype(np.uint8)
+        planes = pack_rows(bits)
+        for k in range(blocks):
+            np.testing.assert_array_equal(
+                _lane_block(planes, k * shots, shots),
+                pack_rows(bits[:, k * shots : (k + 1) * shots]),
+            )
+
+    def test_set_lanes_lists_set_bits_in_order(self):
+        bits = (np.random.default_rng(1).random(1000) < 0.05).astype(np.uint8)
+        np.testing.assert_array_equal(_set_lanes(pack_rows(bits[None])[0]), np.flatnonzero(bits))
+
+    def test_copy_lanes_is_the_unpacked_copy(self):
+        rng = np.random.default_rng(4)
+        total = 1000
+        bits = (rng.random((2, total)) < 0.5).astype(np.uint8)
+        dst = np.sort(rng.choice(total, 120, replace=False))
+        src = rng.choice(np.setdiff1d(np.arange(total), dst), dst.size)
+        planes = pack_rows(bits)
+        _copy_lanes(src, dst, planes)
+        bits[:, dst] = bits[:, src]
+        np.testing.assert_array_equal(unpack_rows(planes, total), bits)
+

@@ -34,6 +34,7 @@ from repro.pauliframe import (
     unpack_shot_major,
     words_for,
 )
+from repro.pauliframe.compiled import _bernoulli_positions
 from repro.threshold import memory_experiment
 from repro.util.stats import wilson_interval
 
@@ -375,6 +376,32 @@ class TestEngineDigests:
         for field in (res.meas_flips, res.fx, res.fz):
             digest.update(np.ascontiguousarray(field).tobytes())
         assert digest.hexdigest() == self.DIGESTS[name]
+
+
+class TestTinyRates:
+    """NoiseModel accepts any rate in [0, 1].  Far below any physical rate
+    the geometric gap draw saturates at the int64 maximum; the skip sampler
+    must still end, in range, instead of wrapping its running sum."""
+
+    @pytest.mark.parametrize("p", [1e-19, 1e-30, 5e-324])
+    def test_skip_sampler_terminates_in_range(self, p):
+        rng = np.random.default_rng(1)
+        for total in (1, 1000, 10**7):
+            positions = _bernoulli_positions(rng, total, p)
+            assert ((positions >= 0) & (positions < total)).all()
+            assert (np.diff(positions) > 0).all()
+
+    def test_tiny_measurement_rate_returns(self):
+        res = FrameSimulator(Circuit(1, 1).measure(0, 0), NoiseModel(eps_meas=1e-30)).run(
+            1000, seed=1
+        )
+        assert not res.meas_flips.any()
+
+    def test_memory_experiment_at_tiny_rate(self):
+        result = memory_experiment(
+            SteaneECProtocol(circuit_level(1e-19)), SteaneCode(), rounds=2, shots=20_000, seed=3
+        )
+        assert result.failures == 0
 
 
 def wilson_compatible(k1, n1, k2, n2):
