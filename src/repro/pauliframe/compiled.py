@@ -133,11 +133,9 @@ def _draw_hits(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Sorted hit positions ``location * shots + shot`` of one channel class.
 
-    Above ``_SPARSE_MAX_P`` the draw is dense, one uniform per (location,
-    shot), and the uniforms of the hits come back too: conditioned on ``u <
-    p``, ``u / p`` is uniform on [0, 1), so the caller derives each hit's
-    kind from them instead of drawing again.  Below it the draw is sparse
-    and the second value is ``None``.
+    Above ``_SPARSE_MAX_P`` the draw is dense and the hits' uniforms come
+    back too, for :func:`_conditional_kind`; below it the draw is sparse and
+    the second value is ``None``.
     """
     if p > _SPARSE_MAX_P:
         u = rng.random((count, shots)).ravel()
@@ -147,7 +145,12 @@ def _draw_hits(
 
 
 def _conditional_kind(u: np.ndarray, p: float, sides: int) -> np.ndarray:
-    """Uniform {0..sides-1} from the uniforms ``u < p`` of dense-path hits."""
+    """Uniform {0..sides-1} from the same uniforms that decided hit = u < p.
+
+    Conditioned on ``u < p``, ``u / p`` is uniform on [0, 1), so one draw
+    yields both the hit mask and an independent kind — halving RNG cost on
+    the dense path.
+    """
     return np.minimum((u * (sides / p)).astype(np.int64), sides - 1)
 
 
