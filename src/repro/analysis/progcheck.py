@@ -15,15 +15,21 @@ build time.
 Checks, each with a distinct typed diagnostic:
 
 * **opcode validity** (:class:`BadOpcode`) — known opcode, correct
-  operand arity;
+  operand arity, and slice operands with an explicit start, a nonzero
+  step and at least one row;
 * **operand bounds** (:class:`OperandRangeError`) — qubit indices within
-  the frame-plane height, cbit indices within the flip-plane height,
+  the frame-plane height, cbit indices within the flip-plane height
+  (checked on the rows a slice operand names: NumPy would silently clip a
+  slice that runs past the plane, or read a negative stop from its end),
   noise-plane slices within the sampled channel budget;
 * **buffer aliasing** (:class:`BufferAliasError`) — no duplicate rows
   within a fused batch and no control/target overlap (a fused
   ``fx[tgt] ^= fx[ctl]`` with ``ctl``/``tgt`` overlap reads rows the same
   statement is writing), and no two noise instructions replaying the same
   sampled plane rows;
+* **noise coverage** (:class:`NoiseCoverageError`) — every sampled
+  location of every channel is consumed by some noise instruction, so no
+  sampled fault is silently dropped;
 * **noise probability ranges** (:class:`NoiseRangeError`) — every channel
   probability in [0, 1] (re-checked here: the verifier trusts nothing,
   including ``NoiseModel.__post_init__`` having run).
@@ -36,6 +42,7 @@ import numpy as np
 __all__ = [
     "BadOpcode",
     "BufferAliasError",
+    "NoiseCoverageError",
     "NoiseRangeError",
     "OperandRangeError",
     "ProgramVerificationError",
@@ -70,6 +77,10 @@ class BufferAliasError(ProgramVerificationError):
     aliasing), or two noise instructions replay the same plane rows."""
 
 
+class NoiseCoverageError(ProgramVerificationError):
+    """Sampled noise-plane rows that no instruction consumes."""
+
+
 class NoiseRangeError(ProgramVerificationError):
     """A noise-channel probability outside [0, 1]."""
 
@@ -100,9 +111,28 @@ def _opcode_table() -> dict[int, tuple[str, int]]:
     }
 
 
+def _slice_rows(sl: slice, limit: int, what: str, buffer: str, i: int) -> np.ndarray:
+    """The rows a slice operand names, which must be the rows NumPy selects."""
+    if sl.start is None or not sl.step:
+        raise BadOpcode(f"{what} slice {sl} needs an explicit start and a nonzero step", i)
+    stop = sl.stop if sl.stop is not None else (limit if sl.step > 0 else -1)
+    rows = np.arange(sl.start, stop, sl.step)
+    if rows.size == 0:
+        raise BadOpcode(f"{what} slice {sl} names no rows", i)
+    if not np.array_equal(rows, np.arange(limit)[sl]):
+        raise OperandRangeError(
+            f"{what} slice {sl} names rows {int(rows[0])}..{int(rows[-1])} but selects "
+            f"other rows of the {buffer} plane (valid 0..{limit - 1})",
+            i,
+        )
+    return rows
+
+
 def _check_index_array(
     idx, limit: int, what: str, buffer: str, i: int
 ) -> np.ndarray:
+    if isinstance(idx, slice):
+        return _slice_rows(idx, limit, what, buffer, i)
     arr = np.asarray(idx)
     if arr.size and (arr.min() < 0 or arr.max() >= limit):
         raise OperandRangeError(
@@ -272,15 +302,27 @@ def verify_program(
                 )
             )
 
-    # No two noise instructions may replay the same sampled plane rows —
-    # each location's fault must be applied exactly where the compiler
-    # assigned it, or two circuit locations share correlated errors.
+    # Every sampled plane row must be consumed exactly once.  Two
+    # instructions replaying the same rows give two circuit locations
+    # correlated errors; rows nobody consumes are faults silently dropped.
     for channel, slices in consumed.items():
-        slices.sort()
-        for (lo1, hi1), (lo2, _) in zip(slices, slices[1:]):
-            if lo2 < hi1:
+        end = 0
+        for lo, hi in sorted(slices):
+            if lo < end:
                 raise BufferAliasError(
-                    f"noise-plane rows [{lo2}, {hi1}) of channel "
+                    f"noise-plane rows [{lo}, {min(hi, end)}) of channel "
                     f"'{channel}' are consumed by two instructions — two "
                     f"circuit locations would replay the same sampled faults"
                 )
+            if lo > end:
+                raise _unconsumed(channel, end, lo)
+            end = hi
+        if end < counts.get(channel, 0):
+            raise _unconsumed(channel, end, counts[channel])
+
+
+def _unconsumed(channel: str, lo: int, hi: int) -> NoiseCoverageError:
+    return NoiseCoverageError(
+        f"noise-plane rows [{lo}, {hi}) of channel '{channel}' are sampled "
+        f"but consumed by no instruction — their faults would be dropped"
+    )

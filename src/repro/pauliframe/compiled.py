@@ -6,20 +6,30 @@ a flat instruction stream executed over bit-packed frames (see
 XOR touches 64 shots.  Two compile-time transformations carry the speedup:
 
 * **Gate fusion** — consecutive operations of the same kind acting on
-  disjoint qubits collapse into a single fancy-indexed row operation.  The
+  disjoint qubits collapse into a single batched row operation.  The
   transversal structure of fault-tolerant gadgets (rows of parallel CNOTs,
-  blocks of measurements) makes these batches long in practice.
+  blocks of measurements) makes these batches long in practice.  A batch
+  whose rows form an arithmetic progression is lowered to a basic
+  ``slice``, so it runs on views instead of copying rows through a fancy
+  index; any other batch keeps an ``intp`` index array.  NumPy indexes with
+  either, so the interpreter has one code path for both.
 * **Noise-location precompute** — every stochastic location is assigned, in
   program order, an index within its channel class (single-qubit gate,
-  two-qubit gate, measurement, preparation, storage).  At run time each
+  two-qubit gate, measurement, preparation, storage), and a row table per
+  class records the buffer row(s) each location writes.  At run time each
   class is sampled in *one* vectorized draw covering all of its locations,
   instead of one RNG call per operation.  Below ``_SPARSE_MAX_P`` the draw
   uses exact geometric-gap (skip) sampling, so its cost scales with the
-  expected number of faults rather than locations x shots.  Faults are
-  applied the same way: each class's draw becomes one sorted hit list, an
-  entry per (location, 64-shot word) that any component hits, and each
-  noise instruction XORs its locations' entries into just the frame words
-  they name.  No dense locations x words noise plane is ever built.
+  expected number of faults rather than locations x shots; the gaps come
+  from one standard-exponential fill, the same arithmetic
+  ``Generator.geometric`` runs per draw.  Each hit carries one fault code
+  (the Pauli kind, the pair of kinds, or the 15-way pair index) that a
+  small per-class mask table expands into components (X, Z, or ax, az,
+  bx, bz).  Each class's draw becomes one sorted hit list, an entry per
+  (location, 64-shot word) that any component hits, and every entry
+  carries its flat index ``row * words + word`` into the frame buffer, so
+  a noise instruction XORs a contiguous slice of bits into the 1-D view of
+  the buffer.  No dense locations x words noise plane is ever built.
 
 Semantics match the legacy interpreter in ``engine.py`` exactly on
 deterministic paths (no noise, arbitrary initial frames and fault
@@ -106,10 +116,14 @@ def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.n
     """Indices in ``[0, total)`` hit by independent Bernoulli(p) trials.
 
     Exact skip sampling: gaps between successive hits are geometric, so the
-    cost is O(total * p) instead of O(total).  A gap longer than ``total``
-    ends the sequence whatever its length, so gaps are clamped to ``total +
-    1`` before summing: at tiny ``p`` the geometric draw saturates at the
-    int64 maximum and an unclamped running sum would wrap negative.
+    cost is O(total * p) instead of O(total).  Below p = 1/3,
+    ``Generator.geometric`` computes each gap as ``ceil(E / -log1p(-p))``
+    from one standard exponential ``E``, so one exponential fill gives the
+    same gaps and leaves the bit generator in the same state, at half the
+    cost.  A gap longer than ``total`` ends the sequence whatever its
+    length, so gaps are clamped to ``total + 1`` before the cast and the
+    running sum: at tiny ``p`` the quotient overflows to inf, which
+    ``geometric`` saturates without a warning.
     """
     if total <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -117,15 +131,21 @@ def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.n
         return np.arange(total, dtype=np.int64)
     expect = total * p
     chunk = int(expect + 10.0 * math.sqrt(expect + 1.0) + 16.0)
+    scale = -math.log1p(-p)
     parts: list[np.ndarray] = []
     last = -1
     while last < total:
-        gaps = np.minimum(rng.geometric(p, size=chunk), total + 1)
-        positions = np.cumsum(gaps, dtype=np.int64) + last
+        gaps = rng.standard_exponential(chunk)
+        with np.errstate(over="ignore"):
+            gaps /= scale
+        np.ceil(gaps, out=gaps)
+        np.minimum(gaps, total + 1, out=gaps)
+        positions = np.cumsum(gaps.astype(np.int64))
+        positions += last
         parts.append(positions)
         last = int(positions[-1])
     out = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return out[out < total]
+    return out[: np.searchsorted(out, total)]  # positions never decrease
 
 
 def _draw_hits(
@@ -154,64 +174,102 @@ def _conditional_kind(u: np.ndarray, p: float, sides: int) -> np.ndarray:
     return np.minimum((u * (sides / p)).astype(np.int64), sides - 1)
 
 
+# Fault code -> firing components, one table per class shape:
+# ``masks[c, code]`` says whether component ``c`` fires.
+_KIND = np.arange(3)  # 0: X, 1: Y, 2: Z
+_DEPOLARIZE = np.stack([_KIND != 2, _KIND != 0])  # (X, Z) per kind
+_PAIR9 = np.arange(9)  # 3 * kind_a + kind_b
+_BOTH_DAMAGED = np.stack(
+    [_PAIR9 // 3 != 2, _PAIR9 // 3 != 0, _PAIR9 % 3 != 2, _PAIR9 % 3 != 0]
+)  # (ax, az, bx, bz)
+_PAIR15 = (np.arange(16) >> np.array([[3], [2], [1], [0]])) & 1 == 1  # pair bits
+_FLIP = np.ones((1, 1), dtype=bool)
+
+
 @dataclass
 class _Hits:
     """The sampled faults of one channel class, one entry per hit word.
 
-    Entry ``i`` is the 64-shot word ``word[i]`` of location ``loc[i]``, and
+    Entry ``i`` is one 64-shot word ``word[i]`` of one location, and
     ``bits[c, i]`` is the shots of that word where component ``c`` fires:
     X and Z for depolarizing classes, ax, az, bx and bz for two-qubit
-    gates, the flip alone for measurement and preparation.  Entries are
-    sorted by (location, word) and never repeat a pair, and locations ``[lo,
-    lo + size)`` own entries ``[bounds[lo], bounds[lo + size])``.
+    gates, the flip alone for measurement and preparation.  ``tgt[k, i]``
+    is the flat index ``row * words + word`` of that word in the buffer
+    row the location's ``k``-th qubit (or cbit) owns.  Entries are sorted
+    by (location, word) and never repeat a pair, and locations ``[lo, lo +
+    size)`` own entries ``[bounds[lo], bounds[lo + size])``.
     """
 
-    loc: np.ndarray
     word: np.ndarray
     bits: np.ndarray
+    tgt: np.ndarray
     bounds: np.ndarray
 
-    def span(self, lo: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(offset from ``lo``, word, bits) of the entries of ``size``
-        locations from ``lo``."""
-        a, b = self.bounds[lo], self.bounds[lo + size]
-        return self.loc[a:b] - lo, self.word[a:b], self.bits[:, a:b]
 
-
-def _hits(count: int, shots: int, idx: np.ndarray, *components: np.ndarray) -> _Hits:
+def _hits(
+    rows: np.ndarray, shots: int, idx: np.ndarray, code: np.ndarray, masks: np.ndarray
+) -> _Hits:
     """Fold sorted hit positions into one entry per (location, word).
 
-    ``components`` are per-hit booleans.  Sorted positions make ``location
-    * words + word`` non-decreasing, so each run of equal keys is one entry
-    and one ``reduceat`` ORs its shot bits per component.
+    ``rows`` is the class's ``(k, locations)`` row table, ``code`` one
+    fault code per hit and ``masks`` the class's ``(components, codes)``
+    table of which components each code fires.  Positions are sorted, so
+    each location's hits are one run of them and, within it, each word's
+    hits are one run: the run's first hit starts an entry and sets its
+    bits, and the few later hits in the same word are ORed in.
     """
-    loc, shot = np.divmod(idx, shots)
+    words, count = words_for(shots), rows.shape[1]
+    # Location l's hits are idx[at[l]:at[l + 1]].
+    at = np.searchsorted(idx, np.arange(count + 1) * shots)
+    shot = idx - np.repeat(np.arange(count) * shots, np.diff(at))
     word = shot >> 6
-    first = np.flatnonzero(np.diff(loc * words_for(shots) + word, prepend=-1))
-    bit = np.uint64(1) << (shot & 63).astype(np.uint64)
-    bits = np.bitwise_or.reduceat(np.stack(components) * bit, first, axis=1)
-    loc = loc[first]
-    return _Hits(loc, word[first], bits, np.searchsorted(loc, np.arange(count + 1)))
+    new = np.empty(idx.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(word[1:], word[:-1], out=new[1:])
+    starts = at[:-1]
+    new[starts[starts < idx.size]] = True
+    first = np.flatnonzero(new)
+    fire = np.where(masks, ~np.uint64(0), np.uint64(0))
+    bits = _shot_bits(fire, code[first], shot[first])
+    if first.size < idx.size:
+        rest = np.flatnonzero(~new)
+        entry = np.searchsorted(first, rest) - 1
+        np.bitwise_or.at(bits, (slice(None), entry), _shot_bits(fire, code[rest], shot[rest]))
+    bounds = np.searchsorted(first, at)
+    word = word[first]
+    tgt = np.repeat(rows * words, np.diff(bounds), axis=1)
+    tgt += word
+    return _Hits(word, bits, tgt, bounds)
 
 
-def _depolarize_hits(rng: np.random.Generator, count: int, shots: int, p: float) -> _Hits:
-    """X/Z hits for ``count`` uniform-X/Y/Z depolarizing locations."""
-    idx, u = _draw_hits(rng, count, shots, p)
+def _shot_bits(fire: np.ndarray, code: np.ndarray, shot: np.ndarray) -> np.ndarray:
+    """``(components, hits)`` words holding each hit's shot bit in the
+    components its code fires."""
+    bits = np.take(fire, code, axis=1)
+    bit = (shot & 63).view(np.uint64)
+    np.left_shift(np.uint64(1), bit, out=bit)
+    bits &= bit
+    return bits
+
+
+def _depolarize_hits(rng: np.random.Generator, rows: np.ndarray, shots: int, p: float) -> _Hits:
+    """X/Z hits for uniform-X/Y/Z depolarizing locations."""
+    idx, u = _draw_hits(rng, rows.shape[1], shots, p)
     kind = rng.integers(0, 3, size=idx.size) if u is None else _conditional_kind(u, p, 3)
-    return _hits(count, shots, idx, kind != 2, kind != 0)  # 0: X, 1: Y, 2: Z
+    return _hits(rows, shots, idx, kind, _DEPOLARIZE)
 
 
-def _bernoulli_hits(rng: np.random.Generator, count: int, shots: int, p: float) -> _Hits:
-    """Flip hits for ``count`` plain Bernoulli(p) locations (meas/prep)."""
-    idx, _ = _draw_hits(rng, count, shots, p)
-    return _hits(count, shots, idx, np.ones(idx.size, dtype=bool))
+def _bernoulli_hits(rng: np.random.Generator, rows: np.ndarray, shots: int, p: float) -> _Hits:
+    """Flip hits for plain Bernoulli(p) locations (meas/prep)."""
+    idx, _ = _draw_hits(rng, rows.shape[1], shots, p)
+    return _hits(rows, shots, idx, np.zeros(idx.size, dtype=np.intp), _FLIP)
 
 
 def _two_qubit_hits(
-    rng: np.random.Generator, count: int, shots: int, noise: NoiseModel
+    rng: np.random.Generator, rows: np.ndarray, shots: int, noise: NoiseModel
 ) -> _Hits:
-    """(ax, az, bx, bz) hits for ``count`` two-qubit gate locations."""
-    p = noise.eps_gate2
+    """(ax, az, bx, bz) hits for two-qubit gate locations."""
+    p, count = noise.eps_gate2, rows.shape[1]
     idx, u = _draw_hits(rng, count, shots, p)
     if noise.two_qubit_mode == "both_damaged":
         # §5's pessimistic model: one hit draws an independent uniform
@@ -222,10 +280,47 @@ def _two_qubit_hits(
         else:
             kind_a = _conditional_kind(u, p, 3)
             kind_b = rng.integers(0, 3, size=(count, shots)).ravel()[idx]
-        return _hits(count, shots, idx, kind_a != 2, kind_a != 0, kind_b != 2, kind_b != 0)
+        return _hits(rows, shots, idx, 3 * kind_a + kind_b, _BOTH_DAMAGED)
     # depolarizing15: uniform over the 15 nontrivial pair Paulis.
     pair = rng.integers(1, 16, size=idx.size) if u is None else _conditional_kind(u, p, 15) + 1
-    return _hits(count, shots, idx, *[((pair >> s) & 1) == 1 for s in (3, 2, 1, 0)])
+    return _hits(rows, shots, idx, pair, _PAIR15)
+
+
+def _batch_index(rows: list[int]) -> slice | np.ndarray:
+    """The index of a fused batch's rows: a basic slice when they form an
+    arithmetic progression, so the batch runs on views; else intp."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step and all(b - a == step for a, b in zip(rows, rows[1:])):
+        stop = rows[0] + step * len(rows)
+        # A descending batch through row 0 has no nonnegative stop; -1
+        # would count from the end of the plane.
+        return slice(rows[0], stop if stop >= 0 else None, step)
+    return np.array(rows, dtype=np.intp)
+
+
+def _row_tables(
+    instrs: list[tuple], counts: dict[str, int], num_qubits: int
+) -> dict[str, np.ndarray]:
+    """Per channel class, the ``(k, locations)`` table of the buffer rows
+    each sampled location writes: the two qubits of a two-qubit gate, the
+    cbit of a measurement (a ``flips`` row), the one qubit otherwise."""
+    rows = {
+        name: np.zeros((2 if name == "g2" else 1, n), dtype=np.intp) for name, n in counts.items()
+    }
+    owner = {_OP_NG1: "g1", _OP_NM: "meas", _OP_NP: "prep"}
+    for ins in instrs:
+        op = ins[0]
+        if op in owner:
+            _, qs, lo, size = ins
+            rows[owner[op]][0, lo:lo + size] = qs
+        elif op == _OP_NG2:
+            _, qa, qb, lo, size = ins
+            rows["g2"][:, lo:lo + size] = qa, qb
+        elif op == _OP_NSTORE:
+            rows["store"][0, ins[1]:ins[1] + num_qubits] = np.arange(num_qubits)
+        elif op == _OP_COND and ins[5] >= 0:
+            rows["g1"][0, ins[5]] = ins[3]
+    return rows
 
 
 def _inject_packed(fx: np.ndarray, fz: np.ndarray, shot: int, qubit: int, kind: str) -> None:
@@ -303,22 +398,18 @@ class CompiledFrameProgram:
             size = len(q1)
             idx1 = np.array(q1, dtype=np.intp)
             idx2 = np.array(q2, dtype=np.intp)
-            if kind in ("H", "S", "RP"):
-                instrs.append((_FRAME_OPCODE[kind], idx1))
-            elif kind in ("CNOT", "CZ", "CY", "SWAP"):
-                instrs.append((_FRAME_OPCODE[kind], idx1, idx2))
-            elif kind in ("M", "MX"):
-                instrs.append((_FRAME_OPCODE[kind], idx1, idx2))
-                if noise.eps_meas > 0:
-                    instrs.append((_OP_NM, idx2, counts["meas"], size))
-                    counts["meas"] += size
-            elif kind == "R":
-                instrs.append((_OP_R, idx1))
-                if noise.eps_prep > 0:
-                    instrs.append((_OP_NP, idx1, counts["prep"], size))
-                    counts["prep"] += size
             # "P1" (bare Paulis) emit no frame instruction, only gate noise.
-            if kind in ("H", "S", "RP", "P1") and noise.eps_gate1 > 0:
+            if kind in ("H", "S", "RP", "R"):
+                instrs.append((_FRAME_OPCODE[kind], _batch_index(q1)))
+            elif kind in ("CNOT", "CZ", "CY", "SWAP", "M", "MX"):
+                instrs.append((_FRAME_OPCODE[kind], _batch_index(q1), _batch_index(q2)))
+            if kind in ("M", "MX") and noise.eps_meas > 0:
+                instrs.append((_OP_NM, idx2, counts["meas"], size))
+                counts["meas"] += size
+            elif kind == "R" and noise.eps_prep > 0:
+                instrs.append((_OP_NP, idx1, counts["prep"], size))
+                counts["prep"] += size
+            elif kind in ("H", "S", "RP", "P1") and noise.eps_gate1 > 0:
                 instrs.append((_OP_NG1, idx1, counts["g1"], size))
                 counts["g1"] += size
             elif kind in ("CNOT", "CZ", "CY", "SWAP") and noise.eps_gate2 > 0:
@@ -384,17 +475,18 @@ class CompiledFrameProgram:
         self._instructions = instrs
         self._op_slices = op_slices
         self._counts = counts
+        self._row_tables = _row_tables(instrs, counts, num_qubits)
 
     # ------------------------------------------------------------------
     def _sample_planes(self, rng: np.random.Generator, shots: int) -> dict[str, _Hits]:
         """One hit list per channel class, drawn in this fixed order."""
-        counts, noise = self._counts, self.noise
+        rows, noise = self._row_tables, self.noise
         return {
-            "g1": _depolarize_hits(rng, counts["g1"], shots, noise.eps_gate1),
-            "g2": _two_qubit_hits(rng, counts["g2"], shots, noise),
-            "meas": _bernoulli_hits(rng, counts["meas"], shots, noise.eps_meas),
-            "prep": _bernoulli_hits(rng, counts["prep"], shots, noise.eps_prep),
-            "store": _depolarize_hits(rng, counts["store"], shots, noise.eps_store),
+            "g1": _depolarize_hits(rng, rows["g1"], shots, noise.eps_gate1),
+            "g2": _two_qubit_hits(rng, rows["g2"], shots, noise),
+            "meas": _bernoulli_hits(rng, rows["meas"], shots, noise.eps_meas),
+            "prep": _bernoulli_hits(rng, rows["prep"], shots, noise.eps_prep),
+            "store": _depolarize_hits(rng, rows["store"], shots, noise.eps_store),
         }
 
     # ------------------------------------------------------------------
@@ -420,14 +512,18 @@ class CompiledFrameProgram:
         ``fx``/``fz`` carry the initial frames on entry and the residual
         frames on exit; ``flips`` is zeroed here before execution.  Buffers
         must have ``words_for(shots)`` columns (reuse across rounds is the
-        point of this entry).
+        point of this entry) and be C-contiguous: faults are applied
+        through flat indices into ``reshape(-1)`` views, which on any other
+        layout would be copies that silently drop every fault.
         """
         rng = as_rng(rng)
         nwords = words_for(shots)
-        if fx.shape != (self.circuit.num_qubits, nwords) or fz.shape != fx.shape:
-            raise ValueError(
-                f"frame buffers must be ({self.circuit.num_qubits}, {nwords}) uint64"
-            )
+        frame_shape = (self.circuit.num_qubits, nwords)
+        flips_shape = (max(1, self.circuit.num_cbits), nwords)
+        buffers = (("fx", fx, frame_shape), ("fz", fz, frame_shape), ("flips", flips, flips_shape))
+        for name, buf, shape in buffers:
+            if buf.shape != shape or not buf.flags.c_contiguous:
+                raise ValueError(f"{name} must be a C-contiguous {shape} uint64 buffer")
         flips[:] = 0
         faults = self._sample_planes(rng, shots)
         if fault_injections is None:
@@ -479,10 +575,15 @@ class CompiledFrameProgram:
         flips: np.ndarray,
         faults: dict[str, _Hits],
     ) -> None:
-        # Each noise instruction XORs only the words its locations hit.
-        # Fancy-indexed ^= is exact here: within one instruction every
-        # (row, word) target occurs once, since a location owns at most one
-        # entry per word and a fused batch never repeats a qubit or cbit.
+        # Gate batches index rows by a slice (a view) or an intp array (a
+        # copy); H and SWAP copy their temporary, since a view would alias
+        # the rows it is about to overwrite.  A noise instruction XORs a
+        # contiguous run of its class's entries into the flat buffer
+        # through their precomputed targets.  Fancy-indexed ^= is exact
+        # here: within one instruction every target occurs once, since a
+        # location owns at most one entry per word and a fused batch never
+        # repeats a qubit or cbit.
+        flat_x, flat_z, flat_m = fx.reshape(-1), fz.reshape(-1), flips.reshape(-1)
         for ins in instrs:
             op = ins[0]
             if op == _OP_CNOT:
@@ -495,45 +596,47 @@ class CompiledFrameProgram:
                 fz[qs] = 0
             elif op == _OP_H:
                 qs = ins[1]
-                tmp = fx[qs]
+                tmp = fx[qs].copy()
                 fx[qs] = fz[qs]
                 fz[qs] = tmp
             elif op == _OP_NG1:
-                _, qs, lo, size = ins
-                at, word, bits = faults["g1"].span(lo, size)
-                if word.size:
-                    rows = qs[at]
-                    fx[rows, word] ^= bits[0]
-                    fz[rows, word] ^= bits[1]
+                hits = faults["g1"]
+                a, b = hits.bounds[ins[2]], hits.bounds[ins[2] + ins[3]]
+                if b > a:
+                    tgt = hits.tgt[0, a:b]
+                    flat_x[tgt] ^= hits.bits[0, a:b]
+                    flat_z[tgt] ^= hits.bits[1, a:b]
             elif op == _OP_NG2:
-                _, qa, qb, lo, size = ins
-                at, word, bits = faults["g2"].span(lo, size)
-                if word.size:
-                    rows_a, rows_b = qa[at], qb[at]
-                    fx[rows_a, word] ^= bits[0]
-                    fz[rows_a, word] ^= bits[1]
-                    fx[rows_b, word] ^= bits[2]
-                    fz[rows_b, word] ^= bits[3]
+                hits = faults["g2"]
+                a, b = hits.bounds[ins[3]], hits.bounds[ins[3] + ins[4]]
+                if b > a:
+                    tgt_a, tgt_b = hits.tgt[0, a:b], hits.tgt[1, a:b]
+                    flat_x[tgt_a] ^= hits.bits[0, a:b]
+                    flat_z[tgt_a] ^= hits.bits[1, a:b]
+                    flat_x[tgt_b] ^= hits.bits[2, a:b]
+                    flat_z[tgt_b] ^= hits.bits[3, a:b]
             elif op == _OP_R:
                 qs = ins[1]
                 fx[qs] = 0
                 fz[qs] = 0
             elif op == _OP_NM:
-                _, cs, lo, size = ins
-                at, word, bits = faults["meas"].span(lo, size)
-                if word.size:
-                    flips[cs[at], word] ^= bits[0]
+                hits = faults["meas"]
+                a, b = hits.bounds[ins[2]], hits.bounds[ins[2] + ins[3]]
+                if b > a:
+                    flat_m[hits.tgt[0, a:b]] ^= hits.bits[0, a:b]
             elif op == _OP_NP:
-                _, qs, lo, size = ins
-                at, word, bits = faults["prep"].span(lo, size)
-                if word.size:
-                    fx[qs[at], word] ^= bits[0]
+                hits = faults["prep"]
+                a, b = hits.bounds[ins[2]], hits.bounds[ins[2] + ins[3]]
+                if b > a:
+                    flat_x[hits.tgt[0, a:b]] ^= hits.bits[0, a:b]
             elif op == _OP_NSTORE:
                 # One location per qubit, in qubit order.
-                at, word, bits = faults["store"].span(ins[1], fx.shape[0])
-                if word.size:
-                    fx[at, word] ^= bits[0]
-                    fz[at, word] ^= bits[1]
+                hits = faults["store"]
+                a, b = hits.bounds[ins[1]], hits.bounds[ins[1] + fx.shape[0]]
+                if b > a:
+                    tgt = hits.tgt[0, a:b]
+                    flat_x[tgt] ^= hits.bits[0, a:b]
+                    flat_z[tgt] ^= hits.bits[1, a:b]
             elif op == _OP_S:
                 qs = ins[1]
                 fz[qs] ^= fx[qs]
@@ -551,10 +654,10 @@ class CompiledFrameProgram:
                 fz[tgt] ^= fx[ctl]
             elif op == _OP_SWAP:
                 _, qa, qb = ins
-                tmp = fx[qa]
+                tmp = fx[qa].copy()
                 fx[qa] = fx[qb]
                 fx[qb] = tmp
-                tmp = fz[qa]
+                tmp = fz[qa].copy()
                 fz[qa] = fz[qb]
                 fz[qb] = tmp
             elif op == _OP_MX:
@@ -570,9 +673,11 @@ class CompiledFrameProgram:
                     fz[qubit] ^= mask
                 if loc >= 0:
                     # The conditional Pauli is physical only where it fires.
-                    _, word, bits = faults["g1"].span(loc, 1)
-                    if word.size:
-                        fx[qubit, word] ^= bits[0] & mask[word]
-                        fz[qubit, word] ^= bits[1] & mask[word]
+                    hits = faults["g1"]
+                    a, b = hits.bounds[loc], hits.bounds[loc + 1]
+                    if b > a:
+                        word = hits.word[a:b]
+                        fx[qubit, word] ^= hits.bits[0, a:b] & mask[word]
+                        fz[qubit, word] ^= hits.bits[1, a:b] & mask[word]
             else:  # pragma: no cover
                 raise AssertionError(f"bad opcode {op}")

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.progcheck import (
     BadOpcode,
     BufferAliasError,
+    NoiseCoverageError,
     NoiseRangeError,
     OperandRangeError,
     ProgramVerificationError,
@@ -125,6 +126,60 @@ class TestCorruptedStreams:
         with pytest.raises(BufferAliasError, match="consumed by two instructions"):
             reverify(prog, stream + [noise_ins])
 
+    def test_dropped_noise_instruction(self):
+        prog = small_program()
+        stream = stream_of(prog)
+        at = next(i for i, ins in enumerate(stream) if ins[0] == cmod._OP_NG1)
+        lo, size = stream[at][2], stream[at][3]
+        with pytest.raises(NoiseCoverageError, match=rf"\[{lo}, {lo + size}\) of channel 'g1'"):
+            reverify(prog, stream[:at] + stream[at + 1:])
+
+    def test_gap_between_noise_slices(self):
+        # The first of the two CNOTs' noise instructions: the second still
+        # consumes location 1, so location 0 is a gap, not a tail.
+        prog = small_program()
+        stream = stream_of(prog)
+        at = next(i for i, ins in enumerate(stream) if ins[0] == cmod._OP_NG2)
+        with pytest.raises(NoiseCoverageError, match=r"\[0, 1\) of channel 'g2'"):
+            reverify(prog, stream[:at] + stream[at + 1:])
+
+    def test_slice_past_the_plane(self):
+        # NumPy would clip rows 2..4 of a 3-row plane to row 2 silently.
+        prog = small_program()
+        stream = stream_of(prog) + [(cmod._OP_H, slice(2, 5, 1))]
+        with pytest.raises(OperandRangeError, match="qubit slice"):
+            reverify(prog, stream)
+
+    def test_descending_slice_with_negative_stop(self):
+        # slice(2, -1, -1) reads -1 as the last row and selects nothing.
+        prog = small_program()
+        stream = stream_of(prog) + [(cmod._OP_H, slice(2, -1, -1))]
+        with pytest.raises(OperandRangeError, match="qubit slice"):
+            reverify(prog, stream)
+
+    def test_slice_control_target_overlap(self):
+        prog = small_program()
+        stream = stream_of(prog) + [(cmod._OP_CNOT, slice(0, 2, 1), slice(1, 3, 1))]
+        with pytest.raises(BufferAliasError, match="controls and targets overlap"):
+            reverify(prog, stream)
+
+    @pytest.mark.parametrize(
+        "operand", [slice(0, 3, 0), slice(None, 3, 1), slice(2, 2, 1)],
+        ids=["zero-step", "implicit-start", "empty"],
+    )
+    def test_malformed_slice_operand(self, operand):
+        prog = small_program()
+        stream = stream_of(prog) + [(cmod._OP_S, operand)]
+        with pytest.raises(BadOpcode, match="qubit slice"):
+            reverify(prog, stream)
+
+    def test_slice_operands_name_their_rows(self):
+        # Stride-2 measurement slices check sizes like index arrays do.
+        prog = small_program()
+        stream = stream_of(prog) + [(cmod._OP_M, slice(2, None, -2), slice(0, 1, 1))]
+        with pytest.raises(BadOpcode, match="2 qubits but 1 cbits"):
+            reverify(prog, stream)
+
     def test_noise_probability_above_one(self):
         prog = small_program()
         bad = circuit_level(1e-3)
@@ -154,10 +209,12 @@ class TestCorruptedStreams:
             )
 
     def test_diagnostics_are_distinct_types_under_one_base(self):
-        kinds = {BadOpcode, OperandRangeError, BufferAliasError, NoiseRangeError}
+        kinds = {
+            BadOpcode, OperandRangeError, BufferAliasError, NoiseCoverageError, NoiseRangeError
+        }
         assert all(issubclass(k, ProgramVerificationError) for k in kinds)
         assert all(issubclass(k, ValueError) for k in kinds)
-        assert len(kinds) == 4
+        assert len(kinds) == 5
 
     def test_error_carries_instruction_index(self):
         prog = small_program()

@@ -34,7 +34,7 @@ from repro.pauliframe import (
     unpack_shot_major,
     words_for,
 )
-from repro.pauliframe.compiled import _bernoulli_positions
+from repro.pauliframe.compiled import _batch_index, _bernoulli_positions, _hits
 from repro.threshold import memory_experiment
 from repro.util.stats import wilson_interval
 
@@ -239,6 +239,223 @@ class TestExactParity:
         np.testing.assert_array_equal(out["legacy"][1], out["compiled"][1])
 
 
+class TestStridedBatches:
+    """Fused batches whose rows form an arithmetic progression run on
+    basic slices (views); any other batch keeps an index array."""
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([2, 3, 4], slice(2, 5, 1)),
+            ([3, 2, 1, 0], slice(3, None, -1)),
+            ([7, 5, 3, 1], slice(7, None, -2)),
+            ([1, 3, 5], slice(1, 7, 2)),
+            ([4], slice(4, 5, 1)),
+            ([0], slice(0, 1, 1)),
+        ],
+        ids=["ascending", "descending-to-0", "descending-stride-2", "stride-2", "one", "row-0"],
+    )
+    def test_progressions_lower_to_slices(self, rows, expected):
+        index = _batch_index(rows)
+        assert index == expected
+        np.testing.assert_array_equal(np.arange(10)[index], rows)
+
+    def test_other_batches_keep_an_index_array(self):
+        index = _batch_index([3, 1, 0])
+        assert isinstance(index, np.ndarray) and index.dtype == np.intp
+        np.testing.assert_array_equal(index, [3, 1, 0])
+
+    @staticmethod
+    def strided_circuit():
+        c = Circuit(8, 8)
+        for q in (6, 4, 2, 0):  # H descending to row 0, stride 2
+            c.h(q)
+        for a, b in zip((3, 2, 1, 0), (7, 6, 5, 4)):  # CNOT descending
+            c.cnot(a, b)
+        for a, b in zip((0, 2, 4, 6), (1, 3, 5, 7)):  # SWAP stride 2, interleaved
+            c.append("SWAP", a, b)
+        for a, b in zip((7, 5, 3), (6, 4, 2)):  # CNOT descending, interleaved
+            c.cnot(a, b)
+        for q in (7, 5, 3, 1):  # H descending, stride 2, stopping at row 1
+            c.h(q)
+        for a, b in zip((6, 4, 2, 0), (7, 5, 3, 1)):  # SWAP descending to row 0
+            c.append("SWAP", a, b)
+        for a, b in zip((1, 3, 5), (0, 2, 4)):  # CZ and CY, stride 2
+            c.cz(a, b)
+        for a, b in zip((0, 2, 4), (1, 3, 5)):
+            c.append("CY", a, b)
+        for q in (5, 3, 1):
+            c.s(q)
+        for q, cb in zip((7, 6, 5, 4), (0, 1, 2, 3)):  # M descending, cbits ascending
+            c.measure(q, cb)
+        for q, cb in zip((3, 1), (7, 5)):
+            c.append("MX", q, cbits=(cb,))
+        return c
+
+    def test_strided_batches_are_lowered(self):
+        prog = CompiledFrameProgram(self.strided_circuit())
+        steps = {
+            a.step for ins in prog._instructions for a in ins[1:] if isinstance(a, slice)
+        }
+        assert {-1, -2, 2} <= steps
+        assert all(
+            isinstance(a, slice) for ins in prog._instructions for a in ins[1:]
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noiseless_parity_with_legacy(self, seed):
+        c = self.strided_circuit()
+        rng = np.random.default_rng(seed)
+        shots = 130
+        init_fx = (rng.random((shots, c.num_qubits)) < 0.5).astype(np.uint8)
+        init_fz = (rng.random((shots, c.num_qubits)) < 0.5).astype(np.uint8)
+        legacy = FrameSimulator(c, backend="legacy").run(
+            shots, seed=0, initial_fx=init_fx, initial_fz=init_fz
+        )
+        compiled = CompiledFrameProgram(c).run(
+            shots, seed=0, initial_fx=init_fx, initial_fz=init_fz
+        )
+        assert_results_equal(legacy, compiled)
+
+
+# Components per channel class, in the engine's order: (X, Z) for gate and
+# storage depolarizing, (ax, az, bx, bz) for two-qubit gates, one flip for
+# measurement and preparation.
+COMPONENTS = {"g1": 2, "g2": 4, "meas": 1, "prep": 1, "store": 2}
+
+
+def single_fault_specs(circuit):
+    """Per channel class, per location in program order, the legacy
+    injections equivalent to each of its components firing alone.
+
+    Enumerated from the circuit, not from the compiled program: gate and
+    storage components are Paulis after their operation, a preparation
+    fault is X after the R, and a record flip is X before and after the M
+    (Z around an MX), which flips the record and leaves the frame as it
+    was.
+    """
+    specs = {name: [] for name in COMPONENTS}
+    for i, op in enumerate(circuit):
+        gate, qs = op.gate, op.qubits
+        assert not op.condition
+        if gate == "TICK":
+            for q in range(circuit.num_qubits):
+                specs["store"].append([[(i, q, "X")], [(i, q, "Z")]])
+        elif gate in ("CNOT", "CZ", "CY", "SWAP"):
+            specs["g2"].append([[(i, q, p)] for q in qs for p in "XZ"])
+        elif gate in ("M", "MX"):
+            p = "X" if gate == "M" else "Z"
+            specs["meas"].append([[(i - 1, qs[0], p), (i, qs[0], p)]])
+        elif gate == "R":
+            specs["prep"].append([[(i, qs[0], "X")]])
+        else:
+            specs["g1"].append([[(i, qs[0], "X")], [(i, qs[0], "Z")]])
+    return specs
+
+
+@pytest.fixture(scope="module")
+def shipped_programs():
+    """Every program ``python -m repro.analysis --verify-programs`` builds."""
+    noise = circuit_level(1e-3)
+    steane = SteaneECProtocol(noise)
+    progs = {
+        "steane-factory": steane._factory_prog,
+        "steane-extraction": steane._extract_prog,
+    }
+    for name, code in (("steane", SteaneCode()), ("shor9", ShorNineCode())):
+        shor = ShorECProtocol(code, noise)
+        progs[f"shor-{name}-extraction"] = shor._extract_prog
+        for width, prog in shor._factory_progs.items():
+            progs[f"shor-{name}-cat{width}"] = prog
+    return progs
+
+
+class TestFaultByFault:
+    """Every noise component of every shipped fused program, one lane
+    each, through the fused ``_execute`` against the legacy interpreter's
+    single-fault injection.  This is the exact oracle for the noise path:
+    row tables, flat targets, the fold and every noise opcode."""
+
+    LANES = {
+        "steane-factory": 241,
+        "steane-extraction": 266,
+        "shor-steane-extraction": 446,
+        "shor-steane-cat4": 28,
+        "shor-shor9-extraction": 450,
+        "shor-shor9-cat2": 18,
+        "shor-shor9-cat6": 38,
+    }
+
+    def test_every_shipped_program_is_covered(self, shipped_programs):
+        assert set(shipped_programs) == set(self.LANES)
+
+    @pytest.mark.parametrize("name", sorted(LANES))
+    def test_each_component_matches_legacy(self, name, shipped_programs):
+        prog = shipped_programs[name]
+        assert prog.fuse
+        specs = single_fault_specs(prog.circuit)
+        assert {k: len(v) for k, v in specs.items()} == prog._counts
+        shots = sum(len(loc) for locs in specs.values() for loc in locs)
+        assert shots == self.LANES[name]
+        lanes, faults, lane = [], {}, 0
+        for cls, locs in specs.items():
+            idx, code = [], []
+            for loc, components in enumerate(locs):
+                for c, spec in enumerate(components):
+                    idx.append(loc * shots + lane)
+                    code.append(c)
+                    lanes.append(spec)
+                    lane += 1
+            faults[cls] = _hits(
+                prog._row_tables[cls],
+                shots,
+                np.array(idx, dtype=np.int64),
+                np.array(code, dtype=np.intp),
+                np.eye(COMPONENTS[cls], dtype=bool),
+            )
+        fx, fz, flips = prog.new_buffers(shots)
+        CompiledFrameProgram._execute(prog._instructions, fx, fz, flips, faults)
+        legacy = FrameSimulator(prog.circuit, NoiseModel(), backend="legacy").run(
+            shots, seed=0, fault_injections=lanes
+        )
+        np.testing.assert_array_equal(unpack_shot_major(flips, shots), legacy.meas_flips)
+        np.testing.assert_array_equal(unpack_shot_major(fx, shots), legacy.fx)
+        np.testing.assert_array_equal(unpack_shot_major(fz, shots), legacy.fz)
+        assert legacy.meas_flips.any(axis=1).sum() + legacy.fx.any(axis=1).sum() > 0
+
+
+class TestBufferContract:
+    """Faults are applied through flat indices into ``reshape(-1)`` views,
+    so run_packed refuses buffers those indices cannot address."""
+
+    @staticmethod
+    def program():
+        c = Circuit(2, 2).h(0).cnot(0, 1).measure(0, 0).measure(1, 1)
+        return CompiledFrameProgram(c, circuit_level(0.05))
+
+    @pytest.mark.parametrize("field", ["fx", "fz", "flips"])
+    def test_rejects_non_contiguous_buffers(self, field):
+        # A view of a wider array: reshape(-1) would copy it, and every
+        # fault would land in the copy.
+        prog = self.program()
+        buffers = dict(zip(("fx", "fz", "flips"), prog.new_buffers(640)))
+        rows, words = buffers[field].shape
+        buffers[field] = np.zeros((rows, 2 * words), dtype=np.uint64)[:, :words]
+        for buf in buffers.values():
+            buf[:] = 1  # run_packed zeroes flips first, so any touch shows
+        with pytest.raises(ValueError, match=f"{field} must be a C-contiguous"):
+            prog.run_packed(640, 0, **buffers)
+        assert all((buf == 1).all() for buf in buffers.values())
+
+    def test_rejects_a_flips_buffer_of_the_wrong_shape(self):
+        prog = self.program()
+        fx, fz, _ = prog.new_buffers(640)
+        flips = np.ones((1, fx.shape[1]), dtype=np.uint64)
+        with pytest.raises(ValueError, match="flips"):
+            prog.run_packed(640, 0, fx, fz, flips)
+        assert (flips == 1).all()
+
+
 class TestSeededDeterminism:
     def test_same_seed_same_result(self):
         rng = np.random.default_rng(8)
@@ -382,6 +599,28 @@ class TestTinyRates:
     """NoiseModel accepts any rate in [0, 1].  Far below any physical rate
     the geometric gap draw saturates at the int64 maximum; the skip sampler
     must still end, in range, instead of wrapping its running sum."""
+
+    @pytest.mark.parametrize("p", [5e-5, 1e-3, 0.05])
+    def test_skip_sampler_matches_numpy_geometric(self, p):
+        # The exponential fill must reproduce Generator.geometric's gaps
+        # and leave the bit generator where geometric would.
+        def reference(rng, total, p):
+            expect = total * p
+            chunk = int(expect + 10.0 * np.sqrt(expect + 1.0) + 16.0)
+            parts, last = [], -1
+            while last < total:
+                gaps = np.minimum(rng.geometric(p, size=chunk), total + 1)
+                parts.append(np.cumsum(gaps, dtype=np.int64) + last)
+                last = int(parts[-1][-1])
+            out = np.concatenate(parts)
+            return out[out < total]
+
+        for total in (1, 1000, 200_000):
+            ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+            np.testing.assert_array_equal(
+                _bernoulli_positions(ours, total, p), reference(theirs, total, p)
+            )
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("p", [1e-19, 1e-30, 5e-324])
     def test_skip_sampler_terminates_in_range(self, p):
