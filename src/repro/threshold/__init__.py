@@ -53,7 +53,6 @@ from repro.threshold.runtime import (
     ShardRetryExhausted,
     ShardTimeout,
 )
-from repro.threshold.chaos import ChaosError, ChaosPlan, IOChaosPlan
 from repro.threshold.journal import (
     CacheCorrupt,
     CheckpointJournal,
@@ -101,9 +100,6 @@ __all__ = [
     "RunDegraded",
     "ShardRetryExhausted",
     "ShardTimeout",
-    "ChaosError",
-    "ChaosPlan",
-    "IOChaosPlan",
     "CacheCorrupt",
     "CheckpointJournal",
     "JournalDegraded",

@@ -71,7 +71,10 @@ replay silently:
 This layer *raises* on storage faults; the policy of surviving them
 (bounded lock retry, degrade-to-uncheckpointed with a ``JournalDegraded``
 warning) lives with the rest of the resilience policy in
-:mod:`repro.threshold.runtime`.
+:mod:`repro.threshold.runtime`.  The runtime opens journals through its
+module-level ``CheckpointJournal`` name, so the storage-fault tests
+substitute one whose connection fails on planned writes
+(``tests/faults.py``); nothing here knows about fault injection.
 """
 
 from __future__ import annotations
@@ -223,19 +226,12 @@ class CheckpointJournal:
     file, which WAL serializes safely
     (``tests/test_threshold_journal.py`` proves it with two live driver
     processes).
-
-    ``io_chaos`` wraps the sqlite connection in the fault-injecting proxy
-    from :mod:`repro.threshold.chaos` — test harness only.
     """
 
-    def __init__(self, path: str | Path, io_chaos=None) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._closed = False
         conn = sqlite3.connect(str(self.path), timeout=30.0)
-        if io_chaos is not None:
-            from repro.threshold.chaos import ChaosConnection
-
-            conn = ChaosConnection(conn, io_chaos)
         self._conn = conn
         try:
             # A torn WAL or bit-rotted page must surface here, at open, as

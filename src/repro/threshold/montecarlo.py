@@ -8,10 +8,15 @@ pseudo-threshold crossing where encoding stops helping.
 Every entry point takes a ``workers`` count: ``workers=1`` is the exact
 single-process path, ``workers>1`` shards shots across spawned processes
 via :mod:`repro.threshold.sharded` (pooled counts are invariant under the
-worker count).  Grid scans derive one independent child stream per grid
-point from ``np.random.SeedSequence(seed).spawn`` — the same plumbing the
-sharded driver uses per shard — so scans with nearby integer seeds never
-share streams.
+worker count).  The resilience keywords (``max_retries``,
+``shard_timeout``, ``checkpoint``, ``resume``) are checked at the entry
+on both paths, before any round runs, by
+``sharded._resilience_options``; ``checkpoint`` also routes a
+``workers=1`` call through the sharded path, since journaling needs a
+shard plan.  Grid scans derive one independent child stream per grid
+point from ``np.random.SeedSequence(seed).spawn`` — the same plumbing
+:mod:`repro.threshold.sharded` uses per shard — so scans with nearby
+integer seeds never share streams.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 
 from repro.codes.stabilizer_code import StabilizerCode
 from repro.pauliframe.packing import WORD_BITS, pack_shot_major, words_for
+from repro.threshold.sharded import _resilience_options, _run_sharded, spawn_shard_seeds
 from repro.util.rng import as_rng
 from repro.util.stats import binomial_confidence, fit_power_law, logical_error_per_round
 
@@ -80,18 +86,6 @@ class PseudoThresholdNotBracketed(RuntimeError):
         self.curve = curve
 
 
-def _wants_sharded(resilience: dict) -> bool:
-    """Checkpoint journaling and chaos injection (worker-level or I/O-level)
-    only exist on the sharded driver, so any of those knobs routes a
-    ``workers=1`` call through it (other resilience knobs are no-ops
-    without sharding — a serial unsharded run has nothing to retry)."""
-    return (
-        resilience.get("checkpoint") is not None
-        or resilience.get("chaos") is not None
-        or resilience.get("io_chaos") is not None
-    )
-
-
 def _check_run_size(shots: int, rounds: int) -> None:
     """Reject an empty run at the entry point, before any shard is planned
     or any round runs (a bad size inside a shard would look like a worker
@@ -138,18 +132,17 @@ def code_capacity_memory(
     F = 1 − O(ε²) claim (Eq. 14) against the unencoded 1 − ε baseline.
 
     ``**resilience`` (``max_retries``, ``shard_timeout``, ``checkpoint``,
-    ``resume``, ...) is forwarded to the sharded driver; passing
-    ``checkpoint`` or ``chaos`` routes through it even at ``workers=1``
-    (in-process sharded execution — journaling needs a shard plan).
+    ``resume``) configures the sharded run; passing ``checkpoint``
+    shards even at ``workers=1`` (in-process sharded execution —
+    journaling needs a shard plan).
     """
     _check_run_size(shots, rounds)
     _check_rate(eps)
-    if workers != 1 or num_shards is not None or _wants_sharded(resilience):
-        from repro.threshold.sharded import sharded_code_capacity_memory
-
-        return sharded_code_capacity_memory(
-            code, eps, rounds, shots, seed, workers=workers,
-            num_shards=num_shards, **resilience,
+    options = _resilience_options(**resilience)
+    if workers != 1 or num_shards is not None or options.checkpoint is not None:
+        return _run_sharded(
+            "capacity", (code, eps, rounds), rounds, shots, seed, workers,
+            num_shards, options,
         )
     rng = as_rng(seed)
     n = code.n
@@ -195,8 +188,8 @@ def memory_experiment(
     ``workers>1`` (or an explicit ``num_shards``) shards the shots across
     processes; see :func:`repro.threshold.sharded.sharded_memory_experiment`.
     ``**resilience`` (``max_retries``, ``shard_timeout``, ``checkpoint``,
-    ``resume``, ...) is forwarded to the sharded driver; ``checkpoint`` or
-    ``chaos`` routes through it even at ``workers=1``.
+    ``resume``) configures the sharded run; ``checkpoint`` shards even
+    at ``workers=1``.
 
     After the last round the ideal decode runs on packed planes
     (:meth:`~repro.codes.StabilizerCode.logical_failure_plane`) and
@@ -204,12 +197,11 @@ def memory_experiment(
     to share that count.
     """
     _check_run_size(shots, rounds)
-    if workers != 1 or num_shards is not None or _wants_sharded(resilience):
-        from repro.threshold.sharded import sharded_memory_experiment
-
-        return sharded_memory_experiment(
-            protocol, code, rounds, shots, seed, workers=workers,
-            num_shards=num_shards, **resilience,
+    options = _resilience_options(**resilience)
+    if workers != 1 or num_shards is not None or options.checkpoint is not None:
+        return _run_sharded(
+            "memory", (protocol, code, rounds), rounds, shots, seed, workers,
+            num_shards, options,
         )
     rng = as_rng(seed)
     if getattr(protocol, "engine", None) == "compiled" and hasattr(
@@ -231,8 +223,6 @@ def memory_experiment(
 
 def _grid_seeds(seed: int | None, n: int) -> list[np.random.SeedSequence]:
     """One independent child stream per grid point (never ``seed + i``)."""
-    from repro.threshold.sharded import spawn_shard_seeds
-
     return spawn_shard_seeds(seed, n)
 
 

@@ -19,16 +19,17 @@ completion supervision instead:
   killed and rebuilt, and the shard retries;
 * **bounded retry with exponential backoff** — failed shards retry up to
   ``max_retries`` times; pool rebuilds back off exponentially
-  (``backoff * 2**k``, capped) so a crash-looping environment is not
+  (``_BACKOFF * 2**k``, capped) so a crash-looping environment is not
   hammered;
 * **pool replacement on ``BrokenProcessPool``** — a dead worker evicts
   and replaces the cached executor instead of poisoning every later call;
 * **graceful degradation** — a shard that keeps failing in workers (or a
   pool that cannot be rebuilt) runs in-process: the run finishes correct,
   with a :class:`RunDegraded` warning, and never loses completed work;
-* **a structured exception taxonomy** — :class:`ShardTimeout`,
-  :class:`ShardRetryExhausted` (with the last underlying error attached)
-  replace bare pool errors;
+* **a structured exception taxonomy** — :class:`ShardTimeout` replaces
+  bare pool errors, and :class:`ShardRetryExhausted` (with the last
+  underlying error attached) is raised only when the in-process fallback
+  fails too;
 * **checkpoint journaling / result caching** — with ``checkpoint=`` set,
   every finished shard streams into
   :class:`repro.threshold.journal.CheckpointJournal` and ``resume=True``
@@ -49,8 +50,11 @@ completion supervision instead:
 Correctness under all of this is free: each shard is a pure function of
 its ``(kind, args, shard_shots, SeedSequence)`` spec, so a retried,
 degraded, or resumed shard returns bit-for-bit the counts a clean run
-would have — the chaos suite (``tests/test_threshold_runtime.py``)
-asserts exactly that.
+would have — the chaos suites (``tests/test_threshold_runtime.py``,
+``tests/test_threshold_chaos_io.py``) assert exactly that.  They inject
+faults from ``tests/faults.py`` by monkeypatching the two names this
+module looks up at call time: :func:`_guarded_run_shard`, which every
+shard attempt runs through, and ``CheckpointJournal``.
 
 Attempt accounting under ``BrokenProcessPool`` is deliberately
 conservative: the executor cannot say *which* running shard killed the
@@ -64,7 +68,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import sqlite3
 import time
 import warnings
@@ -74,7 +77,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.threshold.chaos import ChaosError, ChaosPlan, IOChaosPlan, _UnpicklableResult
 from repro.threshold.journal import (
     CacheCorrupt,
     CheckpointJournal,
@@ -94,11 +96,12 @@ __all__ = [
 # Supervision loop granularity: how often hung-worker detection runs and
 # how long one wait() blocks when nothing completes.
 _TICK = 0.05
+# Seed of the exponential retry/rebuild sleep (shard retries *and*
+# journal lock retries): step k sleeps _BACKOFF * 2**(k-1) seconds.
+_BACKOFF = 0.1
 # Ceiling on any single backoff sleep so a deep retry chain cannot stall
 # a scan for minutes.
 _BACKOFF_CAP = 5.0
-# Exit code used by chaos "crash" faults (visible in worker diagnostics).
-_CHAOS_EXIT_CODE = 13
 # Budget for reaping workers at interpreter exit / pool replacement.
 _REAP_SECONDS = 2.0
 # Bounded retry budget for transient journal lock contention ("database is
@@ -111,8 +114,8 @@ _JOURNAL_LOCK_RETRIES = 4
 # ----------------------------------------------------------------------
 class ShardTimeout(RuntimeError):
     """A shard ran longer than ``shard_timeout`` — its worker is presumed
-    hung and the pool is replaced.  Appears as the underlying error of a
-    :class:`ShardRetryExhausted` when a shard hangs every attempt."""
+    hung and the pool is replaced.  When a shard hangs every attempt, it
+    is the last error named in the :class:`RunDegraded` warning."""
 
     def __init__(self, shard_index: int, attempt: int, timeout: float) -> None:
         super().__init__(
@@ -125,10 +128,9 @@ class ShardTimeout(RuntimeError):
 
 
 class ShardRetryExhausted(RuntimeError):
-    """A shard failed every allowed attempt (1 + ``max_retries``).  Raised
-    only when degradation is disabled or the in-process fallback itself
-    fails; carries the last underlying error as ``last_error`` (and as
-    ``__cause__``)."""
+    """A shard failed every allowed attempt (1 + ``max_retries``) and then
+    its in-process fallback failed too.  Carries the fallback's error as
+    ``last_error`` (and as ``__cause__``)."""
 
     def __init__(self, shard_index: int, attempts: int, last_error: BaseException) -> None:
         super().__init__(
@@ -149,37 +151,32 @@ class RunDegraded(UserWarning):
 
 @dataclass(frozen=True)
 class ResilienceOptions:
-    """Knobs for :func:`execute_shards` (all sharded entry points thread
-    these through as keyword arguments).
+    """Knobs for :func:`execute_shards` (all Monte Carlo entry points
+    thread these through as keyword arguments).
 
     ``max_retries`` bounds *re*-executions per shard (total attempts =
-    ``1 + max_retries``).  ``shard_timeout=None`` disables hung-worker
-    detection.  ``backoff`` seeds the exponential retry/rebuild sleep
-    (shard retries *and* journal lock retries).  ``checkpoint`` names the
-    journal/result-cache database; ``resume=False`` clears any prior rows
-    for this run key first.  ``chaos`` deterministically injects worker
-    faults and ``io_chaos`` storage faults (tests only).  ``degrade=False``
-    turns exhaustion into :class:`ShardRetryExhausted` instead of
-    in-process fallback (journal degradation is never fatal regardless —
-    losing durability is not losing the run).
+    ``1 + max_retries``); a shard that exhausts them runs in-process.
+    ``shard_timeout=None`` disables hung-worker detection.  ``checkpoint``
+    names the journal/result-cache database; ``resume=False`` clears any
+    prior rows for this run key first.
     """
 
     max_retries: int = 2
     shard_timeout: float | None = None
-    backoff: float = 0.1
     checkpoint: str | Path | None = None
     resume: bool = True
-    chaos: ChaosPlan | None = None
-    degrade: bool = True
-    io_chaos: IOChaosPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive (or None)")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
+        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be an int >= 0, got {self.max_retries!r}"
+            )
+        # ``not > 0`` also refuses NaN, which would silently disable
+        # hang detection (``elapsed > nan`` never holds).
+        if self.shard_timeout is not None and not self.shard_timeout > 0:
+            raise ValueError(
+                f"shard_timeout must be positive (or None), got {self.shard_timeout!r}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -188,19 +185,14 @@ class ResilienceOptions:
 # sharded -> runtime import edge acyclic.
 # ----------------------------------------------------------------------
 def _guarded_run_shard(payload: tuple) -> tuple[int, int, int]:
-    index, spec, attempt, chaos = payload
-    fault = chaos.fault_for(index, attempt) if chaos is not None else None
-    if fault == "crash":
-        os._exit(_CHAOS_EXIT_CODE)
-    elif fault == "hang":
-        time.sleep(chaos.hang_seconds)
-    elif fault == "exception":
-        raise ChaosError(f"injected exception: shard {index} attempt {attempt}")
+    """One attempt at one shard, ``payload = (index, spec, attempt)``:
+    the single entry that both the pool and :func:`_execute_serial` call.
+    The shard ignores ``attempt``; it is there so that a test can
+    substitute a fake for this function that fails chosen attempts."""
+    index, spec, _attempt = payload
     from repro.threshold.sharded import _run_shard
 
     shots, failures = _run_shard(spec)
-    if fault == "unpicklable":
-        return _UnpicklableResult((index, shots, failures))  # type: ignore[return-value]
     return index, shots, failures
 
 
@@ -299,12 +291,11 @@ class _ResilientJournal:
     left alone to finish.
     """
 
-    def __init__(self, checkpoint: str | Path, run_key: str, opts: "ResilienceOptions") -> None:
+    def __init__(self, checkpoint: str | Path, run_key: str) -> None:
         self._journal: CheckpointJournal | None = None
         self._run_key = run_key
-        self._backoff = opts.backoff
         try:
-            self._journal = CheckpointJournal(checkpoint, io_chaos=opts.io_chaos)
+            self._journal = CheckpointJournal(checkpoint)
         except JournalSchemaError:
             # Deliberate migration-or-refuse: an unknown schema is a user
             # decision (wrong file / newer writer), not a runtime fault.
@@ -344,7 +335,7 @@ class _ResilientJournal:
                 return fn()
             except sqlite3.OperationalError as exc:
                 if _is_lock_error(exc) and attempt <= _JOURNAL_LOCK_RETRIES:
-                    _backoff_sleep(self._backoff, attempt)
+                    _backoff_sleep(attempt)
                     continue
                 self._degrade(doing, exc)
                 return None
@@ -424,9 +415,8 @@ def _run_shard_inprocess(spec: tuple) -> tuple[int, int]:
     return _sharded._run_shard(spec)
 
 
-def _backoff_sleep(backoff: float, step: int) -> None:
-    if backoff > 0:
-        time.sleep(min(backoff * (2 ** max(step - 1, 0)), _BACKOFF_CAP))
+def _backoff_sleep(step: int) -> None:
+    time.sleep(min(_BACKOFF * (2 ** max(step - 1, 0)), _BACKOFF_CAP))
 
 
 def execute_shards(
@@ -457,7 +447,7 @@ def execute_shards(
     if opts.checkpoint is not None:
         if run_key is None:
             raise ValueError("checkpointed execution requires a run_key")
-        journal = _ResilientJournal(opts.checkpoint, run_key, opts)
+        journal = _ResilientJournal(opts.checkpoint, run_key)
         if journal.active:
             kind = specs[0][0] if specs else "?"
             total_shots = sum(spec[2] for spec in specs)
@@ -502,12 +492,11 @@ def _degrade_shard(
     last_error: BaseException | None,
     results: dict,
     journal,
-    opts: ResilienceOptions,
 ) -> None:
-    """Last resort: run the shard in-process (no chaos, no pool).  The
-    result is exact — shards are pure — so the run finishes correct."""
-    if not opts.degrade:
-        raise ShardRetryExhausted(idx, attempts, last_error) from last_error
+    """Last resort: run the shard in-process, outside
+    :func:`_guarded_run_shard` and the pool.  The result is exact — shards
+    are pure — so the run finishes correct; only a fallback that fails too
+    raises :class:`ShardRetryExhausted`."""
     warnings.warn(
         f"shard {idx} failed {attempts} attempt(s) "
         f"(last error: {last_error!r}); degrading to in-process execution — "
@@ -529,35 +518,24 @@ def _execute_serial(
     journal,
     opts: ResilienceOptions,
 ) -> None:
-    """In-process execution with the same retry/degradation accounting.
-
-    Chaos faults of every kind are injected as :class:`ChaosError` here —
-    a real crash/hang would take down the driver itself, and what is
-    under test is the retry bookkeeping (see :mod:`repro.threshold.chaos`).
-    """
+    """In-process execution with the same retry/degradation accounting;
+    every attempt runs through :func:`_guarded_run_shard`, the entry the
+    pool submits."""
     allowed = 1 + opts.max_retries
     for idx in pending:
         last_error: BaseException | None = None
         for attempt in range(1, allowed + 1):
-            fault = opts.chaos.fault_for(idx, attempt) if opts.chaos else None
             try:
-                if fault is not None:
-                    raise ChaosError(
-                        f"injected {fault} (as exception, in-process): "
-                        f"shard {idx} attempt {attempt}"
-                    )
-                shots, failures = _run_shard_inprocess(specs[idx])
+                _, shots, failures = _guarded_run_shard((idx, specs[idx], attempt))
             except Exception as exc:
                 last_error = exc
                 if attempt < allowed:
-                    _backoff_sleep(opts.backoff, attempt)
+                    _backoff_sleep(attempt)
                 continue
             _record(results, journal, idx, shots, failures)
             break
         else:
-            _degrade_shard(
-                specs, idx, allowed, last_error, results, journal, opts
-            )
+            _degrade_shard(specs, idx, allowed, last_error, results, journal)
 
 
 def _execute_pool(
@@ -583,7 +561,7 @@ def _execute_pool(
             nonlocal pool, rebuilds
             if new_attempt:
                 attempts[idx] += 1
-            payload = (idx, specs[idx], attempts[idx], opts.chaos)
+            payload = (idx, specs[idx], attempts[idx])
             try:
                 fut = pool.submit(_guarded_run_shard, payload)
             except BrokenProcessPool:
@@ -594,7 +572,7 @@ def _execute_pool(
                 # are handled by the supervision loop as usual.
                 _kill_pool(workers)
                 rebuilds += 1
-                _backoff_sleep(opts.backoff, rebuilds)
+                _backoff_sleep(rebuilds)
                 pool = _get_pool(workers)
                 fut = pool.submit(_guarded_run_shard, payload)
             futures[fut] = idx
@@ -603,8 +581,6 @@ def _execute_pool(
             """Charge an attempt's failure; True → retry, False → degraded."""
             last_error[idx] = exc
             if attempts[idx] >= allowed:
-                if not opts.degrade:
-                    raise ShardRetryExhausted(idx, attempts[idx], exc) from exc
                 degraded.append(idx)
                 return False
             return True
@@ -663,14 +639,12 @@ def _execute_pool(
                 started.clear()
                 _kill_pool(workers)
                 rebuilds += 1
-                _backoff_sleep(opts.backoff, rebuilds)
+                _backoff_sleep(rebuilds)
                 try:
                     pool = _get_pool(workers)
                 except Exception as exc:
                     # Pool cannot be rebuilt (fd/memory exhaustion, ...):
                     # degrade every unfinished shard rather than lose the run.
-                    if not opts.degrade:
-                        raise
                     warnings.warn(
                         f"worker pool could not be rebuilt ({exc!r}); running "
                         f"{len(retries) + len(survivors)} remaining shard(s) "
@@ -686,13 +660,9 @@ def _execute_pool(
                 for idx in retries:
                     submit(idx)
             elif retries:
-                _backoff_sleep(opts.backoff, max(attempts[i] for i in retries))
+                _backoff_sleep(max(attempts[i] for i in retries))
                 for idx in retries:
                     submit(idx)
-    except ShardRetryExhausted:
-        for fut in futures:
-            fut.cancel()
-        raise
     except (KeyboardInterrupt, SystemExit):
         # Never leave a cached executor holding orphaned in-flight
         # futures: a later call would reuse it and inherit the mess.
@@ -700,12 +670,4 @@ def _execute_pool(
         raise
 
     for idx in sorted(set(degraded)):
-        _degrade_shard(
-            specs,
-            idx,
-            attempts[idx],
-            last_error.get(idx),
-            results,
-            journal,
-            opts,
-        )
+        _degrade_shard(specs, idx, attempts[idx], last_error.get(idx), results, journal)

@@ -22,8 +22,10 @@ Determinism contract
   identical to a clean run — faults can cost time, never correctness.
 
 A Monte Carlo run has one path: ``memory_experiment`` (or
-``code_capacity_memory``) hands any sharded call to this driver, which
-plans the shards and passes them to
+``code_capacity_memory``) builds the run's
+:class:`~repro.threshold.runtime.ResilienceOptions` here
+(:func:`_resilience_options`) and hands any sharded call to
+:func:`_run_sharded`, which plans the shards and passes them to
 :func:`repro.threshold.runtime.execute_shards`.  The runtime supervises
 them (per-shard timeouts, bounded retry with backoff, pool replacement on
 ``BrokenProcessPool``, in-process degradation) and, with ``checkpoint=``,
@@ -34,9 +36,10 @@ pool, a killed scan resumes from disk re-executing only unfinished
 shards, and corrupted rows are quarantined and recomputed rather than
 replayed (cross-run pooling is
 :meth:`~repro.threshold.journal.CheckpointJournal.pooled_physics_counts`).
-The resilience knobs (``max_retries``, ``shard_timeout``, ``checkpoint``,
-``resume``, ...) are keyword arguments on both entry points here and are
-threaded through every Monte Carlo caller.
+The four resilience knobs (``max_retries``, ``shard_timeout``,
+``checkpoint``, ``resume``) are keyword arguments on both entry points
+here and are threaded through every Monte Carlo caller; the two entry
+points here are those callers with the knobs spelled out.
 
 Workers are spawned (``multiprocessing`` spawn context, the portable and
 thread-safe choice); spawn's preparation data carries the parent's
@@ -52,7 +55,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.threshold.chaos import ChaosPlan, IOChaosPlan
 from repro.threshold.journal import compute_physics_key, compute_run_key
 from repro.threshold.runtime import ResilienceOptions, execute_shards
 
@@ -216,25 +218,20 @@ def _pooled_result(counts: list[tuple[int, int]], rounds: int):
 
 
 def _resilience_options(
-    max_retries: int | None,
-    shard_timeout: float | None,
-    backoff: float | None,
-    checkpoint: str | Path | None,
-    resume: bool,
-    chaos: ChaosPlan | None,
-    degrade: bool,
-    io_chaos: IOChaosPlan | None = None,
+    *,
+    max_retries: int | None = None,
+    shard_timeout: float | None = None,
+    checkpoint: str | Path | None = None,
+    resume: bool = True,
 ) -> ResilienceOptions:
-    defaults = ResilienceOptions()
+    """The run's options from a Monte Carlo entry point's keywords, built
+    before any shard is planned or any round runs: an unknown name raises
+    ``TypeError`` and a bad value ``ValueError`` on every path."""
     return ResilienceOptions(
-        max_retries=defaults.max_retries if max_retries is None else max_retries,
+        max_retries=ResilienceOptions.max_retries if max_retries is None else max_retries,
         shard_timeout=shard_timeout,
-        backoff=defaults.backoff if backoff is None else backoff,
         checkpoint=checkpoint,
         resume=resume,
-        chaos=chaos,
-        degrade=degrade,
-        io_chaos=io_chaos,
     )
 
 
@@ -248,6 +245,8 @@ def _run_sharded(
     num_shards: int | None,
     options: ResilienceOptions,
 ):
+    if workers < 1:
+        raise ValueError("workers must be positive")
     specs, fingerprint = _build_specs(kind, args, shots, seed, num_shards)
     run_key = physics_key = None
     if options.checkpoint is not None:
@@ -269,26 +268,21 @@ def sharded_memory_experiment(
     *,
     max_retries: int | None = None,
     shard_timeout: float | None = None,
-    backoff: float | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = True,
-    chaos: ChaosPlan | None = None,
-    degrade: bool = True,
-    io_chaos: IOChaosPlan | None = None,
 ):
     """Shot-sharded :func:`~repro.threshold.montecarlo.memory_experiment`.
 
-    ``workers=1`` with ``num_shards=None`` (and no checkpoint/chaos) is the
+    ``workers=1`` with ``num_shards=None`` (and no checkpoint) is the
     unsharded single-process path (bit-for-bit identical to
     ``memory_experiment``); any explicit ``num_shards`` activates the
     sharded plan, executed in-process when ``workers=1`` and across
     spawned processes otherwise — with identical pooled counts either way.
 
     Resilience knobs (see :class:`repro.threshold.runtime.ResilienceOptions`):
-    ``max_retries``/``shard_timeout``/``backoff`` bound and pace shard
-    retries, ``chaos``/``io_chaos`` inject deterministic worker/storage
-    faults (tests), and ``degrade=False`` raises ``ShardRetryExhausted``
-    instead of falling back to in-process execution.
+    ``max_retries`` bounds shard retries before a shard falls back to
+    in-process execution, and ``shard_timeout`` declares a running shard
+    hung.
 
     ``checkpoint=`` names the sqlite **result cache**: the store is
     consulted by content-addressed run key *before* computing — a repeated
@@ -302,25 +296,12 @@ def sharded_memory_experiment(
     the same physics pool across seeds via
     :meth:`repro.threshold.journal.CheckpointJournal.pooled_physics_counts`.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if (
-        workers == 1
-        and num_shards is None
-        and checkpoint is None
-        and chaos is None
-        and io_chaos is None
-    ):
-        from repro.threshold.montecarlo import memory_experiment
+    from repro.threshold.montecarlo import memory_experiment
 
-        return memory_experiment(protocol, code, rounds, shots, seed)
-    options = _resilience_options(
-        max_retries, shard_timeout, backoff, checkpoint, resume, chaos, degrade,
-        io_chaos,
-    )
-    return _run_sharded(
-        "memory", (protocol, code, rounds), rounds, shots, seed, workers,
-        num_shards, options,
+    return memory_experiment(
+        protocol, code, rounds, shots, seed, workers, num_shards,
+        max_retries=max_retries, shard_timeout=shard_timeout,
+        checkpoint=checkpoint, resume=resume,
     )
 
 
@@ -335,38 +316,18 @@ def sharded_code_capacity_memory(
     *,
     max_retries: int | None = None,
     shard_timeout: float | None = None,
-    backoff: float | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = True,
-    chaos: ChaosPlan | None = None,
-    degrade: bool = True,
-    io_chaos: IOChaosPlan | None = None,
 ):
     """Shot-sharded :func:`~repro.threshold.montecarlo.code_capacity_memory`.
 
     Same contract, resilience knobs, and result-cache semantics as
     :func:`sharded_memory_experiment`.
     """
-    from repro.threshold.montecarlo import _check_rate
+    from repro.threshold.montecarlo import code_capacity_memory
 
-    _check_rate(eps)
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if (
-        workers == 1
-        and num_shards is None
-        and checkpoint is None
-        and chaos is None
-        and io_chaos is None
-    ):
-        from repro.threshold.montecarlo import code_capacity_memory
-
-        return code_capacity_memory(code, eps, rounds, shots, seed)
-    options = _resilience_options(
-        max_retries, shard_timeout, backoff, checkpoint, resume, chaos, degrade,
-        io_chaos,
-    )
-    return _run_sharded(
-        "capacity", (code, eps, rounds), rounds, shots, seed, workers,
-        num_shards, options,
+    return code_capacity_memory(
+        code, eps, rounds, shots, seed, workers, num_shards,
+        max_retries=max_retries, shard_timeout=shard_timeout,
+        checkpoint=checkpoint, resume=resume,
     )

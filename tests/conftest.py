@@ -1,9 +1,10 @@
 """Tier-1 suite hardening: a per-test watchdog alarm.
 
-The chaos suite deliberately injects worker crashes and hangs into the
-multiprocess runtime; if the runtime ever mishandles one, the failure
-mode is a test that blocks forever — which would wedge the whole tier-1
-run.  pytest-timeout is not in the environment, so this is the in-repo
+The chaos suites deliberately inject worker crashes and hangs into the
+multiprocess runtime (the fakes live in ``tests/faults.py``, a helper
+module pytest does not collect); if the runtime ever mishandles one, the
+failure mode is a test that blocks forever — which would wedge the whole
+tier-1 run.  pytest-timeout is not in the environment, so this is the in-repo
 equivalent: a SIGALRM watchdog around every test that raises a plain
 ``Failed`` instead of letting the run hang.
 
@@ -29,7 +30,8 @@ import pytest
 # but far below "wedged CI job".
 DEFAULT_TIMEOUT = 300.0
 # Multiprocess tests pay pool spawns, chaos-driven pool rebuilds, and
-# backoff sleeps; still nothing healthy takes remotely this long.
+# backoff sleeps (the chaos suites zero runtime._BACKOFF); still nothing
+# healthy takes remotely this long.
 SLOW_MP_TIMEOUT = 180.0
 
 

@@ -12,6 +12,9 @@ run-registration INSERT is write 1 and the per-shard records are writes
 "registration", "first shard", "mid-run" exactly.  A retried statement
 re-executes and advances the counter, so a lock-contention *burst* is
 modelled as consecutive planned ordinals.
+
+Faults come from ``faults.IOChaosPlan``, installed by monkeypatching
+``runtime.CheckpointJournal`` with ``faults.chaos_journal``.
 """
 
 import sqlite3
@@ -19,24 +22,27 @@ import warnings
 
 import pytest
 
+from faults import ChaosConnection, ChaosPlan, IOChaosPlan, chaos_journal
 from repro.codes import SteaneCode
 from repro.threshold import (
     CacheCorrupt,
-    ChaosPlan,
     CheckpointJournal,
-    IOChaosPlan,
     JournalDegraded,
     ResilienceOptions,
     compute_run_key,
     sharded_code_capacity_memory,
 )
 from repro.threshold import runtime, sharded
-from repro.threshold.chaos import ChaosConnection
 
 EPS = 0.08
 SHOTS = 400
 SHARDS = 4
 SEED = 7
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(runtime, "_BACKOFF", 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +60,13 @@ def baseline(code):
 
 
 def run_with_io_chaos(code, cache_path, io_faults, workers=1, **kw):
-    return sharded_code_capacity_memory(
-        code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=workers,
-        num_shards=SHARDS, checkpoint=cache_path, backoff=0.0,
-        io_chaos=IOChaosPlan(io_faults) if io_faults is not None else None,
-        **kw,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        if io_faults is not None:
+            mp.setattr(runtime, "CheckpointJournal", chaos_journal(IOChaosPlan(io_faults)))
+        return sharded_code_capacity_memory(
+            code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=workers,
+            num_shards=SHARDS, checkpoint=cache_path, **kw,
+        )
 
 
 def run_key(code):
@@ -83,24 +90,6 @@ def spy_run_shard(monkeypatch):
         sharded, "_run_shard", lambda spec: calls.append(spec) or original(spec)
     )
     return calls
-
-
-class TestIOChaosPlan:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown I/O fault"):
-            IOChaosPlan({1: "meteor"})
-
-    @pytest.mark.parametrize("ordinal", [0, -3])
-    def test_rejects_non_positive_ordinals(self, ordinal):
-        with pytest.raises(ValueError, match="1-based"):
-            IOChaosPlan({ordinal: "disk_full"})
-
-    def test_reset_rewinds_the_write_counter(self):
-        plan = IOChaosPlan({2: "disk_full"})
-        assert [plan.next_write_fault() for _ in range(3)] == [None, "disk_full", None]
-        plan.reset()
-        assert plan.writes_seen == 0
-        assert [plan.next_write_fault() for _ in range(2)] == [None, "disk_full"]
 
 
 def chaos_connection(plan):
@@ -147,7 +136,7 @@ class TestChaosConnection:
 
     def test_corrupt_row_tampers_only_shard_inserts(self, tmp_path):
         plan = IOChaosPlan({1: "corrupt_row", 2: "corrupt_row"})
-        with CheckpointJournal(tmp_path / "c.sqlite", io_chaos=plan) as journal:
+        with chaos_journal(plan)(tmp_path / "c.sqlite") as journal:
             journal.register_run("k1", kind="memory", shots=50, num_shards=1)
             journal.record_shard("k1", 0, 50, 3)
             assert plan.writes_seen == 2
@@ -305,7 +294,7 @@ class TestStorageFirewall:
         assert not path.exists()
 
     def test_io_error_while_clearing_degrades(
-        self, code, baseline, tmp_path, spy_run_shard
+        self, code, baseline, tmp_path, spy_run_shard, monkeypatch
     ):
         """``resume=False`` clears the run first (writes 1 and 2 are its
         two DELETEs); failing there leaves a run that records nothing."""
@@ -313,11 +302,11 @@ class TestStorageFirewall:
         assert run_with_io_chaos(code, path, None) == baseline
         spy_run_shard.clear()
         plan = IOChaosPlan({1: "io_error_on_write"})
+        monkeypatch.setattr(runtime, "CheckpointJournal", chaos_journal(plan))
         with pytest.warns(JournalDegraded, match="while clearing the run"):
             result = sharded_code_capacity_memory(
                 code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=1,
-                num_shards=SHARDS, checkpoint=path, backoff=0.0,
-                io_chaos=plan, resume=False,
+                num_shards=SHARDS, checkpoint=path, resume=False,
             )
         assert result == baseline
         assert len(spy_run_shard) == SHARDS
@@ -352,14 +341,19 @@ class TestStorageFirewall:
 
 class TestCombinedChaos:
     @pytest.mark.slow_mp
-    def test_worker_and_io_faults_together(self, code, baseline, tmp_path):
+    def test_worker_and_io_faults_together(
+        self, code, baseline, tmp_path, monkeypatch
+    ):
         """The full gauntlet: a crashing worker (BrokenProcessPool path)
         *and* a dying disk in one multiprocess run — still bit-for-bit."""
+        monkeypatch.setattr(runtime, "_guarded_run_shard", ChaosPlan({0: "crash"}))
+        monkeypatch.setattr(
+            runtime, "CheckpointJournal",
+            chaos_journal(IOChaosPlan({2: "io_error_on_write"})),
+        )
         with pytest.warns(JournalDegraded):
             result = sharded_code_capacity_memory(
                 code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=2,
                 num_shards=SHARDS, checkpoint=tmp_path / "c.sqlite",
-                backoff=0.0, chaos=ChaosPlan({0: "crash"}),
-                io_chaos=IOChaosPlan({2: "io_error_on_write"}),
             )
         assert result == baseline

@@ -200,6 +200,42 @@ class TestRunSizeValidation:
             # yet some shots still land back in the code space.
             assert 0 < result.failures < 100
 
+    # Unknown names raise TypeError, bad values ValueError.  Unsharded,
+    # each of these used to be ignored and the run returned a count; a NaN
+    # timeout also did so sharded, with hang detection silently off.
+    BAD_RESILIENCE = {
+        "chekpoint": ({"chekpoint": "unused.sqlite"}, TypeError),
+        "backoff": ({"backoff": 0.1}, TypeError),
+        "degrade": ({"degrade": True}, TypeError),
+        "chaos": ({"chaos": None}, TypeError),
+        "io_chaos": ({"io_chaos": None}, TypeError),
+        "max_retries=-1": ({"max_retries": -1}, ValueError),
+        "max_retries=2.5": ({"max_retries": 2.5}, ValueError),
+        "shard_timeout=0": ({"shard_timeout": 0}, ValueError),
+        "shard_timeout=nan": ({"shard_timeout": float("nan")}, ValueError),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("bad", sorted(BAD_RESILIENCE))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_resilience_keyword_raises_on_every_path(
+        self, entry, bad, path, monkeypatch
+    ):
+        from repro.threshold import sharded
+
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a shard ran with invalid resilience options")
+
+        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        kwargs, error = self.BAD_RESILIENCE[bad]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match=bad.split("=")[0]):
+                self.ENTRY_POINTS[entry](
+                    shots=64, rounds=1, **kwargs, **self.PATHS[path]
+                )
+        assert [str(w.message) for w in caught] == []
+
 
 class TestPackedShotPath:
     """The compiled path decodes and counts on packed planes only."""

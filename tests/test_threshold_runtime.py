@@ -5,23 +5,21 @@ is a pure function of its spec, so *no matter what faults the execution
 environment throws* — worker crashes, hangs, exceptions, unpicklable
 returns, pool breakage — a sharded run must finish with pooled counts
 bit-for-bit equal to the fault-free run, warning (never failing) when it
-has to degrade, and raising the structured taxonomy (``ShardTimeout``
-inside ``ShardRetryExhausted``) only when explicitly told not to degrade.
+has to degrade, and raising ``ShardRetryExhausted`` only when the
+in-process fallback fails too.
 
-All fault injection is deterministic (:class:`ChaosPlan` by shard index
-and attempt), so every test here is exactly reproducible.
+All fault injection is deterministic (``faults.ChaosPlan`` by shard index
+and attempt, installed over ``runtime._guarded_run_shard``), so every
+test here is exactly reproducible.
 """
-
-import warnings
 
 import pytest
 
+from faults import ChaosError, ChaosPlan
 from repro.codes import SteaneCode
 from repro.ft import SteaneECProtocol
 from repro.noise import circuit_level
 from repro.threshold import (
-    ChaosError,
-    ChaosPlan,
     ResilienceOptions,
     RunDegraded,
     ShardRetryExhausted,
@@ -31,6 +29,11 @@ from repro.threshold import (
     sharded_memory_experiment,
 )
 from repro.threshold import runtime
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(runtime, "_BACKOFF", 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -52,34 +55,16 @@ def baseline(protocol, code):
 
 
 def run_with_chaos(protocol, code, chaos, workers=2, **kwargs):
-    kwargs.setdefault("backoff", 0.001)
-    return sharded_memory_experiment(
-        protocol, code, rounds=1, shots=800, seed=7, workers=workers,
-        num_shards=8, chaos=chaos, **kwargs,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        if chaos is not None:
+            mp.setattr(runtime, "_guarded_run_shard", chaos)
+        return sharded_memory_experiment(
+            protocol, code, rounds=1, shots=800, seed=7, workers=workers,
+            num_shards=8, **kwargs,
+        )
 
 
 class TestChaosPlan:
-    def test_rejects_unknown_fault(self):
-        with pytest.raises(ValueError, match="unknown fault"):
-            ChaosPlan({0: "meteor"})
-
-    def test_rejects_zero_times(self):
-        with pytest.raises(ValueError, match="times"):
-            ChaosPlan({0: "crash"}, times=0)
-
-    def test_every_quarter_density(self):
-        plan = ChaosPlan.every(4, "crash", num_shards=16)
-        assert sorted(plan.faults) == [0, 4, 8, 12]
-        assert all(kind == "crash" for kind in plan.faults.values())
-
-    @pytest.mark.parametrize("stride", [0, -4])
-    def test_every_rejects_a_non_positive_stride(self, stride):
-        """A zero stride would fail inside range(); a negative one would
-        plan no faults at all and let a chaos test pass vacuously."""
-        with pytest.raises(ValueError, match="stride must be positive"):
-            ChaosPlan.every(stride, "crash", num_shards=16)
-
     def test_faults_vanish_after_times(self):
         plan = ChaosPlan({3: "exception"}, times=2)
         assert plan.fault_for(3, 1) == "exception"
@@ -94,8 +79,6 @@ class TestResilienceOptions:
             ResilienceOptions(max_retries=-1)
         with pytest.raises(ValueError):
             ResilienceOptions(shard_timeout=0.0)
-        with pytest.raises(ValueError):
-            ResilienceOptions(backoff=-0.1)
 
     def test_taxonomy_carries_structure(self):
         timeout = ShardTimeout(3, 2, 1.5)
@@ -112,34 +95,42 @@ class TestSerialChaos:
 
     def test_exception_retry_bit_for_bit(self, protocol, code, baseline):
         chaos = ChaosPlan({0: "exception", 3: "exception"}, times=1)
-        result = run_with_chaos(protocol, code, chaos, workers=1, backoff=0.0)
+        result = run_with_chaos(protocol, code, chaos, workers=1)
         assert result == baseline
 
     def test_all_fault_kinds_map_to_exceptions(self, protocol, code, baseline):
         chaos = ChaosPlan(
             {0: "crash", 2: "hang", 4: "exception", 6: "unpicklable"}, times=1
         )
-        result = run_with_chaos(protocol, code, chaos, workers=1, backoff=0.0)
+        result = run_with_chaos(protocol, code, chaos, workers=1)
         assert result == baseline
 
     def test_exhaustion_degrades_with_warning(self, protocol, code, baseline):
         chaos = ChaosPlan({5: "exception"}, times=10)
         with pytest.warns(RunDegraded, match="shard 5"):
             result = run_with_chaos(
-                protocol, code, chaos, workers=1, max_retries=1, backoff=0.0
+                protocol, code, chaos, workers=1, max_retries=1
             )
         assert result == baseline
 
-    def test_exhaustion_raises_when_degradation_disabled(self, protocol, code):
+    def test_exhaustion_raises_when_the_fallback_fails(
+        self, protocol, code, monkeypatch
+    ):
+        """Exhausted retries degrade to in-process execution; only a
+        fallback that fails too raises, carrying the fallback's error."""
+        fallback_error = ChaosError("in-process fallback failed")
+
+        def failing_fallback(spec):
+            raise fallback_error
+
+        monkeypatch.setattr(runtime, "_run_shard_inprocess", failing_fallback)
         chaos = ChaosPlan({5: "exception"}, times=10)
-        with pytest.raises(ShardRetryExhausted) as excinfo:
-            run_with_chaos(
-                protocol, code, chaos, workers=1, max_retries=1,
-                degrade=False, backoff=0.0,
-            )
+        with pytest.warns(RunDegraded, match="shard 5"):
+            with pytest.raises(ShardRetryExhausted) as excinfo:
+                run_with_chaos(protocol, code, chaos, workers=1, max_retries=1)
         assert excinfo.value.shard_index == 5
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.last_error, ChaosError)
+        assert excinfo.value.attempts == 3  # two attempts, then the fallback
+        assert excinfo.value.last_error is fallback_error
 
 
 @pytest.mark.slow_mp
@@ -179,24 +170,29 @@ class TestMultiprocessChaos:
         result = run_with_chaos(protocol, code, chaos, shard_timeout=1.5)
         assert result == baseline
 
-    def test_capacity_entry_point_under_chaos(self, code):
+    def test_capacity_entry_point_under_chaos(self, code, monkeypatch):
         base = sharded_code_capacity_memory(
             code, 5e-3, rounds=2, shots=400, seed=9, workers=1, num_shards=4
         )
-        chaos = ChaosPlan({1: "exception"}, times=1)
+        monkeypatch.setattr(
+            runtime, "_guarded_run_shard", ChaosPlan({1: "exception"}, times=1)
+        )
         faulted = sharded_code_capacity_memory(
             code, 5e-3, rounds=2, shots=400, seed=9, workers=2, num_shards=4,
-            chaos=chaos, backoff=0.001,
         )
         assert faulted == base
 
-    def test_memory_experiment_forwards_chaos(self, protocol, code, baseline):
-        """The montecarlo entry point routes chaos/resilience kwargs through
-        the sharded driver."""
-        chaos = ChaosPlan({3: "exception"}, times=1)
+    def test_memory_experiment_forwards_chaos(
+        self, protocol, code, baseline, monkeypatch
+    ):
+        """The montecarlo entry point routes a sharded call through the
+        runtime's attempt entry, where the fault lands."""
+        monkeypatch.setattr(
+            runtime, "_guarded_run_shard", ChaosPlan({3: "exception"}, times=1)
+        )
         result = memory_experiment(
             protocol, code, rounds=1, shots=800, seed=7, workers=2,
-            num_shards=8, chaos=chaos, backoff=0.001,
+            num_shards=8,
         )
         assert result == baseline
 
@@ -206,15 +202,15 @@ class TestMultiprocessChaos:
             result = run_with_chaos(protocol, code, chaos, max_retries=1)
         assert result == baseline
 
-    def test_hang_every_attempt_exhausts_with_timeout_cause(self, protocol, code):
+    def test_hang_every_attempt_degrades_with_timeout_cause(
+        self, protocol, code, baseline
+    ):
         chaos = ChaosPlan({1: "hang"}, times=10, hang_seconds=60)
-        with pytest.raises(ShardRetryExhausted) as excinfo:
-            run_with_chaos(
-                protocol, code, chaos, shard_timeout=0.75, max_retries=0,
-                degrade=False,
+        with pytest.warns(RunDegraded, match=r"shard 1 .*ShardTimeout"):
+            result = run_with_chaos(
+                protocol, code, chaos, shard_timeout=0.75, max_retries=0
             )
-        assert isinstance(excinfo.value.last_error, ShardTimeout)
-        assert excinfo.value.last_error.shard_index == excinfo.value.shard_index == 1
+        assert result == baseline
 
     def test_keyboard_interrupt_evicts_cached_pool(
         self, protocol, code, monkeypatch

@@ -323,9 +323,7 @@ class TestPoolLifecycle:
         while not pool._broken and time.monotonic() < deadline:
             time.sleep(0.05)
         assert pool._broken
-        result = sharded_memory_experiment(
-            protocol, code, workers=2, backoff=0.001, **kwargs
-        )
+        result = sharded_memory_experiment(protocol, code, workers=2, **kwargs)
         assert result == base
         assert runtime._pool_cache.get(2) is not pool
 
