@@ -126,47 +126,52 @@ def _check_policy(policy: str, repetitions: int) -> None:
 
 def _set_lanes(plane: np.ndarray) -> np.ndarray:
     """Sorted indices of the set bit lanes of one ``(words,)`` plane."""
-    words = np.flatnonzero(plane)
-    bits = np.unpackbits(plane[words].view(np.uint8), bitorder="little").reshape(-1, 64)
-    word, bit = np.nonzero(bits)
-    return words[word] * 64 + bit
+    octets = plane.view(np.uint8)
+    nonzero = np.flatnonzero(octets != 0)
+    bits = np.flatnonzero(np.unpackbits(octets[nonzero], bitorder="little").view(bool))
+    return nonzero[bits >> 3] * 8 + (bits & 7)
 
 
-def _copy_lanes(src: np.ndarray, dst: np.ndarray, *planes: np.ndarray) -> None:
+def _copy_lanes(
+    planes: np.ndarray, src: np.ndarray, dst: np.ndarray, dst_plane: np.ndarray
+) -> None:
     """Overwrite lane ``dst[i]`` with lane ``src[i]`` in every row, in place.
 
-    ``dst`` is sorted without repeats and shares no lane with ``src``, so
-    reads never see a write.  Each destination word is rewritten once:
-    the lanes landing in it are cleared and ORed in together.
+    ``dst_plane`` is the ``(words,)`` plane whose set lanes are exactly
+    ``dst``, so one dense AND clears every destination in every row.
+    ``src`` shares no lane with ``dst``; only the sources with a bit set in
+    some row are then ORed in, and ``bitwise_or.at`` merges destinations
+    that share a word.
     """
-    one = np.uint64(1)
-    word = dst >> 6
-    first = np.flatnonzero(np.diff(word, prepend=-1))
-    words = word[first]
-    dst_bit = one << (dst & 63).astype(np.uint64)
-    keep = ~np.bitwise_or.reduceat(dst_bit, first)
-    src_word, src_shift = src >> 6, (src & 63).astype(np.uint64)
-    for plane in planes:
-        moved = ((plane[:, src_word] >> src_shift) & one) * dst_bit
-        plane[:, words] = (plane[:, words] & keep) | np.bitwise_or.reduceat(moved, first, axis=1)
+    planes &= ~dst_plane
+    word, shift = src >> 6, (src & 63).astype(np.uint64)
+    any_row = np.bitwise_or.reduce(planes, axis=tuple(range(planes.ndim - 1)))
+    live = np.flatnonzero((any_row[word] >> shift) & 1)
+    bits = (planes[..., word[live]] >> shift[live]) & 1
+    np.bitwise_or.at(planes, (..., dst[live] >> 6), bits << (dst[live] & 63).astype(np.uint64))
 
 
-def _lane_block(planes: np.ndarray, start: int, shots: int) -> np.ndarray:
-    """Lanes ``[start, start + shots)`` of packed planes, shifted to lane 0.
+def _lane_block(planes: np.ndarray, start: int, shots: int, out: np.ndarray) -> None:
+    """Write lanes ``[start, start + shots)`` of packed planes to ``out``
+    from lane 0, clearing the lanes past ``shots``.
 
-    Returns fresh ``(rows, words_for(shots))`` planes with the lanes past
-    ``shots`` cleared; ``start`` need not be word-aligned.
+    ``out`` has the leading shape of ``planes`` and ``words_for(shots)``
+    words.  Lane ``j`` is bit ``j % 8`` of byte ``j // 8`` of the
+    little-endian words, so a block that starts on a byte is a byte copy;
+    any other block is shifted word by word.
     """
-    nwords = words_for(shots)
-    base, shift = divmod(start, 64)
-    out = planes[:, base : base + nwords].copy()
-    if shift:
-        out >>= np.uint64(shift)
-        high = planes[:, base + 1 : base + nwords + 1] << np.uint64(64 - shift)
-        out[:, : high.shape[1]] |= high
+    if start % 8:
+        nwords = out.shape[-1]
+        base, shift = divmod(start, 64)
+        np.right_shift(planes[..., base : base + nwords], np.uint64(shift), out=out)
+        high = planes[..., base + 1 : base + nwords + 1]
+        out[..., : high.shape[-1]] |= high << np.uint64(64 - shift)
+    else:
+        nbytes = -(-shots // 8)
+        octets = planes.view(np.uint8)[..., start // 8 : start // 8 + nbytes]
+        out.view(np.uint8)[..., :nbytes] = octets
     if shots % 64:
-        out[:, -1] &= np.uint64((1 << (shots % 64)) - 1)
-    return out
+        out[..., -1] &= np.uint64((1 << (shots % 64)) - 1)
 
 
 def _run_round_via_packed(
@@ -471,58 +476,52 @@ class ShorECProtocol:
 
     def _cat_batch_packed(
         self, width: int, shots: int, blocks: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Packed ``(width, words)`` X and Z planes of accepted cats.
+    ) -> np.ndarray:
+        """Packed ``(2, width, words)`` X and Z planes of accepted cats.
 
         One factory run covers every block of this width, block ``k`` in
         lanes ``[k * shots, (k + 1) * shots)``.  Rejected cats are
         overwritten on the packed planes by accepted ones *of the same
         block*, matching the legacy per-block batches — a replacement drawn
         across blocks could hand two syndrome blocks of one shot identical
-        correlated errors.  Each block draws exactly what
-        ``rng.choice(accepted, size=rejected)`` draws in
-        :meth:`sample_cat_frames`: an index into its accepted lanes, in
-        lane order.
+        correlated errors.  Each block with rejections draws, in block
+        order, exactly what ``rng.choice(accepted, size=rejected)`` draws in
+        :meth:`sample_cat_frames`: an index into its accepted lanes, in lane
+        order.  One sorted search then finds every source lane.
         """
         total = shots * blocks
         prog = self._factory_progs[width]
-        key = (width, total)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = prog.new_buffers(total)
-            self._buffers[key] = buf
-        fx, fz, flips = buf
-        fx[:] = 0
-        fz[:] = 0
-        prog.run_packed(total, rng, fx, fz, flips)
-        cfx, cfz = fx[:width], fz[:width]
+        frames, flips = self._round_buffers(prog, total)
+        frames[:] = 0
+        prog.run_packed(total, rng, frames[0], frames[1], flips)
+        cats = frames[:, :width]
         if not self.verify_ancilla:
-            return cfx, cfz
+            return cats
         bad = _set_lanes(flips[0])
         ends = np.searchsorted(bad, np.arange(1, blocks + 1) * shots)
-        src = np.empty_like(bad)
-        lo = 0
-        for k, hi in enumerate(ends):
-            if hi - lo == shots:
-                raise RuntimeError("every cat preparation failed verification; noise too high")
-            if hi > lo:
-                # The r-th accepted lane of the block sits after every
-                # rejected lane b_j with b_j - j <= r.
-                local = bad[lo:hi] - k * shots
-                r = rng.integers(0, shots - (hi - lo), size=hi - lo)
-                skipped = np.searchsorted(local - np.arange(hi - lo), r, side="right")
-                src[lo:hi] = k * shots + r + skipped
-            lo = hi
-        if bad.size:
-            _copy_lanes(src, bad, cfx, cfz)
-        return cfx, cfz
+        counts = np.diff(ends, prepend=0)
+        if (counts == shots).any():
+            raise RuntimeError("every cat preparation failed verification; noise too high")
+        # Block k's r-th accepted lane is accepted lane k * shots - lo + r of
+        # the batch (lo rejected lanes precede the block), and accepted lane
+        # R sits after every rejected lane bad[j] with bad[j] - j <= R.
+        rank = np.empty_like(bad)
+        for k, (c, lo) in enumerate(zip(counts, ends - counts)):
+            if c:
+                rank[lo : lo + c] = rng.integers(0, shots - c, size=c) + (k * shots - lo)
+        order = np.argsort(rank)
+        rank = rank[order]
+        src = rank + np.searchsorted(bad - np.arange(bad.size), rank, side="right")
+        _copy_lanes(cats, src, bad[order], flips[0])
+        return cats
 
-    def _round_buffers(self, shots: int) -> tuple:
-        key = ("ext", shots)
-        buf = self._buffers.get(key)
+    def _round_buffers(self, prog: CompiledFrameProgram, shots: int) -> tuple:
+        """One program's scratch at one size, reused across rounds: its X
+        and Z frames in one ``(2, qubits, words)`` buffer, and its flips."""
+        buf = self._buffers.get((prog, shots))
         if buf is None:
-            buf = self._extract_prog.new_buffers(shots)
-            self._buffers[key] = buf
+            fx, fz, flips = prog.new_buffers(shots)
+            buf = self._buffers[prog, shots] = (np.stack((fx, fz)), flips)
         return buf
 
     def run_round_packed(
@@ -534,31 +533,31 @@ class ShorECProtocol:
     ) -> None:
         """One EC round over packed ``(n, words)`` data frames, in place.
 
-        Cats are resampled on the packed factory planes
-        (:meth:`_cat_batch_packed`) and each block's lanes are shifted into
-        its wires; syndrome parsing, the policy and the table decode run on
-        packed planes too.
+        The extraction's X and Z frames share one ``(2, qubits, words)``
+        buffer, as do each factory batch's, so every glue step covers both
+        planes.  Cats are resampled on the packed factory planes
+        (:meth:`_cat_batch_packed`) and each block's lanes are written
+        straight into its wires, which are contiguous; the data and the
+        blocks cover every wire, so no row is cleared first.  Syndrome
+        parsing, the policy and the table decode run on packed planes too.
         """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
         rng = as_rng(rng)
-        ext_fx, ext_fz, ext_flips = self._round_buffers(shots)
+        frames, flips = self._round_buffers(self._extract_prog, shots)
         n = self.code.n
-        ext_fx[:] = 0
-        ext_fz[:] = 0
-        ext_fx[:n] = data_fx
-        ext_fz[:n] = data_fz
+        frames[0, :n] = data_fx
+        frames[1, :n] = data_fz
         for width, blocks in self._width_blocks.items():
-            cfx, cfz = self._cat_batch_packed(width, shots, len(blocks), rng)
+            cats = self._cat_batch_packed(width, shots, len(blocks), rng)
             for k, block in enumerate(blocks):
-                wires = list(block.qubits)
-                ext_fx[wires] = _lane_block(cfx, k * shots, shots)
-                ext_fz[wires] = _lane_block(cfz, k * shots, shots)
-        self._extract_prog.run_packed(shots, rng, ext_fx, ext_fz, ext_flips)
-        syn = self.extraction.parse_syndromes_packed(ext_flips)
+                wires = slice(block.qubits[0], block.qubits[0] + width)
+                _lane_block(cats, k * shots, shots, out=frames[:, wires])
+        self._extract_prog.run_packed(shots, rng, frames[0], frames[1], flips)
+        syn = self.extraction.parse_syndromes_packed(flips)
         corr_x, corr_z = self._corrections_packed(syn)
-        data_fx[:] = ext_fx[:n] ^ corr_x
-        data_fz[:] = ext_fz[:n] ^ corr_z
+        data_fx[:] = frames[0, :n] ^ corr_x
+        data_fz[:] = frames[1, :n] ^ corr_z
 
     def run_round(
         self,

@@ -96,6 +96,16 @@ def _check_run_size(shots: int, rounds: int) -> None:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
 
 
+def _check_data_block(protocol, code: StabilizerCode) -> None:
+    """Reject a protocol whose data block is not the judged code's before
+    any round or shard runs: the mismatch would otherwise surface only in
+    the ideal decode after the last round, and inside a shard as a worker
+    fault that is retried and degraded."""
+    n = getattr(protocol, "data_qubits", code.n)
+    if n != code.n:
+        raise ValueError(f"protocol acts on {n} data qubits but the code has n = {code.n}")
+
+
 def _check_rate(eps: float) -> None:
     """Reject a depolarizing rate outside [0, 1] (NaN included) before any
     shard is planned: the sampler would not fail on one, it would return a
@@ -197,6 +207,7 @@ def memory_experiment(
     to share that count.
     """
     _check_run_size(shots, rounds)
+    _check_data_block(protocol, code)
     options = _resilience_options(**resilience)
     if workers != 1 or num_shards is not None or options.checkpoint is not None:
         return _run_sharded(
@@ -207,10 +218,9 @@ def memory_experiment(
     if getattr(protocol, "engine", None) == "compiled" and hasattr(
         protocol, "run_round_packed"
     ):
-        n = getattr(protocol, "data_qubits", code.n)
         nwords = words_for(shots)
-        dfx = np.zeros((n, nwords), dtype=np.uint64)
-        dfz = np.zeros((n, nwords), dtype=np.uint64)
+        dfx = np.zeros((code.n, nwords), dtype=np.uint64)
+        dfz = np.zeros((code.n, nwords), dtype=np.uint64)
         for _ in range(rounds):
             protocol.run_round_packed(shots, rng, dfx, dfz)
     else:

@@ -1,9 +1,11 @@
 """Tests for the assembled EC protocols (Fig. 9 end-to-end)."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 
-from repro.codes import FiveQubitCode, SteaneCode
+from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol, resolve_syndrome_policy
 from repro.ft.exrec import _copy_lanes, _lane_block, _set_lanes
 from repro.noise import NoiseModel, circuit_level
@@ -205,33 +207,138 @@ class TestShorProtocol:
                 proto.run_round(50, seed=3)
 
 
+CAT_CODES = {"steane": SteaneCode, "shor9": ShorNineCode, "five": FiveQubitCode}
+
+
+@cache
+def _cat_protocol(code: str, eps: float) -> ShorECProtocol:
+    return ShorECProtocol(CAT_CODES[code](), circuit_level(eps))
+
+
+def _oracle_cat_batch(proto, width, shots, blocks, rng):
+    """Accepted cats of one factory batch, lane by lane: the factory run
+    unpacked over ``shots * blocks`` lanes, then each block's rejected
+    lanes replaced as :meth:`ShorECProtocol.sample_cat_frames` replaces
+    them, with ``rng.choice`` over the block's accepted lanes."""
+    res = proto._factory_progs[width].run(shots * blocks, rng)
+    fx, fz = res.fx[:, :width].copy(), res.fz[:, :width].copy()
+    rejected = res.meas_flips[:, 0].astype(bool)
+    for k in range(blocks):
+        lanes = np.arange(k * shots, (k + 1) * shots)
+        accepted, bad = lanes[~rejected[lanes]], lanes[rejected[lanes]]
+        if accepted.size == 0:
+            raise RuntimeError("every cat preparation failed verification")
+        if bad.size:
+            src = rng.choice(accepted, size=bad.size)
+            fx[bad], fz[bad] = fx[src], fz[src]
+    return fx, fz
+
+
+class TestPackedCatBatchOracle:
+    """``ShorECProtocol._cat_batch_packed`` against the unpacked per-block
+    resampling: the same cats lane by lane, and the same generator state
+    afterwards, so every later draw of the round is unchanged too."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("eps", [1e-3, 3e-2])
+    @pytest.mark.parametrize("shots", [1, 37, 64, 1000, 5000])
+    @pytest.mark.parametrize(
+        "code, width", [("steane", 4), ("shor9", 2), ("shor9", 6), ("five", 4)]
+    )
+    def test_packed_batch_is_the_unpacked_batch(self, code, width, shots, eps, seed):
+        proto = _cat_protocol(code, eps)
+        blocks = len(proto._width_blocks[width])
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            ref_fx, ref_fz = _oracle_cat_batch(proto, width, shots, blocks, ref_rng)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="every cat preparation failed"):
+                proto._cat_batch_packed(width, shots, blocks, rng)
+            return
+        cats = proto._cat_batch_packed(width, shots, blocks, rng)
+        total = shots * blocks
+        np.testing.assert_array_equal(unpack_rows(cats[0], total), ref_fx.T)
+        np.testing.assert_array_equal(unpack_rows(cats[1], total), ref_fz.T)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_fully_rejected_later_block_raises(self):
+        # At this seed the first one-shot block keeps its cat and a later
+        # one loses its only cat, so the check must reach past block 0.
+        proto = _cat_protocol("steane", 0.1)
+        blocks = len(proto._width_blocks[4])
+        rejected = proto._factory_progs[4].run(blocks, np.random.default_rng(1)).meas_flips[:, 0]
+        assert rejected[0] == 0 and rejected.any()
+        with pytest.raises(RuntimeError, match="every cat preparation failed"):
+            _oracle_cat_batch(proto, 4, 1, blocks, np.random.default_rng(1))
+        with pytest.raises(RuntimeError, match="every cat preparation failed verification"):
+            proto._cat_batch_packed(4, 1, blocks, np.random.default_rng(1))
+
+
+def _pack_frames(bits: np.ndarray, spare_rows: int = 0) -> np.ndarray:
+    """``(2, rows, lanes)`` bits as a ``(2, rows, words)`` view of a
+    buffer with ``spare_rows`` more rows of ones, as the protocol holds
+    its X and Z frames."""
+    _, rows, lanes = bits.shape
+    buf = np.full((2, rows + spare_rows, words_for(lanes)), ~np.uint64(0))
+    buf[:, :rows] = [pack_rows(plane) for plane in bits]
+    return buf[:, :rows]
+
+
 class TestPackedLaneHelpers:
     """The packed cat-batch helpers against their unpacked meaning."""
 
     @pytest.mark.parametrize("shots", [1, 37, 64, 65, 130])
     def test_lane_block_is_the_packed_slice(self, shots):
         rng = np.random.default_rng(shots)
-        blocks = 5
-        bits = (rng.random((3, shots * blocks)) < 0.5).astype(np.uint8)
-        planes = pack_rows(bits)
+        blocks, rows = 5, 3
+        bits = (rng.random((2, rows, shots * blocks)) < 0.5).astype(np.uint8)
+        planes = _pack_frames(bits, spare_rows=1)
+        # Every block lands in its own rows of one buffer of ones, which
+        # the shift must overwrite word for word, the lanes past shots too.
+        out = np.full((2, rows * blocks + 1, words_for(shots)), ~np.uint64(0))
         for k in range(blocks):
+            _lane_block(planes, k * shots, shots, out=out[:, k * rows : (k + 1) * rows])
+        for k in range(blocks):
+            block = bits[..., k * shots : (k + 1) * shots]
             np.testing.assert_array_equal(
-                _lane_block(planes, k * shots, shots),
-                pack_rows(bits[:, k * shots : (k + 1) * shots]),
+                out[:, k * rows : (k + 1) * rows], _pack_frames(block)
             )
+        assert (out[:, -1] == ~np.uint64(0)).all()
+        assert (planes.base[:, rows] == ~np.uint64(0)).all()
 
-    def test_set_lanes_lists_set_bits_in_order(self):
-        bits = (np.random.default_rng(1).random(1000) < 0.05).astype(np.uint8)
+    @pytest.mark.parametrize(
+        "lanes, total",
+        [
+            ("random", 1000),
+            ([], 1000),
+            (list(range(128, 192)), 1000),  # an all-ones word
+            ([0, 63, 64], 1000),  # the last and first lanes of a word
+            ([960, 998, 999], 1000),  # the last, partial word
+            (list(range(1000, 1024)), 1024),  # the last lanes of a full word
+        ],
+    )
+    def test_set_lanes_lists_set_bits_in_order(self, lanes, total):
+        if lanes == "random":
+            bits = (np.random.default_rng(1).random(total) < 0.05).astype(np.uint8)
+        else:
+            bits = np.zeros(total, dtype=np.uint8)
+            bits[lanes] = 1
         np.testing.assert_array_equal(_set_lanes(pack_rows(bits[None])[0]), np.flatnonzero(bits))
 
     def test_copy_lanes_is_the_unpacked_copy(self):
         rng = np.random.default_rng(4)
-        total = 1000
-        bits = (rng.random((2, total)) < 0.5).astype(np.uint8)
-        dst = np.sort(rng.choice(total, 120, replace=False))
+        total, rows = 1000, 4
+        bits = (rng.random((2, rows, total)) < 0.1).astype(np.uint8)
+        # Unsorted destinations, many sharing a word; sources with no set
+        # bit, which the copy skips, and with bits in several rows.
+        dst = rng.choice(total, 120, replace=False)
         src = rng.choice(np.setdiff1d(np.arange(total), dst), dst.size)
-        planes = pack_rows(bits)
-        _copy_lanes(src, dst, planes)
-        bits[:, dst] = bits[:, src]
-        np.testing.assert_array_equal(unpack_rows(planes, total), bits)
-
+        carried = bits[..., src].sum(axis=(0, 1))
+        assert np.unique(dst >> 6).size < dst.size
+        assert (carried == 0).any() and (carried > 1).any()
+        planes = _pack_frames(bits, spare_rows=1)
+        dst_plane = pack_rows(np.isin(np.arange(total), dst)[None])[0]
+        _copy_lanes(planes, src, dst, dst_plane)
+        bits[..., dst] = bits[..., src]
+        np.testing.assert_array_equal([unpack_rows(plane, total) for plane in planes], bits)
+        assert (planes.base[:, rows] == ~np.uint64(0)).all()

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.codes import FiveQubitCode, SteaneCode
+from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.noise import NoiseModel, circuit_level
 from repro.threshold import (
@@ -150,6 +150,40 @@ class TestRunSizeValidation:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match=size.split("=")[0]):
                 self.ENTRY_POINTS[entry](**self.BAD_SIZES[size], **self.PATHS[path])
+        assert [str(w.message) for w in caught] == []
+
+    # A protocol and a judged code of different sizes: unsharded, each
+    # pair ran every round and then failed in the ideal decode with an
+    # IndexError; sharded, every shard failed that way as a worker fault.
+    MISMATCHED = {
+        "shor(five)-as-steane": lambda: (
+            ShorECProtocol(FiveQubitCode(), NoiseModel()), SteaneCode()
+        ),
+        "shor(steane)-as-five": lambda: (
+            ShorECProtocol(SteaneCode(), NoiseModel()), FiveQubitCode()
+        ),
+        "shor(shor9)-as-steane": lambda: (
+            ShorECProtocol(ShorNineCode(), NoiseModel()), SteaneCode()
+        ),
+        "steane-as-shor9": lambda: (SteaneECProtocol(NoiseModel()), ShorNineCode()),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("pair", sorted(MISMATCHED))
+    def test_protocol_and_code_of_different_sizes_raise(self, pair, path, monkeypatch):
+        from repro.threshold import sharded
+
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a shard ran for a protocol and code of different sizes")
+
+        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        protocol, code = self.MISMATCHED[pair]()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="data qubits"):
+                memory_experiment(
+                    protocol, code, rounds=1, shots=64, seed=0, **self.PATHS[path]
+                )
         assert [str(w.message) for w in caught] == []
 
     # Each of these used to return a count: 0/100 for -0.1 and nan, and
