@@ -274,19 +274,21 @@ class SteaneECProtocol:
         return fx, res.fz[:, :7].copy()
 
     def _round_buffers(self, shots: int) -> tuple:
-        """Pre-allocated packed buffers, reused across rounds at one size.
+        """Pre-allocated packed buffers, reused across rounds and keyed by
+        word count: every shape depends only on ``words_for(shots)`` and
+        every round overwrites them, so the uneven shots of one shard plan
+        share one set.
 
         The factory batch pads each layout's shot block to a whole number
         of 64-bit words so layout slices are word ranges — the batched
         factory output feeds the extraction buffer without ever unpacking.
         """
-        buf = self._buffers.get(shots)
+        nwords = words_for(shots)
+        buf = self._buffers.get(nwords)
         if buf is None:
             ext = self._extract_prog.new_buffers(shots)
-            padded = words_for(shots) * 64
-            fac = self._factory_prog.new_buffers(padded * len(self.extraction.layouts))
-            buf = ext + fac
-            self._buffers[shots] = buf
+            fac = self._factory_prog.new_buffers(nwords * 64 * len(self.extraction.layouts))
+            buf = self._buffers[nwords] = ext + fac
         return buf
 
     def _corrections_packed(self, syn: np.ndarray) -> np.ndarray:
@@ -315,7 +317,7 @@ class SteaneECProtocol:
         decode and the syndrome policy are evaluated as plane algebra
         (:meth:`SteaneAncillaPrep.parse_packed`,
         :meth:`_corrections_packed`), and every buffer is allocated once
-        per shot count and reused across rounds.
+        per word count and reused across rounds.
         """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
@@ -516,12 +518,14 @@ class ShorECProtocol:
         return cats
 
     def _round_buffers(self, prog: CompiledFrameProgram, shots: int) -> tuple:
-        """One program's scratch at one size, reused across rounds: its X
-        and Z frames in one ``(2, qubits, words)`` buffer, and its flips."""
-        buf = self._buffers.get((prog, shots))
+        """One program's scratch per word count, reused across rounds and
+        shot counts (every round overwrites it): its X and Z frames in one
+        ``(2, qubits, words)`` buffer, and its flips."""
+        key = (prog, words_for(shots))
+        buf = self._buffers.get(key)
         if buf is None:
             fx, fz, flips = prog.new_buffers(shots)
-            buf = self._buffers[prog, shots] = (np.stack((fx, fz)), flips)
+            buf = self._buffers[key] = (np.stack((fx, fz)), flips)
         return buf
 
     def run_round_packed(

@@ -177,9 +177,9 @@ def compute_run_key(
 ) -> str:
     """Content-addressed key over everything that determines the pooled counts.
 
-    ``args`` is the exact payload shipped to workers (protocol/code/noise/
-    rounds), hashed via its pickle bytes — the same bytes whose
-    picklability PR 5 already guarantees.  ``seed_fingerprint`` is the
+    ``args`` are the caller's run args (protocol/code/noise/rounds) that
+    :mod:`repro.threshold.sharded` pickles once and ships to workers,
+    hashed here via their own protocol-4 pickle bytes.  ``seed_fingerprint`` is the
     normalized ``(entropy, spawn_key)`` identity of the root
     ``SeedSequence`` (see ``sharded._seed_fingerprint``), and
     ``num_shards`` is the *resolved* shard count, so the key pins the

@@ -86,14 +86,20 @@ class PseudoThresholdNotBracketed(RuntimeError):
         self.curve = curve
 
 
-def _check_run_size(shots: int, rounds: int) -> None:
-    """Reject an empty run at the entry point, before any shard is planned
-    or any round runs (a bad size inside a shard would look like a worker
-    fault and be retried)."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+def _check_run_size(shots: int, rounds: int, workers: int, num_shards: int | None) -> None:
+    """Reject a run size that is not a positive integer at the entry point,
+    before any shard is planned or any round runs: inside a shard a bad
+    size would look like a worker fault and be retried, and unsharded a
+    float dies in NumPy while ``True`` runs as one shot.  Python and NumPy
+    integers pass; ``bool`` does not."""
+    sizes = {"shots": shots, "rounds": rounds, "workers": workers}
+    if num_shards is not None:
+        sizes["num_shards"] = num_shards
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_data_block(protocol, code: StabilizerCode) -> None:
@@ -146,7 +152,7 @@ def code_capacity_memory(
     shards even at ``workers=1`` (in-process sharded execution —
     journaling needs a shard plan).
     """
-    _check_run_size(shots, rounds)
+    _check_run_size(shots, rounds, workers, num_shards)
     _check_rate(eps)
     options = _resilience_options(**resilience)
     if workers != 1 or num_shards is not None or options.checkpoint is not None:
@@ -206,7 +212,7 @@ def memory_experiment(
     failures are counted by popcount; legacy-engine frames are packed once
     to share that count.
     """
-    _check_run_size(shots, rounds)
+    _check_run_size(shots, rounds, workers, num_shards)
     _check_data_block(protocol, code)
     options = _resilience_options(**resilience)
     if workers != 1 or num_shards is not None or options.checkpoint is not None:

@@ -48,7 +48,7 @@ completion supervision instead:
   of replayed.
 
 Correctness under all of this is free: each shard is a pure function of
-its ``(kind, args, shard_shots, SeedSequence)`` spec, so a retried,
+its ``(kind, payload, shard_shots, SeedSequence)`` spec, so a retried,
 degraded, or resumed shard returns bit-for-bit the counts a clean run
 would have — the chaos suites (``tests/test_threshold_runtime.py``,
 ``tests/test_threshold_chaos_io.py``) assert exactly that.  They inject
@@ -199,7 +199,9 @@ def _guarded_run_shard(payload: tuple) -> tuple[int, int, int]:
 # ----------------------------------------------------------------------
 # Pool cache.  Spawned pools cost ~0.6 s to start, so they are cached per
 # worker count and reused across calls — a grid scan pays the startup
-# once.  Workers are stateless between shards, so reuse cannot leak state.
+# once.  A worker keeps only the last run's unpickled args between shards
+# (``sharded._shard_args``), whose buffers every round overwrites, so reuse
+# cannot leak state into a count.
 # ----------------------------------------------------------------------
 _pool_cache: dict[int, ProcessPoolExecutor] = {}
 
@@ -468,6 +470,10 @@ def execute_shards(
     finally:
         if journal is not None:
             journal.close()
+        # Serial and degraded shards unpickled the run's args here.
+        from repro.threshold import sharded as _sharded
+
+        _sharded._forget_args()
     return [results[i] for i in range(len(specs))]
 
 

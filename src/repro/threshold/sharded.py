@@ -44,12 +44,20 @@ points here are those callers with the knobs spelled out.
 Workers are spawned (``multiprocessing`` spawn context, the portable and
 thread-safe choice); spawn's preparation data carries the parent's
 ``sys.path``, so each worker re-imports ``repro`` wherever the parent
-found it.  Payloads travel by pickle, so protocols must be picklable (the
-compiled programs, codes, and noise models all are).
+found it.  A run's ``args`` (protocol, code, rounds) are pickled once, in
+:func:`_build_specs`, and every shard spec carries the same bytes, so
+protocols must be picklable (the compiled programs, codes, and noise
+models all are).  Each process keeps the last payload it unpickled
+(:func:`_shard_args`): a worker's later shards of the run reuse that
+protocol together with its warm packed buffers, and
+:func:`~repro.threshold.runtime.execute_shards` drops the calling
+process's copy when it returns.  Run keys hash the caller's ``args``,
+not the payload, so a run's key does not depend on how it is shipped.
 """
 
 from __future__ import annotations
 
+import pickle
 import warnings
 from pathlib import Path
 
@@ -149,11 +157,40 @@ def _seed_fingerprint(seed: int | np.random.SeedSequence) -> tuple:
 # spawn's preparation data carries the parent's sys.path, so the child can
 # re-import repro wherever the parent found it).
 # ----------------------------------------------------------------------
+# The last payload this process unpickled, and its args.  One entry is
+# enough: a worker receives a run's shards together.
+_args_cache: tuple[bytes, tuple] | None = None
+
+
+def _shard_args(payload: bytes) -> tuple:
+    """The run args that ``payload`` pickles, from the cache when it holds
+    equal bytes, so a worker's later shards of a run reuse its protocol
+    with warm packed buffers (each round overwrites them).  Any other
+    payload releases the cached args before it is unpickled, so a process
+    never holds two runs' protocols."""
+    global _args_cache
+    cached = _args_cache  # one read: another thread may release the entry
+    if cached is not None and cached[0] == payload:
+        return cached[1]
+    _args_cache = cached = None  # both references, or the old args outlive the unpickle
+    args = pickle.loads(payload)
+    _args_cache = (payload, args)
+    return args
+
+
+def _forget_args() -> None:
+    """Release the cached args: ``execute_shards`` calls this as a run
+    ends, so the calling process keeps no copy."""
+    global _args_cache
+    _args_cache = None
+
+
 def _run_shard(spec: tuple) -> tuple[int, int]:
     """Run one shard; returns ``(shots, failures)`` for pooling."""
-    kind, args, shard_shots, seed_seq = spec
+    kind, payload, shard_shots, seed_seq = spec
     from repro.threshold.montecarlo import code_capacity_memory, memory_experiment
 
+    args = _shard_args(payload)
     if kind == "memory":
         protocol, code, rounds = args
         res = memory_experiment(protocol, code, rounds, shard_shots, seed=seed_seq)
@@ -175,18 +212,23 @@ def _build_specs(
     seed: int | np.random.SeedSequence | None,
     num_shards: int | None,
 ) -> tuple[list[tuple], tuple]:
-    """Shard specs plus the seed fingerprint for run-key computation.
+    """Shard specs ``(kind, payload, shard_shots, seed_seq)`` plus the seed
+    fingerprint for run-key computation.
 
-    ``seed=None`` is materialized into a fresh-entropy ``SeedSequence``
-    here so even an OS-seeded run has a *knowable* identity — its run key
-    simply never matches a previous run's (an irreproducible run is,
-    correctly, never resumed).
+    ``args`` are pickled once here, and every spec holds the same
+    ``payload`` bytes: the pool ships bytes per shard instead of pickling
+    the protocol again, and a worker unpickles each run once
+    (:func:`_shard_args`).  ``seed=None`` is materialized into a
+    fresh-entropy ``SeedSequence`` here so even an OS-seeded run has a
+    *knowable* identity — its run key simply never matches a previous
+    run's (an irreproducible run is, correctly, never resumed).
     """
     sizes = shard_sizes(shots, num_shards)
     if seed is None:
         seed = np.random.SeedSequence()
     seeds = spawn_shard_seeds(seed, len(sizes))
-    specs = [(kind, args, size, ss) for size, ss in zip(sizes, seeds)]
+    payload = pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL)
+    specs = [(kind, payload, size, ss) for size, ss in zip(sizes, seeds)]
     return specs, _seed_fingerprint(seed)
 
 
@@ -245,8 +287,6 @@ def _run_sharded(
     num_shards: int | None,
     options: ResilienceOptions,
 ):
-    if workers < 1:
-        raise ValueError("workers must be positive")
     specs, fingerprint = _build_specs(kind, args, shots, seed, num_shards)
     run_key = physics_key = None
     if options.checkpoint is not None:

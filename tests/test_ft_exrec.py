@@ -207,6 +207,44 @@ class TestShorProtocol:
                 proto.run_round(50, seed=3)
 
 
+class TestScratchByWordCount:
+    """Packed scratch is keyed by word count, so the uneven shot counts of
+    one shard plan share one buffer set per program, and a set left by
+    another shot count gives a fresh protocol's frames."""
+
+    # 257 and 258 shots both take 5 words, and 257 * b and 258 * b lanes
+    # take the same word count for every factory batch of b <= 32 blocks.
+    SHOTS = 257
+
+    @staticmethod
+    def _protocol(case: str) -> tuple:
+        """A protocol at 3e-3 and the number of programs it runs."""
+        if case == "steane":
+            return SteaneECProtocol(circuit_level(3e-3)), 1
+        code = SteaneCode() if case == "shor_steane" else ShorNineCode()
+        proto = ShorECProtocol(code, circuit_level(3e-3))
+        return proto, 1 + len(proto._factory_progs)
+
+    @pytest.mark.parametrize("case", ["steane", "shor_steane", "shor9"])
+    def test_one_set_per_program_and_fresh_frames(self, case):
+        used, programs = self._protocol(case)
+        fresh, _ = self._protocol(case)
+        n, shots = used.code.n, self.SHOTS
+        warm = np.zeros((n, words_for(shots + 1)), dtype=np.uint64)
+        used.run_round_packed(shots + 1, 7, warm, warm.copy())
+        frames = []
+        for proto in (used, fresh):
+            rng = np.random.default_rng(8)
+            dfx = np.zeros((n, words_for(shots)), dtype=np.uint64)
+            dfz = np.zeros_like(dfx)
+            for _ in range(2):
+                proto.run_round_packed(shots, rng, dfx, dfz)
+            frames.append(np.stack((unpack_rows(dfx, shots), unpack_rows(dfz, shots))))
+        assert len(used._buffers) == programs
+        assert frames[1].any()
+        np.testing.assert_array_equal(frames[0], frames[1])
+
+
 CAT_CODES = {"steane": SteaneCode, "shor9": ShorNineCode, "five": FiveQubitCode}
 
 

@@ -115,8 +115,9 @@ class TestCircuitLevelMC:
 
 
 class TestRunSizeValidation:
-    """Empty or negative runs fail with a ValueError at the entry point,
-    before any shard is planned or retried."""
+    """Empty or negative runs fail with a ValueError, and sizes that are
+    not integers with a TypeError, at the entry point, before any shard is
+    planned or retried."""
 
     ENTRY_POINTS = {
         "memory_experiment": lambda **kw: memory_experiment(
@@ -131,6 +132,7 @@ class TestRunSizeValidation:
         "shots=-5": dict(shots=-5, rounds=1),
         "rounds=0": dict(shots=64, rounds=0),
         "rounds=-1": dict(shots=64, rounds=-1),
+        "workers=0": dict(shots=64, rounds=1, workers=0),
     }
     PATHS = {"unsharded": {}, "num_shards=4": {"num_shards": 4}}
 
@@ -151,6 +153,47 @@ class TestRunSizeValidation:
             with pytest.raises(ValueError, match=size.split("=")[0]):
                 self.ENTRY_POINTS[entry](**self.BAD_SIZES[size], **self.PATHS[path])
         assert [str(w.message) for w in caught] == []
+
+    # Each of these used to run: sharded, the floats failed every shard as
+    # a worker fault, retried with backoff, warned RunDegraded and raised
+    # ShardRetryExhausted; unsharded, shots=1000.0 died in NumPy's
+    # right_shift and shots=True ran one shot reported as shots=True.
+    BAD_TYPES = {
+        "shots=1000.0": dict(shots=1000.0, rounds=1),
+        "shots=True": dict(shots=True, rounds=1),
+        "shots=float64": dict(shots=np.float64(64), rounds=1),
+        "rounds=2.0": dict(shots=64, rounds=2.0),
+        "rounds=True": dict(shots=64, rounds=True),
+        "workers=1.0": dict(shots=64, rounds=1, workers=1.0),
+        "workers=2.0": dict(shots=64, rounds=1, workers=2.0),
+        "num_shards=4.0": dict(shots=64, rounds=1, num_shards=4.0),
+        "num_shards=True": dict(shots=64, rounds=1, num_shards=True),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("size", sorted(BAD_TYPES))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_integral_size_raises_type_error_without_warning(
+        self, entry, size, path, monkeypatch
+    ):
+        from repro.threshold import sharded
+
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a shard ran for a non-integral run size")
+
+        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TypeError, match=size.split("=")[0]):
+                self.ENTRY_POINTS[entry](**{**self.PATHS[path], **self.BAD_TYPES[size]})
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_numpy_integer_sizes_are_accepted(self, entry, path):
+        sizes = dict(shots=64, rounds=2, workers=1, **self.PATHS[path])
+        as_numpy = {name: np.int64(value) for name, value in sizes.items()}
+        assert self.ENTRY_POINTS[entry](**as_numpy) == self.ENTRY_POINTS[entry](**sizes)
 
     # A protocol and a judged code of different sizes: unsharded, each
     # pair ran every round and then failed in the ideal decode with an

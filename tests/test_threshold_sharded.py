@@ -17,6 +17,7 @@ import pickle
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from repro.codes import SteaneCode
+from repro.codes import ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.noise import circuit_level
 from repro.threshold import (
     PseudoThresholdNotBracketed,
     PseudoThresholdWarning,
     code_capacity_memory,
+    compute_physics_key,
+    compute_run_key,
     crossing_from_curve,
     memory_experiment,
     pseudo_threshold,
@@ -38,7 +41,7 @@ from repro.threshold import (
     shard_sizes,
     spawn_shard_seeds,
 )
-from repro.threshold import runtime
+from repro.threshold import runtime, sharded
 from repro.util.stats import binomial_confidence, logical_error_per_round
 
 
@@ -136,6 +139,110 @@ class TestSingleProcessParity:
         assert pooled.per_round_rate == logical_error_per_round(est, 1)
 
 
+PROTOCOLS = {
+    "steane": lambda: (SteaneECProtocol(circuit_level(3e-3)), SteaneCode()),
+    "shor_steane": lambda: (
+        ShorECProtocol(SteaneCode(), circuit_level(3e-3)), SteaneCode()
+    ),
+    "shor9": lambda: (
+        ShorECProtocol(ShorNineCode(), circuit_level(3e-3)), ShorNineCode()
+    ),
+}
+
+
+class TestShardPayload:
+    """A run's args are pickled once and every spec carries those bytes; a
+    process unpickles equal bytes once, keeps one run's args, and the
+    caller keeps none once ``execute_shards`` returns."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        sharded._forget_args()
+        yield
+        sharded._forget_args()
+
+    @pytest.mark.parametrize("case", [*sorted(PROTOCOLS), "capacity"])
+    def test_every_spec_ships_what_the_run_key_names(self, case):
+        if case == "capacity":
+            kind, args = "capacity", (SteaneCode(), 1e-3, 2)
+        else:
+            protocol, code = PROTOCOLS[case]()
+            # A protocol that already ran holds scratch, which neither the
+            # payload nor the keys may carry.
+            memory_experiment(protocol, code, rounds=1, shots=100, seed=0)
+            kind, args = "memory", (protocol, code, 2)
+        specs, fingerprint = sharded._build_specs(kind, args, 1001, 5, 4)
+        # Pickle memoizes strings by identity, and unpickling interns only
+        # attribute names: a Steane protocol shares the interned "verify"
+        # and "prep" between attribute names, circuit tags and dict keys,
+        # its copy does not, so the copy pickles to other bytes than its
+        # original.  Keys are compared on copies; a run itself is keyed by
+        # the caller's own args.
+        copy = pickle.loads(pickle.dumps(args))
+        run_key = compute_run_key(kind, copy, 1001, fingerprint, len(specs))
+        physics_key = compute_physics_key(kind, copy)
+        for spec in specs:
+            assert spec[1] is specs[0][1]
+            shipped = pickle.loads(spec[1])
+            key = compute_run_key(kind, shipped, 1001, fingerprint, len(specs))
+            assert key == run_key
+            assert compute_physics_key(kind, shipped) == physics_key
+
+    def test_a_serial_run_unpickles_once_and_keeps_nothing(self, code, monkeypatch):
+        loads = pickle.loads
+        calls = []
+        monkeypatch.setattr(
+            pickle, "loads", lambda data: calls.append(data) or loads(data)
+        )
+        protocol = SteaneECProtocol(circuit_level(3e-3))
+        memory_experiment(protocol, code, rounds=2, shots=1001, seed=5, num_shards=4)
+        assert len(calls) == 1
+        assert sharded._args_cache is None
+
+    def test_equal_bytes_hit_and_new_bytes_release_the_old_args_first(
+        self, code, monkeypatch
+    ):
+        first = pickle.dumps((SteaneECProtocol(circuit_level(1e-3)), code, 1))
+        second = pickle.dumps((SteaneECProtocol(circuit_level(2e-3)), code, 1))
+        args = sharded._shard_args(first)
+        assert sharded._shard_args(bytes(bytearray(first))) is args
+        old = weakref.ref(args[0])
+        del args
+        loads = pickle.loads
+        alive = []
+        monkeypatch.setattr(
+            pickle, "loads", lambda data: alive.append(old() is not None) or loads(data)
+        )
+        new = sharded._shard_args(second)
+        assert alive == [False]
+        assert sharded._shard_args(second) is new
+
+    @pytest.mark.parametrize("case", sorted(PROTOCOLS))
+    def test_reused_scratch_cannot_leak_into_counts(self, case):
+        """The uneven shards of one plan, each from a fresh unpickle, then
+        all through one reused protocol whose every buffer is set to ones
+        between shards: the counts are the same."""
+        protocol, code = PROTOCOLS[case]()
+        specs, _ = sharded._build_specs("memory", (protocol, code, 2), 1001, 5, 4)
+        assert [spec[2] for spec in specs] == [251, 250, 250, 250]
+        fresh = []
+        for spec in specs:
+            sharded._forget_args()
+            fresh.append(sharded._run_shard(spec))
+        sharded._forget_args()
+        reused, held = [], set()
+        for spec in specs:
+            reused.append(sharded._run_shard(spec))
+            warm = sharded._shard_args(spec[1])[0]
+            held.add(id(warm))
+            for buffers in warm._buffers.values():
+                for buf in buffers:
+                    buf.fill(~np.uint64(0))
+        assert len(held) == 1
+        assert sum(failures for _, failures in fresh) > 0
+        assert reused == fresh
+
+
 @pytest.mark.slow_mp
 class TestMultiprocessParity:
     def test_deterministic_across_worker_counts(self, code, protocol):
@@ -166,14 +273,27 @@ class TestMultiprocessParity:
 
     def test_shor_protocol_crosses_process_boundary(self, code):
         """ShorECProtocol carries Pauli objects, whose slots-immutability
-        guard used to break unpickling in the worker processes."""
-        protocol = ShorECProtocol(code, circuit_level(1e-3))
-        restored = pickle.loads(pickle.dumps(protocol))
-        assert restored.code.n == code.n
-        result = memory_experiment(
-            protocol, code, rounds=1, shots=600, seed=1, workers=2, num_shards=2
-        )
-        assert result.shots == 600
+        guard used to break unpickling in the worker processes.  Workers
+        reuse the unpickled protocol across the uneven shards of a plan
+        and must count what the serial run counts."""
+        protocol = ShorECProtocol(code, circuit_level(3e-3))
+        kwargs = dict(rounds=2, shots=1001, seed=1, num_shards=4)
+        serial = memory_experiment(protocol, code, workers=1, **kwargs)
+        assert serial.failures > 0
+        assert memory_experiment(protocol, code, workers=2, **kwargs) == serial
+
+    def test_one_pool_runs_different_protocols_back_to_back(self, code):
+        """Workers keep the last run's protocol: a new payload, and then
+        the first one again, must each be unpickled, never reused."""
+        first = SteaneECProtocol(circuit_level(3e-3))
+        second = ShorECProtocol(code, circuit_level(3e-3))
+        kwargs = dict(rounds=2, shots=1001, seed=4, num_shards=4)
+        counts = []
+        for protocol in (first, second, first):
+            serial = memory_experiment(protocol, code, workers=1, **kwargs)
+            assert memory_experiment(protocol, code, workers=2, **kwargs) == serial
+            counts.append(serial.failures)
+        assert counts[0] != counts[1]
 
 
 class TestGridSeedStreams:
