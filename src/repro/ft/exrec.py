@@ -44,7 +44,7 @@ from repro.codes.stabilizer_code import StabilizerCode
 from repro.ft.shor_ec import ShorSyndromeExtraction
 from repro.ft.steane_ec import SteaneAncillaPrep, SteaneSyndromeExtraction
 from repro.noise.models import NoiseModel
-from repro.pauliframe.compiled import CompiledFrameProgram
+from repro.pauliframe.compiled import CompiledFrameProgram, FoldScratch
 from repro.pauliframe.engine import FrameSimulator
 from repro.pauliframe.packing import pack_shot_major, unpack_shot_major, words_for
 from repro.util.rng import as_rng
@@ -203,6 +203,26 @@ def _run_round_via_packed(
     return unpack_shot_major(dfx, shots), unpack_shot_major(dfz, shots)
 
 
+def _pickle_state(protocol) -> dict:
+    """A compiled protocol's state without its scratch: the packed round
+    buffers and the fault fold's scratch hold whatever the last round left
+    behind.  They must not travel in the pickle: the result cache's
+    content-addressed run keys hash pickled protocols, so leaked scratch
+    would make a protocol's identity depend on what it happened to execute
+    last (and bloat the pickle shipped to every worker)."""
+    state = {k: v for k, v in protocol.__dict__.items() if k != "_scratch"}
+    if "_buffers" in state:
+        state["_buffers"] = {}
+    return state
+
+
+def _restore_state(protocol, state: dict) -> None:
+    """Unpickle a protocol with empty scratch, which its first round fills."""
+    protocol.__dict__.update(state)
+    if "_buffers" in state:
+        protocol._scratch = FoldScratch()
+
+
 class SteaneECProtocol:
     """One Steane-method EC round, vectorized over shots.
 
@@ -241,6 +261,8 @@ class SteaneECProtocol:
             self._factory_sim = self._factory_prog
             self._extract_sim = self._extract_prog
             self._buffers: dict[int, tuple] = {}
+            # One fold scratch for both programs, which run in turn.
+            self._scratch = FoldScratch()
         else:
             self._factory_sim = FrameSimulator(self.prep.circuit(), noise, backend="legacy")
             self._extract_sim = FrameSimulator(
@@ -248,16 +270,10 @@ class SteaneECProtocol:
             )
 
     def __getstate__(self) -> dict:
-        # The packed work buffers are scratch — their contents are whatever
-        # the last round left behind.  They must not travel in the pickle:
-        # the result cache's content-addressed run keys hash pickled
-        # protocols, so leaked scratch would make a protocol's identity
-        # depend on what it happened to execute last (and bloat the pickle
-        # shipped to every worker).  Rebuilt lazily on first use.
-        state = dict(self.__dict__)
-        if "_buffers" in state:
-            state = {**state, "_buffers": {}}
-        return state
+        return _pickle_state(self)
+
+    def __setstate__(self, state: dict) -> None:
+        _restore_state(self, state)
 
     @property
     def data_qubits(self) -> int:
@@ -328,7 +344,9 @@ class SteaneECProtocol:
         padded_total = nwords * 64 * len(layouts)
         fac_fx[:] = 0
         fac_fz[:] = 0
-        self._factory_prog.run_packed(padded_total, rng, fac_fx, fac_fz, fac_flips)
+        self._factory_prog.run_packed(
+            padded_total, rng, fac_fx, fac_fz, fac_flips, scratch=self._scratch
+        )
         afx = fac_fx[:7]
         afz = fac_fz[:7]
         if self.prep.verify:
@@ -342,7 +360,7 @@ class SteaneECProtocol:
             anc = list(layout.anc_qubits)
             ext_fx[anc] = afx[:, cols]
             ext_fz[anc] = afz[:, cols]
-        self._extract_prog.run_packed(shots, rng, ext_fx, ext_fz, ext_flips)
+        self._extract_prog.run_packed(shots, rng, ext_fx, ext_fz, ext_flips, scratch=self._scratch)
         x_syn, z_syn = self.extraction.parse_syndromes_packed(ext_flips)
         data_fx[:] = ext_fx[:7] ^ self._corrections_packed(x_syn)
         data_fz[:] = ext_fz[:7] ^ self._corrections_packed(z_syn)
@@ -432,6 +450,8 @@ class ShorECProtocol:
             self._extract_sim = self._extract_prog
             self._factories = self._factory_progs
             self._buffers: dict[tuple, tuple] = {}
+            # One fold scratch for every program, which run in turn.
+            self._scratch = FoldScratch()
         else:
             self._extract_sim = FrameSimulator(
                 self.extraction.extraction_circuit(), noise, backend="legacy"
@@ -442,12 +462,10 @@ class ShorECProtocol:
             }
 
     def __getstate__(self) -> dict:
-        # Scratch buffers never travel in the pickle — see
-        # SteaneECProtocol.__getstate__ (run-key identity + worker payload).
-        state = dict(self.__dict__)
-        if "_buffers" in state:
-            state = {**state, "_buffers": {}}
-        return state
+        return _pickle_state(self)
+
+    def __setstate__(self, state: dict) -> None:
+        _restore_state(self, state)
 
     @property
     def data_qubits(self) -> int:
@@ -495,7 +513,7 @@ class ShorECProtocol:
         prog = self._factory_progs[width]
         frames, flips = self._round_buffers(prog, total)
         frames[:] = 0
-        prog.run_packed(total, rng, frames[0], frames[1], flips)
+        prog.run_packed(total, rng, frames[0], frames[1], flips, scratch=self._scratch)
         cats = frames[:, :width]
         if not self.verify_ancilla:
             return cats
@@ -557,7 +575,9 @@ class ShorECProtocol:
             for k, block in enumerate(blocks):
                 wires = slice(block.qubits[0], block.qubits[0] + width)
                 _lane_block(cats, k * shots, shots, out=frames[:, wires])
-        self._extract_prog.run_packed(shots, rng, frames[0], frames[1], flips)
+        self._extract_prog.run_packed(
+            shots, rng, frames[0], frames[1], flips, scratch=self._scratch
+        )
         syn = self.extraction.parse_syndromes_packed(flips)
         corr_x, corr_z = self._corrections_packed(syn)
         data_fx[:] = frames[0, :n] ^ corr_x

@@ -23,13 +23,16 @@ XOR touches 64 shots.  Two compile-time transformations carry the speedup:
   expected number of faults rather than locations x shots; the gaps come
   from one standard-exponential fill, the same arithmetic
   ``Generator.geometric`` runs per draw.  Each hit carries one fault code
-  (the Pauli kind, the pair of kinds, or the 15-way pair index) that a
-  small per-class mask table expands into components (X, Z, or ax, az,
-  bx, bz).  Each class's draw becomes one sorted hit list, an entry per
-  (location, 64-shot word) that any component hits, and every entry
-  carries its flat index ``row * words + word`` into the frame buffer, so
-  a noise instruction XORs a contiguous slice of bits into the 1-D view of
-  the buffer.  No dense locations x words noise plane is ever built.
+  (the Pauli kind, the pair of kinds, or the 15-way pair index) that one
+  mask table expands into components (X, Z, or ax, az, bx, bz).  One fold
+  per run turns every class's hits into one sorted entry list, an entry
+  per (location, 64-shot word) that any component hits.  Its locations
+  are ordered by component count, so each component row covers a prefix
+  of the entries, and the rows live in scratch reused across runs.  Every
+  entry carries its flat index ``row * words + word`` into the frame
+  buffer, so a noise instruction XORs a contiguous slice of bits into the
+  1-D view of the buffer.  No dense locations x words noise plane is ever
+  built.
 
 Semantics match the legacy interpreter in ``engine.py`` exactly on
 deterministic paths (no noise, arbitrary initial frames and fault
@@ -108,10 +111,22 @@ _SPARSE_MAX_P = 0.05
 
 
 # ----------------------------------------------------------------------
-# Fault sampling.  One call per channel class per run; identical sampling
-# order regardless of fusion, so fused and unfused programs give
-# bit-identical results from the same seed.
+# Fault sampling.  Every run draws its channel classes in one fixed order,
+# identical regardless of fusion, so fused and unfused programs give
+# bit-identical results from the same seed.  One fold then turns all of
+# the run's hits into one entry list.
 # ----------------------------------------------------------------------
+# The channel classes in the order every run draws them, and their rates.
+_DRAW_ORDER = ("g1", "g2", "meas", "prep", "store")
+_RATE = dict(zip(_DRAW_ORDER, ("eps_gate1", "eps_gate2", "eps_meas", "eps_prep", "eps_store")))
+# Components and target rows per class, in the fold's location order: by
+# component count, two-qubit gates (ax, az, bx, bz on two targets), then
+# gate and storage depolarizing (X, Z), then measurement and preparation
+# (the flip).  Each component row and each target row then covers a
+# prefix of the entries.
+_ROWS = {"g2": (4, 2), "g1": (2, 1), "store": (2, 1), "meas": (1, 1), "prep": (1, 1)}
+
+
 def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
     """Indices in ``[0, total)`` hit by independent Bernoulli(p) trials.
 
@@ -140,8 +155,9 @@ def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.n
             gaps /= scale
         np.ceil(gaps, out=gaps)
         np.minimum(gaps, total + 1, out=gaps)
-        positions = np.cumsum(gaps.astype(np.int64))
-        positions += last
+        positions = gaps.astype(np.int64)
+        positions[0] += last
+        np.cumsum(positions, out=positions)
         parts.append(positions)
         last = int(positions[-1])
     out = np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -174,116 +190,219 @@ def _conditional_kind(u: np.ndarray, p: float, sides: int) -> np.ndarray:
     return np.minimum((u * (sides / p)).astype(np.int64), sides - 1)
 
 
-# Fault code -> firing components, one table per class shape:
-# ``masks[c, code]`` says whether component ``c`` fires.
+def _draw_class(
+    rng: np.random.Generator, name: str, count: int, shots: int, noise: NoiseModel
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One class's hit positions and fault codes (``None`` for a flip).
+
+    Kinds are drawn as ``int32``: for these small ranges ``integers``
+    returns the values, and leaves the bit generator in the state, of its
+    default ``int64`` draw.
+    """
+    p = getattr(noise, _RATE[name])
+    idx, u = _draw_hits(rng, count, shots, p)
+    if name in ("meas", "prep"):
+        return idx, None
+    if name != "g2":
+        if u is None:
+            return idx, rng.integers(0, 3, size=idx.size, dtype=np.int32)
+        return idx, _conditional_kind(u, p, 3)
+    if noise.two_qubit_mode == "depolarizing15":
+        # Uniform over the 15 nontrivial pair Paulis.
+        if u is None:
+            return idx, rng.integers(1, 16, size=idx.size, dtype=np.int32)
+        return idx, _conditional_kind(u, p, 15) + 1
+    # §5's pessimistic model: one hit draws an independent uniform X/Y/Z on
+    # each touched qubit, coded 3 * kind_a + kind_b.
+    if u is None:
+        kind_a = rng.integers(0, 3, size=idx.size, dtype=np.int32)
+        kind_b = rng.integers(0, 3, size=idx.size, dtype=np.int32)
+    else:
+        kind_a = _conditional_kind(u, p, 3)
+        kind_b = rng.integers(0, 3, size=(count, shots), dtype=np.int32).ravel()[idx]
+    kind_a *= 3
+    kind_a += kind_b
+    return idx, kind_a
+
+
+# Fault code -> firing components, per class shape: ``masks[c, code]``
+# says whether component ``c`` (ax or X or the flip, az or Z, bx, bz) fires.
 _KIND = np.arange(3)  # 0: X, 1: Y, 2: Z
-_DEPOLARIZE = np.stack([_KIND != 2, _KIND != 0])  # (X, Z) per kind
 _PAIR9 = np.arange(9)  # 3 * kind_a + kind_b
-_BOTH_DAMAGED = np.stack(
-    [_PAIR9 // 3 != 2, _PAIR9 // 3 != 0, _PAIR9 % 3 != 2, _PAIR9 % 3 != 0]
-)  # (ax, az, bx, bz)
-_PAIR15 = (np.arange(16) >> np.array([[3], [2], [1], [0]])) & 1 == 1  # pair bits
-_FLIP = np.ones((1, 1), dtype=bool)
+_NEVER = np.zeros(3, dtype=bool)
+_SHAPES = {
+    "both_damaged": np.stack(
+        [_PAIR9 // 3 != 2, _PAIR9 // 3 != 0, _PAIR9 % 3 != 2, _PAIR9 % 3 != 0]
+    ),
+    "depolarizing15": (np.arange(16) >> np.array([[3], [2], [1], [0]])) & 1 == 1,  # pair bits
+    "depolarize": np.stack([_KIND != 2, _KIND != 0, _NEVER, _NEVER]),
+    "flip": np.array([[True], [False], [False], [False]]),
+}
+# One table for every shape; shape ``s`` owns the column block that starts
+# at ``_CODE_AT[s]``.
+_MASKS = np.concatenate(list(_SHAPES.values()), axis=1)
+_WIDTHS = [masks.shape[1] for masks in _SHAPES.values()]
+_CODE_AT = dict(zip(_SHAPES, np.cumsum([0] + _WIDTHS[:-1]).tolist()))
+# ``_SHOT_BITS[c, code << 6 | b]`` is a word with bit ``b`` set where
+# component ``c`` of ``code`` fires, and zero where it does not.
+_SHOT_BITS = np.where(
+    np.repeat(_MASKS, 64, axis=1),
+    np.uint64(1) << np.tile(np.arange(64, dtype=np.uint64), _MASKS.shape[1]),
+    np.uint64(0),
+)
+
+
+@dataclass
+class _Layout:
+    """A program's fold location space, derived from its row tables.
+
+    Class ``name`` owns locations ``[lo, hi) = span[name]``, in
+    :data:`_ROWS`, and ``locations`` numbers them ``0..L``, one past
+    the last included.  ``rows`` is each location's first buffer row (its
+    qubit, first qubit or cbit), ``rows_b`` each two-qubit location's
+    second qubit row minus its first, and ``code_at[name]`` the class's
+    column block of :data:`_MASKS`.
+    """
+
+    span: dict[str, tuple[int, int]]
+    locations: np.ndarray
+    rows: np.ndarray
+    rows_b: np.ndarray
+    code_at: dict[str, int]
+
+    @classmethod
+    def of(cls, row_tables: dict[str, np.ndarray], noise: NoiseModel) -> "_Layout":
+        ends = np.cumsum([row_tables[name].shape[1] for name in _ROWS]).tolist()
+        span = dict(zip(_ROWS, zip([0] + ends[:-1], ends)))
+        rows = np.concatenate([row_tables[name][0] for name in _ROWS]).astype(np.int64)
+        shape = {"g2": noise.two_qubit_mode, "g1": "depolarize", "store": "depolarize"}
+        return cls(
+            span=span,
+            locations=np.arange(ends[-1] + 1, dtype=np.int64),
+            rows=rows,
+            rows_b=row_tables["g2"][1] - rows[: span["g2"][1]],
+            code_at={name: _CODE_AT[shape.get(name, "flip")] for name in _ROWS},
+        )
+
+
+class FoldScratch:
+    """The fold's output buffer, reused by every run of the programs that
+    share it.  A protocol's programs run one after another, so one scratch
+    serves them all.  It holds only what ``_execute`` reads, grows with a
+    quarter to spare (hit counts scatter from run to run) and never
+    shrinks."""
+
+    def __init__(self) -> None:
+        self._words = np.empty(0, dtype=np.uint64)
+
+    def words(self, size: int) -> np.ndarray:
+        """The first ``size`` words of the buffer, grown first if short."""
+        if self._words.size < size:
+            self._words = np.empty(size + size // 4, dtype=np.uint64)
+        return self._words[:size]
 
 
 @dataclass
 class _Hits:
-    """The sampled faults of one channel class, one entry per hit word.
+    """One channel class's view of a run's sampled faults.
 
-    Entry ``i`` is one 64-shot word ``word[i]`` of one location, and
-    ``bits[c, i]`` is the shots of that word where component ``c`` fires:
-    X and Z for depolarizing classes, ax, az, bx and bz for two-qubit
-    gates, the flip alone for measurement and preparation.  ``tgt[k, i]``
-    is the flat index ``row * words + word`` of that word in the buffer
-    row the location's ``k``-th qubit (or cbit) owns.  Entries are sorted
-    by (location, word) and never repeat a pair, and locations ``[lo, lo +
-    size)`` own entries ``[bounds[lo], bounds[lo + size])``.
+    A run has one entry list: an entry per (location, 64-shot word) that
+    any component hits, sorted by location in the fold's location space,
+    then by word.  ``bits[c][i]`` is the shots of entry ``i``'s word where
+    component ``c`` fires: X and Z for depolarizing classes, ax, az, bx
+    and bz for two-qubit gates, the flip alone for measurement and
+    preparation.  ``tgt[k][i]`` is the flat index ``row * words + word``
+    of that word in the buffer row the location's ``k``-th qubit (or cbit)
+    owns.  The class's locations ``[lo, lo + size)`` own entries
+    ``[bounds[lo], bounds[lo + size])``.  Every class reads the same rows,
+    but only those of its own components and targets.
     """
 
-    word: np.ndarray
-    bits: np.ndarray
-    tgt: np.ndarray
+    bits: list[np.ndarray]
+    tgt: list[np.ndarray]
     bounds: np.ndarray
 
 
-def _hits(
-    rows: np.ndarray, shots: int, idx: np.ndarray, code: np.ndarray, masks: np.ndarray
-) -> _Hits:
-    """Fold sorted hit positions into one entry per (location, word).
+def _fold(
+    layout: _Layout,
+    drawn: dict[str, tuple[np.ndarray, np.ndarray | None]],
+    shots: int,
+    scratch: FoldScratch,
+) -> dict[str, _Hits]:
+    """Fold every class's hits into one entry per (location, word).
 
-    ``rows`` is the class's ``(k, locations)`` row table, ``code`` one
-    fault code per hit and ``masks`` the class's ``(components, codes)``
-    table of which components each code fires.  Positions are sorted, so
-    each location's hits are one run of them and, within it, each word's
-    hits are one run: the run's first hit starts an entry and sets its
-    bits, and the few later hits in the same word are ORed in.
+    ``drawn`` maps a class to its sorted hit positions ``location * shots
+    + shot`` and one fault code per hit, or ``None`` for flips; the fold
+    empties it, releasing each class's arrays once they are copied.
+    Placed in the fold's location space, the positions of all classes form
+    one sorted run.  Each location's hits are one stretch of it, and within
+    that each word's hits are one stretch.  The stretch's first hit starts
+    an entry, and the few later hits in the same word are ORed in.
     """
-    words, count = words_for(shots), rows.shape[1]
-    # Location l's hits are idx[at[l]:at[l + 1]].
-    at = np.searchsorted(idx, np.arange(count + 1) * shots)
-    shot = idx - np.repeat(np.arange(count) * shots, np.diff(at))
-    word = shot >> 6
-    new = np.empty(idx.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(word[1:], word[:-1], out=new[1:])
-    starts = at[:-1]
-    new[starts[starts < idx.size]] = True
-    first = np.flatnonzero(new)
-    fire = np.where(masks, ~np.uint64(0), np.uint64(0))
-    bits = _shot_bits(fire, code[first], shot[first])
-    if first.size < idx.size:
-        rest = np.flatnonzero(~new)
-        entry = np.searchsorted(first, rest) - 1
-        np.bitwise_or.at(bits, (slice(None), entry), _shot_bits(fire, code[rest], shot[rest]))
+    words = words_for(shots)
+    span = layout.span
+    n_hits = sum(idx.size for idx, _ in drawn.values())
+    lane = np.empty(n_hits, dtype=np.int64)
+    code = np.empty(n_hits, dtype=np.int64)
+    a = 0
+    for name in _ROWS:
+        if name in drawn:
+            idx, kind = drawn.pop(name)
+            b = a + idx.size
+            np.add(idx, span[name][0] * shots, out=lane[a:b])
+            if kind is None:
+                code[a:b] = layout.code_at[name]
+            else:
+                np.add(kind, layout.code_at[name], out=code[a:b])
+            a = b
+    # Location l's hits are lane[at[l]:at[l + 1]].  Each hit moves to bit
+    # 64 * (row * words + word) + shot % 64 of the flat buffer, where row
+    # is its location's first buffer row; the quotient by 64 is then the
+    # hit's flat target, and the remainder goes into its code.
+    loc = layout.locations
+    at = np.searchsorted(lane, loc * shots)
+    shift = np.repeat(layout.rows * (64 * words) - loc[:-1] * shots, at[1:] - at[:-1])
+    lane += shift
+    code <<= 6
+    code |= np.bitwise_and(lane, 63, out=shift)
+    del shift
+    lane >>= 6
+    # Entries start at each location's first hit and wherever the word
+    # changes within a location.
+    new = np.empty(n_hits + 1, dtype=bool)
+    np.not_equal(lane[1:], lane[:-1], out=new[1:n_hits])
+    new[at] = True
+    new = new[:n_hits]
+    first = new.nonzero()[0]
     bounds = np.searchsorted(first, at)
-    word = word[first]
-    tgt = np.repeat(rows * words, np.diff(bounds), axis=1)
-    tgt += word
-    return _Hits(word, bits, tgt, bounds)
-
-
-def _shot_bits(fire: np.ndarray, code: np.ndarray, shot: np.ndarray) -> np.ndarray:
-    """``(components, hits)`` words holding each hit's shot bit in the
-    components its code fires."""
-    bits = np.take(fire, code, axis=1)
-    bit = (shot & 63).view(np.uint64)
-    np.left_shift(np.uint64(1), bit, out=bit)
-    bits &= bit
-    return bits
-
-
-def _depolarize_hits(rng: np.random.Generator, rows: np.ndarray, shots: int, p: float) -> _Hits:
-    """X/Z hits for uniform-X/Y/Z depolarizing locations."""
-    idx, u = _draw_hits(rng, rows.shape[1], shots, p)
-    kind = rng.integers(0, 3, size=idx.size) if u is None else _conditional_kind(u, p, 3)
-    return _hits(rows, shots, idx, kind, _DEPOLARIZE)
-
-
-def _bernoulli_hits(rng: np.random.Generator, rows: np.ndarray, shots: int, p: float) -> _Hits:
-    """Flip hits for plain Bernoulli(p) locations (meas/prep)."""
-    idx, _ = _draw_hits(rng, rows.shape[1], shots, p)
-    return _hits(rows, shots, idx, np.zeros(idx.size, dtype=np.intp), _FLIP)
-
-
-def _two_qubit_hits(
-    rng: np.random.Generator, rows: np.ndarray, shots: int, noise: NoiseModel
-) -> _Hits:
-    """(ax, az, bx, bz) hits for two-qubit gate locations."""
-    p, count = noise.eps_gate2, rows.shape[1]
-    idx, u = _draw_hits(rng, count, shots, p)
-    if noise.two_qubit_mode == "both_damaged":
-        # §5's pessimistic model: one hit draws an independent uniform
-        # non-trivial-or-not X/Y/Z on each touched qubit.
-        if u is None:
-            kind_a = rng.integers(0, 3, size=idx.size)
-            kind_b = rng.integers(0, 3, size=idx.size)
-        else:
-            kind_a = _conditional_kind(u, p, 3)
-            kind_b = rng.integers(0, 3, size=(count, shots)).ravel()[idx]
-        return _hits(rows, shots, idx, 3 * kind_a + kind_b, _BOTH_DAMAGED)
-    # depolarizing15: uniform over the 15 nontrivial pair Paulis.
-    pair = rng.integers(1, 16, size=idx.size) if u is None else _conditional_kind(u, p, 15) + 1
-    return _hits(rows, shots, idx, pair, _PAIR15)
+    # One scratch buffer holds every row: the first and second targets,
+    # then the four components, each over the entries that have it.
+    entries, one, two = first.size, bounds[span["store"][1]], bounds[span["g2"][1]]
+    buf = scratch.words(2 * entries + one + 3 * two)
+    rows, a = [], 0
+    for size in (entries, two, entries, one, two, two):
+        rows.append(buf[a : a + size])
+        a += size
+    tgt_a, tgt_b, bits = rows[0].view(np.int64), rows[1].view(np.int64), rows[2:]
+    np.take(lane, first, out=tgt_a, mode="clip")
+    g2 = bounds[: span["g2"][1] + 1]
+    np.add(tgt_a[:two], np.repeat(layout.rows_b * words, g2[1:] - g2[:-1]), out=tgt_b)
+    code_first = np.take(code, first, out=lane[:entries], mode="clip")
+    for c, row in enumerate(bits):
+        np.take(_SHOT_BITS[c], code_first[: row.size], out=row, mode="clip")
+    if entries < n_hits:
+        # The i-th repeated hit belongs to entry rest[i] - i - 1.
+        rest = (~new).nonzero()[0]
+        entry = rest - np.arange(1, rest.size + 1)
+        code_rest = code[rest]
+        for c, row in enumerate(bits):
+            m = np.searchsorted(entry, row.size)
+            np.bitwise_or.at(row, entry[:m], np.take(_SHOT_BITS[c], code_rest[:m]))
+    views = {}
+    for name, (components, targets) in _ROWS.items():
+        lo, hi = span[name]
+        views[name] = _Hits(bits[:components], [tgt_a, tgt_b][:targets], bounds[lo : hi + 1])
+    return views
 
 
 def _batch_index(rows: list[int]) -> slice | np.ndarray:
@@ -354,6 +473,18 @@ class CompiledFrameProgram:
         validate_frame_circuit(circuit)
         self._compile()
         self.verify()
+
+    # The fold's layout is derived from the row tables and stays out of the
+    # pickle: run keys hash pickled protocols, so a program pickles to the
+    # same bytes however it is laid out for sampling.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_layout"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._layout = _Layout.of(self._row_tables, self.noise)
 
     def verify(self) -> None:
         """Statically verify the compiled instruction stream.
@@ -476,18 +607,21 @@ class CompiledFrameProgram:
         self._op_slices = op_slices
         self._counts = counts
         self._row_tables = _row_tables(instrs, counts, num_qubits)
+        self._layout = _Layout.of(self._row_tables, noise)
 
     # ------------------------------------------------------------------
-    def _sample_planes(self, rng: np.random.Generator, shots: int) -> dict[str, _Hits]:
-        """One hit list per channel class, drawn in this fixed order."""
-        rows, noise = self._row_tables, self.noise
-        return {
-            "g1": _depolarize_hits(rng, rows["g1"], shots, noise.eps_gate1),
-            "g2": _two_qubit_hits(rng, rows["g2"], shots, noise),
-            "meas": _bernoulli_hits(rng, rows["meas"], shots, noise.eps_meas),
-            "prep": _bernoulli_hits(rng, rows["prep"], shots, noise.eps_prep),
-            "store": _depolarize_hits(rng, rows["store"], shots, noise.eps_store),
+    def _sample_planes(
+        self, rng: np.random.Generator, shots: int, scratch: FoldScratch | None = None
+    ) -> dict[str, _Hits]:
+        """Every channel class's view of the run's faults: the classes are
+        drawn in :data:`_DRAW_ORDER` and folded in one pass.  A class
+        without locations draws nothing."""
+        drawn = {
+            name: _draw_class(rng, name, self._counts[name], shots, self.noise)
+            for name in _DRAW_ORDER
+            if self._counts[name]
         }
+        return _fold(self._layout, drawn, shots, scratch or FoldScratch())
 
     # ------------------------------------------------------------------
     def new_buffers(self, shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -506,6 +640,7 @@ class CompiledFrameProgram:
         fz: np.ndarray,
         flips: np.ndarray,
         fault_injections: list | None = None,
+        scratch: FoldScratch | None = None,
     ) -> None:
         """Execute in place over caller-provided packed buffers.
 
@@ -514,7 +649,9 @@ class CompiledFrameProgram:
         must have ``words_for(shots)`` columns (reuse across rounds is the
         point of this entry) and be C-contiguous: faults are applied
         through flat indices into ``reshape(-1)`` views, which on any other
-        layout would be copies that silently drop every fault.
+        layout would be copies that silently drop every fault.  The sampled
+        faults go into ``scratch`` when one is given, and into fresh
+        arrays otherwise.
         """
         rng = as_rng(rng)
         nwords = words_for(shots)
@@ -525,7 +662,7 @@ class CompiledFrameProgram:
             if buf.shape != shape or not buf.flags.c_contiguous:
                 raise ValueError(f"{name} must be a C-contiguous {shape} uint64 buffer")
         flips[:] = 0
-        faults = self._sample_planes(rng, shots)
+        faults = self._sample_planes(rng, shots, scratch)
         if fault_injections is None:
             self._execute(self._instructions, fx, fz, flips, faults)
             return
@@ -603,18 +740,18 @@ class CompiledFrameProgram:
                 hits = faults["g1"]
                 a, b = hits.bounds[ins[2]], hits.bounds[ins[2] + ins[3]]
                 if b > a:
-                    tgt = hits.tgt[0, a:b]
-                    flat_x[tgt] ^= hits.bits[0, a:b]
-                    flat_z[tgt] ^= hits.bits[1, a:b]
+                    tgt = hits.tgt[0][a:b]
+                    flat_x[tgt] ^= hits.bits[0][a:b]
+                    flat_z[tgt] ^= hits.bits[1][a:b]
             elif op == _OP_NG2:
                 hits = faults["g2"]
                 a, b = hits.bounds[ins[3]], hits.bounds[ins[3] + ins[4]]
                 if b > a:
-                    tgt_a, tgt_b = hits.tgt[0, a:b], hits.tgt[1, a:b]
-                    flat_x[tgt_a] ^= hits.bits[0, a:b]
-                    flat_z[tgt_a] ^= hits.bits[1, a:b]
-                    flat_x[tgt_b] ^= hits.bits[2, a:b]
-                    flat_z[tgt_b] ^= hits.bits[3, a:b]
+                    tgt_a, tgt_b = hits.tgt[0][a:b], hits.tgt[1][a:b]
+                    flat_x[tgt_a] ^= hits.bits[0][a:b]
+                    flat_z[tgt_a] ^= hits.bits[1][a:b]
+                    flat_x[tgt_b] ^= hits.bits[2][a:b]
+                    flat_z[tgt_b] ^= hits.bits[3][a:b]
             elif op == _OP_R:
                 qs = ins[1]
                 fx[qs] = 0
@@ -623,20 +760,20 @@ class CompiledFrameProgram:
                 hits = faults["meas"]
                 a, b = hits.bounds[ins[2]], hits.bounds[ins[2] + ins[3]]
                 if b > a:
-                    flat_m[hits.tgt[0, a:b]] ^= hits.bits[0, a:b]
+                    flat_m[hits.tgt[0][a:b]] ^= hits.bits[0][a:b]
             elif op == _OP_NP:
                 hits = faults["prep"]
                 a, b = hits.bounds[ins[2]], hits.bounds[ins[2] + ins[3]]
                 if b > a:
-                    flat_x[hits.tgt[0, a:b]] ^= hits.bits[0, a:b]
+                    flat_x[hits.tgt[0][a:b]] ^= hits.bits[0][a:b]
             elif op == _OP_NSTORE:
                 # One location per qubit, in qubit order.
                 hits = faults["store"]
                 a, b = hits.bounds[ins[1]], hits.bounds[ins[1] + fx.shape[0]]
                 if b > a:
-                    tgt = hits.tgt[0, a:b]
-                    flat_x[tgt] ^= hits.bits[0, a:b]
-                    flat_z[tgt] ^= hits.bits[1, a:b]
+                    tgt = hits.tgt[0][a:b]
+                    flat_x[tgt] ^= hits.bits[0][a:b]
+                    flat_z[tgt] ^= hits.bits[1][a:b]
             elif op == _OP_S:
                 qs = ins[1]
                 fz[qs] ^= fx[qs]
@@ -676,8 +813,11 @@ class CompiledFrameProgram:
                     hits = faults["g1"]
                     a, b = hits.bounds[loc], hits.bounds[loc + 1]
                     if b > a:
-                        word = hits.word[a:b]
-                        fx[qubit, word] ^= hits.bits[0, a:b] & mask[word]
-                        fz[qubit, word] ^= hits.bits[1, a:b] & mask[word]
+                        # The location's row is the qubit's, so a target
+                        # minus the row's start is its word.
+                        tgt = hits.tgt[0][a:b]
+                        fired = mask[tgt - qubit * fx.shape[1]]
+                        flat_x[tgt] ^= hits.bits[0][a:b] & fired
+                        flat_z[tgt] ^= hits.bits[1][a:b] & fired
             else:  # pragma: no cover
                 raise AssertionError(f"bad opcode {op}")

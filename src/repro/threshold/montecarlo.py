@@ -29,7 +29,12 @@ import numpy as np
 
 from repro.codes.stabilizer_code import StabilizerCode
 from repro.pauliframe.packing import WORD_BITS, pack_shot_major, words_for
-from repro.threshold.sharded import _resilience_options, _run_sharded, spawn_shard_seeds
+from repro.threshold.sharded import (
+    _check_count,
+    _resilience_options,
+    _run_sharded,
+    spawn_shard_seeds,
+)
 from repro.util.rng import as_rng
 from repro.util.stats import binomial_confidence, fit_power_law, logical_error_per_round
 
@@ -96,10 +101,7 @@ def _check_run_size(shots: int, rounds: int, workers: int, num_shards: int | Non
     if num_shards is not None:
         sizes["num_shards"] = num_shards
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        _check_count(name, value)
 
 
 def _check_data_block(protocol, code: StabilizerCode) -> None:

@@ -87,6 +87,17 @@ DEFAULT_NUM_SHARDS = 16
 _SHARD_SPAWN_DOMAIN = 2**32 - 1
 
 
+def _check_count(name: str, value: int) -> None:
+    """Reject a count that is not a positive integer: ``TypeError`` for
+    anything but a Python or NumPy integer (``bool`` included), and
+    ``ValueError`` below 1.  A float count would otherwise size arrays or
+    split shots as floats, and ``True`` would run as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def shard_sizes(shots: int, num_shards: int | None = None) -> list[int]:
     """Deterministic shard plan: ``shots`` split into near-equal shards.
 
@@ -94,11 +105,9 @@ def shard_sizes(shots: int, num_shards: int | None = None) -> list[int]:
     under the worker count.  The first ``shots % n`` shards are one shot
     larger; no shard is empty.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
     n = DEFAULT_NUM_SHARDS if num_shards is None else num_shards
-    if n < 1:
-        raise ValueError("num_shards must be positive")
+    _check_count("shots", shots)
+    _check_count("num_shards", n)
     n = min(n, shots)
     base, rem = divmod(shots, n)
     return [base + 1 if i < rem else base for i in range(n)]

@@ -1,5 +1,6 @@
 """Tests for the assembled EC protocols (Fig. 9 end-to-end)."""
 
+import pickle
 from functools import cache
 
 import numpy as np
@@ -10,6 +11,7 @@ from repro.ft import ShorECProtocol, SteaneECProtocol, resolve_syndrome_policy
 from repro.ft.exrec import _copy_lanes, _lane_block, _set_lanes
 from repro.noise import NoiseModel, circuit_level
 from repro.pauliframe import pack_rows, unpack_rows, words_for
+from repro.threshold import compute_run_key
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +245,29 @@ class TestScratchByWordCount:
         assert len(used._buffers) == programs
         assert frames[1].any()
         np.testing.assert_array_equal(frames[0], frames[1])
+
+
+class TestScratchStaysOutOfPickles:
+    """Run keys hash pickled protocols.  A round leaves packed buffers and
+    the fault fold's scratch behind, and the programs carry a layout
+    derived for the fold; none of it may enter the pickle."""
+
+    @pytest.mark.parametrize("case", ["steane", "shor_steane", "shor9"])
+    def test_same_bytes_and_run_key_after_a_round(self, case):
+        proto, _ = TestScratchByWordCount._protocol(case)
+        args = (proto, proto.code, 2)
+        before = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
+        key = compute_run_key("memory", args, 100_000, (1, ()), 16)
+        for name in (b"_layout", b"_scratch", b"FoldScratch"):
+            assert name not in before
+        dfx = np.zeros((proto.code.n, words_for(100_000)), dtype=np.uint64)
+        proto.run_round_packed(100_000, 3, dfx, dfx.copy())
+        assert proto._buffers and proto._scratch._words.size > 0
+        assert pickle.dumps(args, pickle.HIGHEST_PROTOCOL) == before
+        assert compute_run_key("memory", args, 100_000, (1, ()), 16) == key
+        # An unpickled protocol gets empty scratch of its own.
+        copy = pickle.loads(before)[0]
+        assert copy._buffers == {} and copy._scratch is not proto._scratch
 
 
 CAT_CODES = {"steane": SteaneCode, "shor9": ShorNineCode, "five": FiveQubitCode}

@@ -34,7 +34,15 @@ from repro.pauliframe import (
     unpack_shot_major,
     words_for,
 )
-from repro.pauliframe.compiled import _batch_index, _bernoulli_positions, _hits
+from repro.pauliframe.compiled import (
+    _CODE_AT,
+    _DRAW_ORDER,
+    FoldScratch,
+    _batch_index,
+    _bernoulli_positions,
+    _draw_class,
+    _fold,
+)
 from repro.threshold import memory_experiment
 from repro.util.stats import wilson_interval
 
@@ -322,6 +330,9 @@ class TestStridedBatches:
 # storage depolarizing, (ax, az, bx, bz) for two-qubit gates, one flip for
 # measurement and preparation.
 COMPONENTS = {"g1": 2, "g2": 4, "meas": 1, "prep": 1, "store": 2}
+# The fault code that fires each component alone: kinds X and Z, the
+# 15-way pair bits of ax, az, bx and bz, and the flip (no code).
+SINGLE_CODES = {"g1": [0, 2], "g2": [8, 4, 2, 1], "meas": [None], "prep": [None], "store": [0, 2]}
 
 
 def single_fault_specs(circuit):
@@ -374,7 +385,9 @@ class TestFaultByFault:
     """Every noise component of every shipped fused program, one lane
     each, through the fused ``_execute`` against the legacy interpreter's
     single-fault injection.  This is the exact oracle for the noise path:
-    row tables, flat targets, the fold and every noise opcode."""
+    row tables, the fold's location space and mask table, flat targets and
+    every noise opcode.  Two-qubit components are coded as 15-way pairs:
+    only that table has a code for each component alone."""
 
     LANES = {
         "steane-factory": 241,
@@ -397,22 +410,22 @@ class TestFaultByFault:
         assert {k: len(v) for k, v in specs.items()} == prog._counts
         shots = sum(len(loc) for locs in specs.values() for loc in locs)
         assert shots == self.LANES[name]
-        lanes, faults, lane = [], {}, 0
+        lanes, drawn, lane = [], {}, 0
         for cls, locs in specs.items():
             idx, code = [], []
             for loc, components in enumerate(locs):
-                for c, spec in enumerate(components):
+                for spec, c in zip(components, SINGLE_CODES[cls], strict=True):
                     idx.append(loc * shots + lane)
                     code.append(c)
                     lanes.append(spec)
                     lane += 1
-            faults[cls] = _hits(
-                prog._row_tables[cls],
-                shots,
-                np.array(idx, dtype=np.int64),
-                np.array(code, dtype=np.intp),
-                np.eye(COMPONENTS[cls], dtype=bool),
-            )
+            if idx:
+                kinds = None if cls in ("meas", "prep") else np.array(code, dtype=np.int32)
+                drawn[cls] = np.array(idx, dtype=np.int64), kinds
+        layout = replace(
+            prog._layout, code_at={**prog._layout.code_at, "g2": _CODE_AT["depolarizing15"]}
+        )
+        faults = _fold(layout, drawn, shots, FoldScratch())
         fx, fz, flips = prog.new_buffers(shots)
         CompiledFrameProgram._execute(prog._instructions, fx, fz, flips, faults)
         legacy = FrameSimulator(prog.circuit, NoiseModel(), backend="legacy").run(
@@ -472,6 +485,24 @@ class TestSeededDeterminism:
         a = FrameSimulator(c, noise).run(500, seed=123)
         b = FrameSimulator(c, noise).run(500, seed=123)
         assert_results_equal(a, b)
+
+    def test_reused_fold_scratch_is_clean(self):
+        # The scratch grows to 100k shots, is reused by a run that needs
+        # far less of it, then grows no further; every run must give a
+        # fresh program's frames.  At 2e-2 many words take several hits,
+        # so repeated entries are merged in every run.
+        c = random_clifford_circuit(np.random.default_rng(8), conditional=True)
+        noise = circuit_level(2e-2)
+        prog, scratch = CompiledFrameProgram(c, noise), FoldScratch()
+        for shots in (100_000, 37, 100_000):
+            ours = prog.new_buffers(shots)
+            prog.run_packed(shots, 5, *ours, scratch=scratch)
+            fresh = CompiledFrameProgram(c, noise)
+            theirs = fresh.new_buffers(shots)
+            fresh.run_packed(shots, 5, *theirs)
+            for a, b in zip(ours, theirs):
+                np.testing.assert_array_equal(a, b)
+            assert ours[0].any()
 
     def test_packed_buffer_reuse_is_clean(self):
         # Reusing buffers across runs must not leak state between rounds.
@@ -593,6 +624,34 @@ class TestEngineDigests:
         for field in (res.meas_flips, res.fx, res.fz):
             digest.update(np.ascontiguousarray(field).tobytes())
         assert digest.hexdigest() == self.DIGESTS[name]
+
+
+class TestEmptyClasses:
+    """A class without locations draws nothing, so the fold skips it; its
+    view of the run's faults is empty."""
+
+    # No preparation and no TICK: prep and store have no locations.
+    CIRCUIT = Circuit(2, 2).h(0).cnot(0, 1).measure(0, 0).measure(1, 1)
+
+    @pytest.mark.parametrize("p", [1e-2, 0.3], ids=["sparse", "dense"])
+    def test_class_without_locations_draws_nothing(self, p):
+        noise = NoiseModel(eps_gate1=p, eps_gate2=p, eps_meas=p, eps_prep=p, eps_store=p)
+        prog = CompiledFrameProgram(self.CIRCUIT, noise)
+        assert prog._counts["prep"] == prog._counts["store"] == 0
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        faults = prog._sample_planes(rng, 1000)
+        for name in _DRAW_ORDER:
+            before = twin.bit_generator.state
+            _draw_class(twin, name, prog._counts[name], 1000, noise)
+            if not prog._counts[name]:
+                assert twin.bit_generator.state == before
+        assert rng.bit_generator.state == twin.bit_generator.state
+        for name in ("prep", "store"):
+            hits = faults[name]
+            assert hits.bounds.size == 1
+            assert all(row[hits.bounds[0] : hits.bounds[-1]].size == 0 for row in hits.bits)
+        hits = faults["g2"]
+        assert hits.bounds[-1] > hits.bounds[0]
 
 
 class TestTinyRates:

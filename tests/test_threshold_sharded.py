@@ -72,6 +72,31 @@ class TestShardPlan:
             shard_sizes(0, 4)
         with pytest.raises(ValueError):
             shard_sizes(100, 0)
+        with pytest.raises(ValueError, match="shots"):
+            shard_sizes(-3)
+
+    # Each of these used to return a plan: floats split into float shards,
+    # and True counted as one.
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((1000.0, 4), "shots"),
+            ((np.float64(1000), 4), "shots"),
+            ((True,), "shots"),
+            ((True, 4), "shots"),
+            ((1000, 4.0), "num_shards"),
+            ((1000, np.float32(4)), "num_shards"),
+            ((10, True), "num_shards"),
+        ],
+        ids=repr,
+    )
+    def test_rejects_counts_that_are_not_integers(self, args, name):
+        with pytest.raises(TypeError, match=name):
+            shard_sizes(*args)
+
+    def test_numpy_integers_are_accepted(self):
+        assert shard_sizes(np.int64(1000), np.int32(4)) == [250, 250, 250, 250]
+        assert shard_sizes(np.uint16(5)) == [1] * 5
 
     def test_seed_spawning_rejects_generators(self):
         with pytest.raises(TypeError):
