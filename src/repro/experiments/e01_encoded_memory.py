@@ -30,7 +30,7 @@ def run(
     own content-addressed run key (the per-point seed is spawned, hence
     distinct), so a killed sweep resumes mid-grid; ``shard_timeout`` /
     ``max_retries`` bound hung and failing workers.  All four thread into
-    :func:`repro.threshold.sharded.sharded_code_capacity_memory`.
+    :func:`repro.threshold.montecarlo.code_capacity_memory`.
 
     The journal doubles as a content-addressed result cache: a rerun of
     an already-completed sweep replays every grid point from disk without

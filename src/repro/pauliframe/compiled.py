@@ -35,12 +35,12 @@ XOR touches 64 shots.  Two compile-time transformations carry the speedup:
   built.
 
 Semantics match the legacy interpreter in ``engine.py`` exactly on
-deterministic paths (no noise, arbitrary initial frames and fault
-injections) and in distribution on noisy paths; the parity test suite in
+deterministic paths (no noise, arbitrary initial frames) and in
+distribution on noisy paths; the parity test suite in
 ``tests/test_pauliframe_compiled.py`` pins both.  Fault injections need
-operation-boundary resolution, which fused batches erase, so they run on an
-unfused twin program (see :meth:`FrameSimulator.run
-<repro.pauliframe.engine.FrameSimulator.run>`).
+operation-boundary resolution, which fused batches erase, so
+:meth:`FrameSimulator.run <repro.pauliframe.engine.FrameSimulator.run>`
+sends them to the legacy interpreter.
 """
 
 from __future__ import annotations
@@ -52,11 +52,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.noise.models import NoiseModel
-from repro.pauliframe.engine import (
-    FrameResult,
-    build_fault_schedule,
-    validate_frame_circuit,
-)
+from repro.pauliframe.engine import FrameResult, validate_frame_circuit
 from repro.pauliframe.packing import pack_shot_major, unpack_shot_major, words_for
 from repro.util.rng import as_rng
 
@@ -442,15 +438,6 @@ def _row_tables(
     return rows
 
 
-def _inject_packed(fx: np.ndarray, fz: np.ndarray, shot: int, qubit: int, kind: str) -> None:
-    bit = np.uint64(1) << np.uint64(shot & 63)
-    word = shot >> 6
-    if kind in ("X", "Y"):
-        fx[qubit, word] ^= bit
-    if kind in ("Z", "Y"):
-        fz[qubit, word] ^= bit
-
-
 class CompiledFrameProgram:
     """A circuit lowered to a packed-frame instruction stream.
 
@@ -459,8 +446,8 @@ class CompiledFrameProgram:
     circuit, noise: same contract as :class:`FrameSimulator`.
     fuse: collapse runs of same-kind disjoint-qubit operations into single
         batched instructions.  ``fuse=False`` keeps one instruction group
-        per operation, which is what fault injection needs; both variants
-        consume the RNG identically, so results are bit-identical.
+        per operation; both variants consume the RNG identically, so
+        results are bit-identical.
     """
 
     def __init__(self, circuit: Circuit, noise: NoiseModel | None = None, fuse: bool = True) -> None:
@@ -513,7 +500,6 @@ class CompiledFrameProgram:
         noise = self.noise
         num_qubits = self.circuit.num_qubits
         instrs: list[tuple] = []
-        op_slices: list[tuple[int, int]] = []
         counts = {"g1": 0, "g2": 0, "meas": 0, "prep": 0, "store": 0}
         # Current fusion batch.
         state = {"kind": None}
@@ -553,10 +539,6 @@ class CompiledFrameProgram:
             touched_c.clear()
 
         for op in self.circuit:
-            # With fuse=False every op flushes immediately, so instruction
-            # indices [start, end) delimit exactly this op's instructions —
-            # the resolution fault injection needs.
-            start = len(instrs)
             gate = op.gate
             if gate == "TICK":
                 flush()
@@ -601,10 +583,8 @@ class CompiledFrameProgram:
                 touched_q.update(op.qubits)
             if not self.fuse:
                 flush()
-                op_slices.append((start, len(instrs)))
         flush()
         self._instructions = instrs
-        self._op_slices = op_slices
         self._counts = counts
         self._row_tables = _row_tables(instrs, counts, num_qubits)
         self._layout = _Layout.of(self._row_tables, noise)
@@ -639,7 +619,6 @@ class CompiledFrameProgram:
         fx: np.ndarray,
         fz: np.ndarray,
         flips: np.ndarray,
-        fault_injections: list | None = None,
         scratch: FoldScratch | None = None,
     ) -> None:
         """Execute in place over caller-provided packed buffers.
@@ -663,19 +642,7 @@ class CompiledFrameProgram:
                 raise ValueError(f"{name} must be a C-contiguous {shape} uint64 buffer")
         flips[:] = 0
         faults = self._sample_planes(rng, shots, scratch)
-        if fault_injections is None:
-            self._execute(self._instructions, fx, fz, flips, faults)
-            return
-        if self.fuse:
-            raise ValueError("fault injections require an unfused program (fuse=False)")
-        schedule = build_fault_schedule(fault_injections, shots)
-        for shot, qubit, kind in schedule.get(-1, []):
-            _inject_packed(fx, fz, shot, qubit, kind)
-        for op_index, (start, end) in enumerate(self._op_slices):
-            if end > start:
-                self._execute(self._instructions[start:end], fx, fz, flips, faults)
-            for shot, qubit, kind in schedule.get(op_index, []):
-                _inject_packed(fx, fz, shot, qubit, kind)
+        self._execute(self._instructions, fx, fz, flips, faults)
 
     def run(
         self,
@@ -683,9 +650,9 @@ class CompiledFrameProgram:
         seed: int | np.random.Generator | None = None,
         initial_fx: np.ndarray | None = None,
         initial_fz: np.ndarray | None = None,
-        fault_injections: list | None = None,
     ) -> FrameResult:
-        """Drop-in equivalent of :meth:`FrameSimulator.run` (unpacked API)."""
+        """:meth:`FrameSimulator.run` without fault injections (unpacked
+        API)."""
         rng = as_rng(seed)
         fx, fz, flips = self.new_buffers(shots)
         # Broadcast before packing: the legacy engine's in-place XOR accepts
@@ -696,7 +663,7 @@ class CompiledFrameProgram:
             fx ^= pack_shot_major(np.broadcast_to(np.asarray(initial_fx, dtype=np.uint8), shape))
         if initial_fz is not None:
             fz ^= pack_shot_major(np.broadcast_to(np.asarray(initial_fz, dtype=np.uint8), shape))
-        self.run_packed(shots, rng, fx, fz, flips, fault_injections)
+        self.run_packed(shots, rng, fx, fz, flips)
         return FrameResult(
             meas_flips=unpack_shot_major(flips, shots),
             fx=unpack_shot_major(fx, shots),

@@ -38,22 +38,34 @@ from repro.util.rng import as_rng
 __all__ = ["FrameSimulator", "FrameResult", "validate_frame_circuit"]
 
 
-def build_fault_schedule(fault_injections: list, shots: int) -> dict[int, list]:
+def build_fault_schedule(
+    fault_injections: list, shots: int, circuit: Circuit
+) -> dict[int, list[tuple[int, int, str]]]:
     """Normalize per-shot fault specs into an op-index -> entries schedule.
 
-    Shared by both engines (see :meth:`FrameSimulator.run` for the spec
-    format); validates fault kinds up front so no frame is partially
-    mutated before a bad entry is discovered.
+    See :meth:`FrameSimulator.run` for the spec format.  Every entry is
+    checked before any frame is touched: ``op_index`` and ``qubit`` must
+    be integers (``bool`` is not one; ``TypeError``) in ``[-1,
+    len(circuit))`` and ``[0, num_qubits)`` (``ValueError``), and the kind
+    one of X, Y, Z.  Out of range, an index would otherwise be dropped or
+    count from the end without a word.
     """
     if len(fault_injections) != shots:
         raise ValueError("need exactly one fault spec (or list) per shot")
+    bounds = {"op_index": (-1, len(circuit)), "qubit": (0, circuit.num_qubits)}
     schedule: dict[int, list[tuple[int, int, str]]] = {}
     for s, spec in enumerate(fault_injections):
         entries = [spec] if isinstance(spec, tuple) else list(spec)
         for op_index, qubit, kind in entries:
+            for name, value in (("op_index", op_index), ("qubit", qubit)):
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise TypeError(f"fault {name} must be an integer, got {value!r}")
+                lo, hi = bounds[name]
+                if not lo <= value < hi:
+                    raise ValueError(f"fault {name} {value} is outside [{lo}, {hi})")
             if kind not in ("X", "Y", "Z"):
                 raise ValueError(f"unknown fault kind {kind!r}")
-            schedule.setdefault(op_index, []).append((s, qubit, kind))
+            schedule.setdefault(int(op_index), []).append((s, int(qubit), kind))
     return schedule
 
 
@@ -114,7 +126,8 @@ class FrameSimulator:
         CompiledFrameProgram` — same results, ~orders faster at large shot
         counts.  ``"legacy"`` keeps the original per-operation interpreter;
         it remains the executable specification the parity suite tests the
-        compiled engine against.
+        compiled engine against.  Injections always run on the legacy
+        interpreter, whatever the backend.
     """
 
     def __init__(
@@ -129,13 +142,11 @@ class FrameSimulator:
         self.noise = noise or NoiseModel()
         self.backend = backend
         validate_frame_circuit(circuit)
-        self._fused = None
-        self._unfused = None
+        self._compiled = None
 
     # ------------------------------------------------------------------
-    def _program(self, fused: bool):
-        """Lazily compiled program (fused twin for plain runs, unfused twin
-        for fault injections — both consume the RNG identically).
+    def _program(self):
+        """Lazily compiled program.
 
         Recompiles when ``self.noise`` was swapped or the (append-only)
         circuit grew since the last run, so the mutate-and-rerun pattern
@@ -145,19 +156,15 @@ class FrameSimulator:
         """
         from repro.pauliframe.compiled import CompiledFrameProgram
 
-        cached = self._fused if fused else self._unfused
+        program = self._compiled
         if (
-            cached is None
-            or cached.noise != self.noise
-            or cached.compiled_ops != len(self.circuit)
+            program is None
+            or program.noise != self.noise
+            or program.compiled_ops != len(self.circuit)
         ):
             validate_frame_circuit(self.circuit)
-            cached = CompiledFrameProgram(self.circuit, self.noise, fuse=fused)
-            if fused:
-                self._fused = cached
-            else:
-                self._unfused = cached
-        return cached
+            program = self._compiled = CompiledFrameProgram(self.circuit, self.noise)
+        return program
 
     # ------------------------------------------------------------------
     def run(
@@ -176,15 +183,17 @@ class FrameSimulator:
         immediately *after* operation ``op_index`` executes (op_index −1
         means t = 0).  This is the exhaustive fault-path enumeration used
         by the §5 circuit counting; combine with a trivial noise model for
-        pure fault-path analysis.
+        pure fault-path analysis.  Injections need operation boundaries,
+        which the compiled engine's fused batches erase, so such a run
+        takes the legacy interpreter on either backend (and with a noisy
+        model draws its noise the legacy way).
         """
-        if self.backend == "compiled":
-            return self._program(fused=fault_injections is None).run(
-                shots,
-                seed,
-                initial_fx=initial_fx,
-                initial_fz=initial_fz,
-                fault_injections=fault_injections,
+        schedule: dict[int, list[tuple[int, int, str]]] = {}
+        if fault_injections is not None:
+            schedule = build_fault_schedule(fault_injections, shots, self.circuit)
+        elif self.backend == "compiled":
+            return self._program().run(
+                shots, seed, initial_fx=initial_fx, initial_fz=initial_fz
             )
         rng = as_rng(seed)
         n = self.circuit.num_qubits
@@ -195,11 +204,8 @@ class FrameSimulator:
         if initial_fz is not None:
             fz ^= np.asarray(initial_fz, dtype=np.uint8)
         flips = np.zeros((shots, max(1, self.circuit.num_cbits)), dtype=np.uint8)
-        schedule: dict[int, list[tuple[int, int, str]]] = {}
-        if fault_injections is not None:
-            schedule = build_fault_schedule(fault_injections, shots)
-            for s, qubit, kind in schedule.get(-1, []):
-                _inject(fx, fz, s, qubit, kind)
+        for s, qubit, kind in schedule.get(-1, []):
+            _inject(fx, fz, s, qubit, kind)
         for i, op in enumerate(self.circuit):
             self._apply(op, fx, fz, flips, rng)
             for s, qubit, kind in schedule.get(i, []):
@@ -314,8 +320,6 @@ def _inject(fx: np.ndarray, fz: np.ndarray, shot: int, qubit: int, kind: str) ->
         fx[shot, qubit] ^= 1
     if kind in ("Z", "Y"):
         fz[shot, qubit] ^= 1
-    if kind not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown fault kind {kind!r}")
 
 
 def _apply_depolarizing_kinds(

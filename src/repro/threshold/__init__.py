@@ -41,12 +41,7 @@ from repro.threshold.montecarlo import (
     memory_experiment,
     pseudo_threshold,
 )
-from repro.threshold.sharded import (
-    sharded_code_capacity_memory,
-    sharded_memory_experiment,
-    shard_sizes,
-    spawn_shard_seeds,
-)
+from repro.threshold.sharded import shard_sizes, spawn_shard_seeds
 from repro.threshold.runtime import (
     ResilienceOptions,
     RunDegraded,
@@ -59,7 +54,6 @@ from repro.threshold.journal import (
     JournalDegraded,
     JournalMismatch,
     JournalSchemaError,
-    compute_physics_key,
     compute_run_key,
     row_checksum,
 )
@@ -92,8 +86,6 @@ __all__ = [
     "fit_level1_coefficient",
     "memory_experiment",
     "pseudo_threshold",
-    "sharded_code_capacity_memory",
-    "sharded_memory_experiment",
     "shard_sizes",
     "spawn_shard_seeds",
     "ResilienceOptions",
@@ -105,7 +97,6 @@ __all__ = [
     "JournalDegraded",
     "JournalMismatch",
     "JournalSchemaError",
-    "compute_physics_key",
     "compute_run_key",
     "row_checksum",
     "FactoringProblem",

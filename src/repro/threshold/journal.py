@@ -24,17 +24,6 @@ the run starts fresh.
 previous run's: an irreproducible run is (correctly) never resumed.  Pass
 an explicit seed to make a scan resumable.
 
-Physics fingerprints and cross-run pooling
-------------------------------------------
-Each registered run also carries :func:`compute_physics_key` — the run key
-with seed, shots, and shard plan *excluded*.  Two completed runs over the
-same physics with different seeds (or shot budgets) therefore share a
-physics key, and :meth:`CheckpointJournal.pooled_physics_counts` merges
-them into one higher-shot ``(shots, failures)`` answer.  Pooling
-independent seeds is legitimate by construction: every shard stream is an
-independent ``SeedSequence`` child, so the union of two runs is one larger
-experiment.
-
 The read API
 ------------
 There is no separate cache layer; the journal's own reads are the API:
@@ -44,7 +33,6 @@ There is no separate cache layer; the journal's own reads are the API:
   Every planned shard present is a full hit (no worker pool is created),
   some is a partial hit (resume re-executes only the remainder), none is
   a miss;
-* :meth:`CheckpointJournal.pooled_physics_counts` is cross-run pooling;
 * :meth:`CheckpointJournal.stats` and :meth:`CheckpointJournal.gc` back
   the ``scripts_run_full.py cache stats|gc`` subcommands.
 
@@ -58,9 +46,10 @@ replay silently:
   are **quarantined** (moved to a ``quarantine`` table, with a
   :class:`CacheCorrupt` warning) and the shard is recomputed — bit-for-bit
   identical, shards are pure functions of their specs;
-* the schema carries a ``PRAGMA user_version``: an old layout is migrated
-  in place, an unknown/newer one is refused (:class:`JournalSchemaError`)
-  rather than guessed at;
+* the schema carries a ``PRAGMA user_version``: a new store's tables and
+  stamp are written in one transaction, and any layout other than the one
+  this code writes is refused (:class:`JournalSchemaError`) rather than
+  guessed at;
 * ``PRAGMA integrity_check`` runs on every open, so a torn WAL or
   bit-rotted page surfaces as a :class:`sqlite3.DatabaseError` at open
   time (which the runtime degrades on) instead of as garbage counts;
@@ -92,7 +81,6 @@ __all__ = [
     "JournalDegraded",
     "JournalMismatch",
     "JournalSchemaError",
-    "compute_physics_key",
     "compute_run_key",
     "row_checksum",
 ]
@@ -101,26 +89,21 @@ __all__ = [
 # into a new layout.
 _KEY_VERSION = 1
 
-# PRAGMA user_version stamped into every journal this code writes.  v0 is
-# the PR 6 layout (no checksums, no physics keys, no quarantine table) and
-# is migrated in place; anything else is refused.
+# PRAGMA user_version stamped into every journal this code writes; any
+# other version, or an unversioned file that already holds tables, is
+# refused.  Stores created with an extra ``runs.physics_key`` column and
+# its index carry this version too; no query reads that column.
 _SCHEMA_VERSION = 2
 
-# Column sets used to recognize a v0 journal before migrating it — an
-# unrecognized layout is refused, never "repaired".
-_V0_SHARD_COLUMNS = {"run_key", "shard_index", "shots", "failures", "recorded_unix"}
-_V0_RUN_COLUMNS = {"run_key", "kind", "shots", "num_shards", "created_unix"}
-
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS runs (
+CREATE TABLE runs (
     run_key      TEXT PRIMARY KEY,
     kind         TEXT NOT NULL,
     shots        INTEGER NOT NULL,
     num_shards   INTEGER NOT NULL,
-    physics_key  TEXT,
     created_unix REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS shard_results (
+CREATE TABLE shard_results (
     run_key       TEXT NOT NULL,
     shard_index   INTEGER NOT NULL,
     shots         INTEGER NOT NULL,
@@ -129,7 +112,7 @@ CREATE TABLE IF NOT EXISTS shard_results (
     recorded_unix REAL NOT NULL,
     PRIMARY KEY (run_key, shard_index)
 );
-CREATE TABLE IF NOT EXISTS quarantine (
+CREATE TABLE quarantine (
     run_key          TEXT NOT NULL,
     shard_index      INTEGER NOT NULL,
     shots            INTEGER,
@@ -138,7 +121,6 @@ CREATE TABLE IF NOT EXISTS quarantine (
     reason           TEXT NOT NULL,
     quarantined_unix REAL NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_runs_physics ON runs (physics_key);
 """
 
 
@@ -149,9 +131,10 @@ class JournalMismatch(RuntimeError):
 
 
 class JournalSchemaError(RuntimeError):
-    """The journal file carries an unknown ``PRAGMA user_version`` (newer
-    code wrote it, or it is not a journal at all).  Explicitly refused —
-    migrate with the version that created it, or point at a fresh path."""
+    """The journal file carries an unknown ``PRAGMA user_version``, or none
+    and tables already (other code wrote it, or it is not a journal at
+    all).  Explicitly refused — use the code that created it, or point at
+    a fresh path."""
 
 
 class CacheCorrupt(UserWarning):
@@ -189,18 +172,6 @@ def compute_run_key(
         (_KEY_VERSION, kind, int(shots), int(num_shards), seed_fingerprint, args),
         protocol=4,
     )
-    return hashlib.sha256(payload).hexdigest()
-
-
-def compute_physics_key(kind: str, args: tuple) -> str:
-    """Physics fingerprint: :func:`compute_run_key` with seed, shots, and
-    shard plan *excluded*.
-
-    Every run over the same ``(kind, protocol/code/noise/rounds)`` payload
-    shares this key regardless of seed or shot budget, so completed runs
-    pool across seeds into one higher-shot Wilson answer.
-    """
-    payload = pickle.dumps((_KEY_VERSION, kind, args), protocol=4)
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -275,68 +246,33 @@ class CheckpointJournal:
 
     # -- schema --------------------------------------------------------
     def _ensure_schema(self) -> None:
-        """Create, migrate, or refuse — never guess at a layout."""
+        """Create a new store or accept this code's layout; refuse anything
+        else — never guess at a layout."""
         version = int(self._conn.execute("PRAGMA user_version").fetchone()[0])
-        if version == 0:
-            legacy = self._conn.execute(
-                "SELECT name FROM sqlite_master WHERE type='table' "
-                "AND name='shard_results'"
-            ).fetchone()
-            if legacy is not None:
-                self._migrate_v0()
-        elif version != _SCHEMA_VERSION:
+        if version == _SCHEMA_VERSION:
+            return
+        has_tables = self._conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type='table'"
+        ).fetchone()
+        if version != 0 or has_tables:
             raise JournalSchemaError(
-                f"{self.path} carries schema user_version={version}; this "
-                f"code writes version {_SCHEMA_VERSION} and refuses to "
-                f"guess at an unknown layout — use the code that created "
-                f"it, or point at a fresh path"
+                f"{self.path} has schema user_version={version} and "
+                f"{'holds' if has_tables else 'no'} tables; this code writes "
+                f"version {_SCHEMA_VERSION} and refuses to guess at an "
+                f"unknown layout — use the code that created it, or point "
+                f"at a fresh path"
             )
-        self._conn.executescript(_SCHEMA)
-        self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
-        self._conn.commit()
-
-    def _migrate_v0(self) -> None:
-        """In-place upgrade of a PR 6 journal: add the checksum and
-        physics-key columns and backfill checksums so existing rows keep
-        replaying (their integrity is assumed-good once, at migration —
-        exactly what v0 semantics already were)."""
-        shard_cols = {
-            r[1] for r in self._conn.execute("PRAGMA table_info(shard_results)")
-        }
-        run_cols = {r[1] for r in self._conn.execute("PRAGMA table_info(runs)")}
-        if not (_V0_SHARD_COLUMNS <= shard_cols and _V0_RUN_COLUMNS <= run_cols):
-            raise JournalSchemaError(
-                f"{self.path} has user_version=0 but does not match the v0 "
-                f"journal layout; refusing to migrate an unrecognized schema"
-            )
-        if "checksum" not in shard_cols:
-            self._conn.execute("ALTER TABLE shard_results ADD COLUMN checksum TEXT")
-            rows = self._conn.execute(
-                "SELECT run_key, shard_index, shots, failures FROM shard_results"
-            ).fetchall()
-            for run_key, idx, shots, failures in rows:
-                self._conn.execute(
-                    "UPDATE shard_results SET checksum = ? "
-                    "WHERE run_key = ? AND shard_index = ?",
-                    (row_checksum(run_key, idx, shots, failures), run_key, idx),
-                )
-        if "physics_key" not in run_cols:
-            self._conn.execute("ALTER TABLE runs ADD COLUMN physics_key TEXT")
-        self._conn.commit()
+        # One transaction, so a failure before the stamp leaves no tables
+        # and the next open creates the store afresh.
+        self._conn.executescript(
+            f"BEGIN; {_SCHEMA} PRAGMA user_version = {_SCHEMA_VERSION}; COMMIT;"
+        )
 
     # -- recording -----------------------------------------------------
-    def register_run(
-        self,
-        run_key: str,
-        kind: str,
-        shots: int,
-        num_shards: int,
-        physics_key: str | None = None,
-    ) -> None:
+    def register_run(self, run_key: str, kind: str, shots: int, num_shards: int) -> None:
         """Note the run's shape; validate it if already present.
 
-        Re-registering with identical metadata is a no-op (and backfills a
-        missing physics key, e.g. after a v0 migration).  Conflicting
+        Re-registering with identical metadata is a no-op.  Conflicting
         metadata under the same key means the stored row is stale or
         corrupt — raise :class:`JournalMismatch` instead of silently
         keeping it, as ``INSERT OR IGNORE`` used to.
@@ -354,18 +290,11 @@ class CheckpointJournal:
                     f"num_shards={num_shards}) — the stored metadata is "
                     f"stale or corrupt"
                 )
-            if physics_key is not None:
-                self._conn.execute(
-                    "UPDATE runs SET physics_key = ? "
-                    "WHERE run_key = ? AND physics_key IS NULL",
-                    (physics_key, run_key),
-                )
-                self._conn.commit()
             return
         self._conn.execute(
-            "INSERT INTO runs (run_key, kind, shots, num_shards, physics_key, "
-            "created_unix) VALUES (?, ?, ?, ?, ?, ?)",
-            (run_key, kind, int(shots), int(num_shards), physics_key, time.time()),
+            "INSERT INTO runs (run_key, kind, shots, num_shards, created_unix) "
+            "VALUES (?, ?, ?, ?, ?)",
+            (run_key, kind, int(shots), int(num_shards), time.time()),
         )
         self._conn.commit()
 
@@ -463,41 +392,6 @@ class CheckpointJournal:
                 continue
             clean[idx] = (shots, failures)
         return clean
-
-    def merged_counts(self, run_key: str) -> tuple[int, int]:
-        """Pooled verified ``(shots, failures)`` over this run's recorded
-        shards — the content-addressed result-cache read path."""
-        counts = self.completed_shards(run_key)
-        return (
-            sum(s for s, _ in counts.values()),
-            sum(f for _, f in counts.values()),
-        )
-
-    def pooled_physics_counts(
-        self, physics_key: str
-    ) -> tuple[int, int, list[str]]:
-        """Cross-run pooling: verified ``(shots, failures, run_keys)``
-        summed over every **complete** run sharing this physics
-        fingerprint — seeds and shard plans differ, the physics does not,
-        so the merge is one legitimate higher-shot experiment.
-
-        Incomplete (still-resumable) runs are excluded: a partially
-        journaled run is not yet an experiment anyone finished.
-        """
-        pooled_shots = pooled_failures = 0
-        complete: list[str] = []
-        rows = self._conn.execute(
-            "SELECT run_key, num_shards FROM runs WHERE physics_key = ?",
-            (physics_key,),
-        ).fetchall()
-        for run_key, num_shards in rows:
-            counts = self.completed_shards(run_key)
-            if len(counts) != int(num_shards):
-                continue
-            pooled_shots += sum(s for s, _ in counts.values())
-            pooled_failures += sum(f for _, f in counts.values())
-            complete.append(run_key)
-        return pooled_shots, pooled_failures, complete
 
     def clear_run(self, run_key: str) -> None:
         """Drop a run's shards (``resume=False`` starts it from scratch)."""

@@ -204,10 +204,15 @@ def memory_experiment(
     per-round pack/unpack of the data block.
 
     ``workers>1`` (or an explicit ``num_shards``) shards the shots across
-    processes; see :func:`repro.threshold.sharded.sharded_memory_experiment`.
-    ``**resilience`` (``max_retries``, ``shard_timeout``, ``checkpoint``,
-    ``resume``) configures the sharded run; ``checkpoint`` shards even
-    at ``workers=1``.
+    processes; see :mod:`repro.threshold.sharded`.  ``**resilience``
+    (``max_retries``, ``shard_timeout``, ``checkpoint``, ``resume``)
+    configures the sharded run; ``checkpoint`` shards even at
+    ``workers=1``.  A checkpoint names the sqlite result cache: a repeated
+    identical run replays its counts from disk without creating a worker
+    pool, a partial one resumes only its unfinished shards, rows failing
+    validation are quarantined (``CacheCorrupt``) and recomputed, and
+    storage faults degrade the run to uncheckpointed execution
+    (``JournalDegraded``).
 
     After the last round the ideal decode runs on packed planes
     (:meth:`~repro.codes.StabilizerCode.logical_failure_plane`) and

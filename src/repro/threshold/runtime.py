@@ -299,8 +299,8 @@ class _ResilientJournal:
         try:
             self._journal = CheckpointJournal(checkpoint)
         except JournalSchemaError:
-            # Deliberate migration-or-refuse: an unknown schema is a user
-            # decision (wrong file / newer writer), not a runtime fault.
+            # An unknown schema is a user decision (wrong file, other
+            # writer), not a runtime fault.
             raise
         except (sqlite3.Error, OSError) as exc:
             self._degrade("opening", exc)
@@ -346,14 +346,10 @@ class _ResilientJournal:
                 return None
         return None  # pragma: no cover - loop always returns or degrades
 
-    def register(
-        self, kind: str, shots: int, num_shards: int, physics_key: str | None
-    ) -> None:
+    def register(self, kind: str, shots: int, num_shards: int) -> None:
         def _do() -> None:
             try:
-                self._journal.register_run(
-                    self._run_key, kind, shots, num_shards, physics_key
-                )
+                self._journal.register_run(self._run_key, kind, shots, num_shards)
             except JournalMismatch as exc:
                 # Same run key, contradictory metadata: definitionally
                 # stale or corrupt (the key pins kind/shots/shard count).
@@ -366,9 +362,7 @@ class _ResilientJournal:
                     stacklevel=7,
                 )
                 self._journal.quarantine_run(self._run_key, "metadata mismatch")
-                self._journal.register_run(
-                    self._run_key, kind, shots, num_shards, physics_key
-                )
+                self._journal.register_run(self._run_key, kind, shots, num_shards)
 
         self._attempt("registering the run", _do)
 
@@ -426,7 +420,6 @@ def execute_shards(
     workers: int,
     options: ResilienceOptions | None = None,
     run_key: str | None = None,
-    physics_key: str | None = None,
 ) -> list[tuple[int, int]]:
     """Execute every shard spec, surviving worker *and* storage faults;
     returns ``(shots, failures)`` per shard, in shard order.
@@ -438,9 +431,9 @@ def execute_shards(
     :class:`CacheCorrupt` and recomputed) are replayed from disk when
     ``options.resume``, and a full hit returns without a worker pool ever
     being created.  Completed shards stream into the journal under
-    ``run_key`` (tagged with ``physics_key`` for cross-run pooling), and
-    every storage fault on the way degrades the run to uncheckpointed
-    execution (:class:`JournalDegraded`) instead of killing it.
+    ``run_key``, and every storage fault on the way degrades the run to
+    uncheckpointed execution (:class:`JournalDegraded`) instead of
+    killing it.
     """
     opts = options or ResilienceOptions()
     results: dict[int, tuple[int, int]] = {}
@@ -455,7 +448,7 @@ def execute_shards(
             total_shots = sum(spec[2] for spec in specs)
             if not opts.resume:
                 journal.clear()
-            journal.register(kind, total_shots, len(specs), physics_key)
+            journal.register(kind, total_shots, len(specs))
             if opts.resume:
                 sizes = [spec[2] for spec in specs]
                 for idx, counts in journal.resume_counts(sizes).items():

@@ -14,9 +14,9 @@ Determinism contract
   stream of ``np.random.SeedSequence(seed)`` via ``spawn``.  A fixed
   ``(seed, shots, num_shards)`` therefore yields identical pooled counts
   for *any* worker count, including ``workers=1`` run in-process.
-* ``workers=1`` with the default ``num_shards=None`` takes the unsharded
-  single-process path and reproduces :func:`memory_experiment` /
-  :func:`code_capacity_memory` bit-for-bit (same seed → same failures).
+* ``workers=1`` with the default ``num_shards=None`` and no checkpoint
+  never reaches this module: the entry points run such a call unsharded,
+  in-process.
 * Because each shard is a **pure function of its spec**, the resilient
   runtime's retries, degradations, and journal resumes are bit-for-bit
   identical to a clean run — faults can cost time, never correctness.
@@ -34,12 +34,9 @@ a content-addressed run key: the store is consulted *before* computing,
 so a repeated identical run replays its pooled counts without spawning a
 pool, a killed scan resumes from disk re-executing only unfinished
 shards, and corrupted rows are quarantined and recomputed rather than
-replayed (cross-run pooling is
-:meth:`~repro.threshold.journal.CheckpointJournal.pooled_physics_counts`).
-The four resilience knobs (``max_retries``, ``shard_timeout``,
-``checkpoint``, ``resume``) are keyword arguments on both entry points
-here and are threaded through every Monte Carlo caller; the two entry
-points here are those callers with the knobs spelled out.
+replayed.  The four resilience knobs (``max_retries``, ``shard_timeout``,
+``checkpoint``, ``resume``) are keyword arguments of both entry points and
+are threaded through every grid scan.
 
 Workers are spawned (``multiprocessing`` spawn context, the portable and
 thread-safe choice); spawn's preparation data carries the parent's
@@ -63,16 +60,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.threshold.journal import compute_physics_key, compute_run_key
+from repro.threshold.journal import compute_run_key
 from repro.threshold.runtime import ResilienceOptions, execute_shards
 
-__all__ = [
-    "DEFAULT_NUM_SHARDS",
-    "shard_sizes",
-    "spawn_shard_seeds",
-    "sharded_memory_experiment",
-    "sharded_code_capacity_memory",
-]
+__all__ = ["DEFAULT_NUM_SHARDS", "shard_sizes", "spawn_shard_seeds"]
 
 # Fixed default so the shard plan — and hence the pooled result — does not
 # depend on how many workers happen to execute it.  16 keeps shards large
@@ -241,25 +232,6 @@ def _build_specs(
     return specs, _seed_fingerprint(seed)
 
 
-def _execute(
-    specs: list[tuple],
-    workers: int,
-    options: ResilienceOptions | None = None,
-    run_key: str | None = None,
-    physics_key: str | None = None,
-) -> list[tuple[int, int]]:
-    if workers > len(specs):
-        warnings.warn(
-            f"only {len(specs)} shards for {workers} workers — parallelism is "
-            f"capped at the shard count; pass num_shards >= workers",
-            stacklevel=3,
-        )
-        workers = len(specs)
-    return execute_shards(
-        specs, workers, options=options, run_key=run_key, physics_key=physics_key
-    )
-
-
 def _pooled_result(counts: list[tuple[int, int]], rounds: int):
     from repro.threshold.montecarlo import MemoryResult
 
@@ -296,87 +268,17 @@ def _run_sharded(
     num_shards: int | None,
     options: ResilienceOptions,
 ):
+    """Plan a run's shards, execute them under ``options`` and pool their
+    counts; only a checkpointed run needs a run key."""
     specs, fingerprint = _build_specs(kind, args, shots, seed, num_shards)
-    run_key = physics_key = None
+    if workers > len(specs):
+        warnings.warn(
+            f"only {len(specs)} shards for {workers} workers — parallelism is "
+            f"capped at the shard count; pass num_shards >= workers",
+            stacklevel=2,
+        )
+        workers = len(specs)
+    run_key = None
     if options.checkpoint is not None:
         run_key = compute_run_key(kind, args, shots, fingerprint, len(specs))
-        physics_key = compute_physics_key(kind, args)
-    return _pooled_result(
-        _execute(specs, workers, options, run_key, physics_key), rounds
-    )
-
-
-def sharded_memory_experiment(
-    protocol,
-    code,
-    rounds: int,
-    shots: int,
-    seed: int | np.random.SeedSequence | None = None,
-    workers: int = 1,
-    num_shards: int | None = None,
-    *,
-    max_retries: int | None = None,
-    shard_timeout: float | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = True,
-):
-    """Shot-sharded :func:`~repro.threshold.montecarlo.memory_experiment`.
-
-    ``workers=1`` with ``num_shards=None`` (and no checkpoint) is the
-    unsharded single-process path (bit-for-bit identical to
-    ``memory_experiment``); any explicit ``num_shards`` activates the
-    sharded plan, executed in-process when ``workers=1`` and across
-    spawned processes otherwise — with identical pooled counts either way.
-
-    Resilience knobs (see :class:`repro.threshold.runtime.ResilienceOptions`):
-    ``max_retries`` bounds shard retries before a shard falls back to
-    in-process execution, and ``shard_timeout`` declares a running shard
-    hung.
-
-    ``checkpoint=`` names the sqlite **result cache**: the store is
-    consulted by content-addressed run key *before* computing — a repeated
-    identical run replays its pooled counts from disk without creating a
-    worker pool, a partial run resumes re-executing only unfinished
-    shards, and every finished shard commits immediately (crash-safe).
-    Rows failing checksum/plan validation are quarantined
-    (``CacheCorrupt``) and recomputed; storage faults degrade the run to
-    uncheckpointed execution (``JournalDegraded``) instead of killing it.
-    ``resume=False`` clears this run's rows first.  Completed runs over
-    the same physics pool across seeds via
-    :meth:`repro.threshold.journal.CheckpointJournal.pooled_physics_counts`.
-    """
-    from repro.threshold.montecarlo import memory_experiment
-
-    return memory_experiment(
-        protocol, code, rounds, shots, seed, workers, num_shards,
-        max_retries=max_retries, shard_timeout=shard_timeout,
-        checkpoint=checkpoint, resume=resume,
-    )
-
-
-def sharded_code_capacity_memory(
-    code,
-    eps: float,
-    rounds: int,
-    shots: int,
-    seed: int | np.random.SeedSequence | None = None,
-    workers: int = 1,
-    num_shards: int | None = None,
-    *,
-    max_retries: int | None = None,
-    shard_timeout: float | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = True,
-):
-    """Shot-sharded :func:`~repro.threshold.montecarlo.code_capacity_memory`.
-
-    Same contract, resilience knobs, and result-cache semantics as
-    :func:`sharded_memory_experiment`.
-    """
-    from repro.threshold.montecarlo import code_capacity_memory
-
-    return code_capacity_memory(
-        code, eps, rounds, shots, seed, workers, num_shards,
-        max_retries=max_retries, shard_timeout=shard_timeout,
-        checkpoint=checkpoint, resume=resume,
-    )
+    return _pooled_result(execute_shards(specs, workers, options, run_key), rounds)

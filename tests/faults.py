@@ -169,8 +169,8 @@ class ChaosConnection:
 def chaos_journal(plan: IOChaosPlan):
     """A stand-in for ``runtime.CheckpointJournal`` whose connection injects
     ``plan``'s faults.  Wrapping after ``__init__`` keeps every write
-    ordinal: opening a journal executes no DML (only the v0 migration
-    would, and no chaos test migrates)."""
+    ordinal: opening a journal executes no DML (creating a store runs DDL
+    and PRAGMAs only)."""
 
     def open_journal(path) -> CheckpointJournal:
         journal = CheckpointJournal(path)

@@ -21,7 +21,7 @@ import pytest
 from repro.codes.steane import SteaneCode
 from repro.ft.exrec import SteaneECProtocol
 from repro.noise.models import circuit_level
-from repro.threshold.journal import compute_physics_key, compute_run_key
+from repro.threshold.journal import compute_run_key
 from repro.threshold.montecarlo import memory_experiment
 from repro.threshold.sharded import _seed_fingerprint
 
@@ -53,7 +53,6 @@ def test_run_key_independent_of_scratch_buffers():
     args = ("memory", (protocol, code, 2))
     fingerprint = _seed_fingerprint(99)
     fresh_key = compute_run_key("memory", args, 200, fingerprint, 2)
-    fresh_physics = compute_physics_key("memory", args)
 
     # Execute real rounds so the packed work buffers are populated —
     # without __getstate__ excluding them, the pickle (and thus the key)
@@ -62,7 +61,6 @@ def test_run_key_independent_of_scratch_buffers():
     assert protocol._buffers, "expected the run to populate scratch buffers"
 
     assert compute_run_key("memory", args, 200, fingerprint, 2) == fresh_key
-    assert compute_physics_key("memory", args) == fresh_physics
 
     # And a brand-new protocol over the same physics lands on the same key.
     rebuilt = SteaneECProtocol(noise)
@@ -85,16 +83,6 @@ def test_run_key_pins_seed_shots_and_shard_plan():
         )
         != base
     )
-
-
-def test_physics_key_pools_across_seed_and_shots():
-    _, args = _steane_args()
-    key = compute_physics_key("memory", args)
-    assert key == compute_physics_key("memory", args)
-    # Different physics (noise strength) must not pool.
-    other_protocol = SteaneECProtocol(circuit_level(2e-3))
-    other = ("memory", (other_protocol, other_protocol.code, 2))
-    assert compute_physics_key("memory", other) != key
 
 
 def test_journal_refuses_to_pickle(tmp_path):

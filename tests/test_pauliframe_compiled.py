@@ -3,8 +3,9 @@
 Two agreement regimes, mirroring the engine's contract:
 
 * **Exact** on every deterministic path — no noise, arbitrary initial
-  frames, fault injections, classically conditioned Paulis.  The two
-  engines must produce bit-identical :class:`FrameResult` contents.
+  frames, classically conditioned Paulis.  The two engines must produce
+  bit-identical :class:`FrameResult` contents.  (Fault injections always
+  run on the legacy interpreter.)
 * **Statistical** on noisy paths — the engines consume randomness
   differently (per-location draws vs per-channel-class planes), so seeded
   outputs differ shot by shot; observed rates must agree within combined
@@ -23,7 +24,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol
-from repro.ft.steane_ec import SteaneAncillaPrep, SteaneSyndromeExtraction
+from repro.ft.steane_ec import SteaneAncillaPrep
 from repro.noise import NoiseModel, circuit_level
 from repro.pauliframe import (
     CompiledFrameProgram,
@@ -134,30 +135,6 @@ class TestExactParity:
         )
         assert_results_equal(legacy, compiled)
 
-    def test_fault_injection_parity(self):
-        rng = np.random.default_rng(77)
-        c = random_clifford_circuit(rng, conditional=True)
-        n_ops = len(c.operations)
-        shots = 80
-        specs = []
-        for s in range(shots):
-            entries = [
-                (int(rng.integers(-1, n_ops)), int(rng.integers(c.num_qubits)),
-                 "XYZ"[rng.integers(3)])
-                for _ in range(rng.integers(1, 4))
-            ]
-            specs.append(entries)
-        legacy = FrameSimulator(c, backend="legacy").run(shots, seed=0, fault_injections=specs)
-        compiled = FrameSimulator(c, backend="compiled").run(shots, seed=0, fault_injections=specs)
-        assert_results_equal(legacy, compiled)
-
-    def test_fused_requires_no_injection(self):
-        c = Circuit(2).h(0).cnot(0, 1)
-        prog = CompiledFrameProgram(c, fuse=True)
-        fx, fz, flips = prog.new_buffers(4)
-        with pytest.raises(ValueError):
-            prog.run_packed(4, 0, fx, fz, flips, fault_injections=[(0, 0, "X")] * 4)
-
     def test_fused_and_unfused_bit_identical_under_noise(self):
         # Fusion must not change how the RNG is consumed: the noise planes
         # are keyed by location index, not by instruction shape.
@@ -175,19 +152,6 @@ class TestExactParity:
         init_fx = (rng.random((shots, c.num_qubits)) < 0.2).astype(np.uint8)
         legacy = FrameSimulator(c, backend="legacy").run(shots, seed=0, initial_fx=init_fx)
         compiled = FrameSimulator(c, backend="compiled").run(shots, seed=0, initial_fx=init_fx)
-        assert_results_equal(legacy, compiled)
-
-    def test_e04_extraction_circuit_fault_paths(self):
-        # The E04 protocol circuit: single deterministic faults anywhere in
-        # the first half of the round must propagate identically.
-        c = SteaneSyndromeExtraction(SteaneCode(), 2).extraction_circuit()
-        n_ops = len(c.operations)
-        specs = [
-            (op_i % n_ops, q % c.num_qubits, "XYZ"[(op_i + q) % 3])
-            for op_i, q in zip(range(0, 2 * n_ops, 2), range(100))
-        ]
-        legacy = FrameSimulator(c, backend="legacy").run(len(specs), seed=0, fault_injections=specs)
-        compiled = FrameSimulator(c, backend="compiled").run(len(specs), seed=0, fault_injections=specs)
         assert_results_equal(legacy, compiled)
 
     def test_broadcast_initial_frames_match_legacy(self):
@@ -246,6 +210,71 @@ class TestExactParity:
         np.testing.assert_array_equal(out["legacy"][0], out["compiled"][0])
         np.testing.assert_array_equal(out["legacy"][1], out["compiled"][1])
 
+
+class TestFaultInjection:
+    """Injected faults run on the legacy interpreter whatever the backend,
+    and a spec that names no operation or qubit of the circuit is refused
+    before any frame is touched."""
+
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel(), circuit_level(0.02)], ids=["noiseless", "noisy"]
+    )
+    def test_compiled_backend_runs_injections_on_the_legacy_interpreter(
+        self, noise, monkeypatch
+    ):
+        rng = np.random.default_rng(77)
+        c = random_clifford_circuit(rng, conditional=True)
+        shots = 80
+        specs = [
+            [
+                (int(rng.integers(-1, len(c))), int(rng.integers(c.num_qubits)),
+                 "XYZ"[rng.integers(3)])
+                for _ in range(rng.integers(1, 4))
+            ]
+            for _ in range(shots)
+        ]
+        legacy = FrameSimulator(c, noise, backend="legacy").run(
+            shots, seed=3, fault_injections=specs
+        )
+        assert legacy.fx.any() and legacy.meas_flips.any()
+
+        def no_program(*args, **kwargs):
+            raise AssertionError("a run with injections compiled a program")
+
+        monkeypatch.setattr(CompiledFrameProgram, "__init__", no_program)
+        sim = FrameSimulator(c, noise, backend="compiled")
+        assert_results_equal(sim.run(shots, seed=3, fault_injections=specs), legacy)
+        assert sim._compiled is None
+
+    CIRCUIT = Circuit(2, 2).h(0).cnot(0, 1).measure(0, 0).measure(1, 1)
+    # Unchecked, qubit -1 would hit the last qubit, op indices outside the
+    # circuit would be dropped, ``True`` would index the frame as a mask
+    # (differently on the two backends), and 1.0 would run as op 1.
+    BAD_SPECS = {
+        "qubit=-1": ((1, -1, "X"), ValueError),
+        "op_index=7": ((7, 0, "X"), ValueError),
+        "op_index=-5": ((-5, 0, "X"), ValueError),
+        "qubit=True": ((1, True, "X"), TypeError),
+        "op_index=1.0": ((1.0, 0, "X"), TypeError),
+    }
+
+    @pytest.mark.parametrize("backend", ["compiled", "legacy"])
+    @pytest.mark.parametrize("spec", sorted(BAD_SPECS))
+    def test_spec_outside_the_circuit_is_refused(self, spec, backend):
+        fault, error = self.BAD_SPECS[spec]
+        sim = FrameSimulator(self.CIRCUIT, backend=backend)
+        with pytest.raises(error, match="fault"):
+            sim.run(2, seed=0, fault_injections=[(0, 0, "X"), fault])
+
+    @pytest.mark.parametrize("backend", ["compiled", "legacy"])
+    def test_op_index_minus_one_and_the_last_op_are_accepted(self, backend):
+        sim = FrameSimulator(self.CIRCUIT, backend=backend)
+        last = len(self.CIRCUIT) - 1
+        specs = [(-1, 1, "X"), (last, 0, "Z"), (np.int64(1), np.int64(0), "Y")]
+        res = sim.run(3, seed=0, fault_injections=specs)
+        np.testing.assert_array_equal(res.meas_flips, [[0, 1], [0, 0], [1, 0]])
+        np.testing.assert_array_equal(res.fx, [[0, 1], [0, 0], [1, 0]])
+        np.testing.assert_array_equal(res.fz, [[0, 0], [1, 0], [0, 0]])
 
 class TestStridedBatches:
     """Fused batches whose rows form an arithmetic progression run on

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.codes import SteaneCode
-from repro.threshold import CheckpointJournal, sharded_code_capacity_memory
+from repro.threshold import CheckpointJournal, code_capacity_memory
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,7 +44,7 @@ def call(run_full, monkeypatch, *argv):
 def journal_path(tmp_path):
     """A journal holding one complete 4-shard run."""
     path = tmp_path / "cache.sqlite"
-    sharded_code_capacity_memory(
+    code_capacity_memory(
         SteaneCode(), 0.08, rounds=1, shots=400, seed=11, workers=1,
         num_shards=4, checkpoint=path,
     )

@@ -1,5 +1,5 @@
-"""The content-addressed result cache: read-before-compute, cross-run
-pooling, schema versioning/migration, and cache maintenance.
+"""The content-addressed result cache: read-before-compute, schema
+versioning, and cache maintenance.
 
 The cache is the checkpoint journal itself; every read here goes through
 :class:`~repro.threshold.journal.CheckpointJournal`, the same reads the
@@ -9,15 +9,17 @@ The acceptance contract under test:
 
 * a repeated identical run returns its cached pooled counts without a
   worker pool ever being created;
-* two completed runs over the same physics with different seeds pool into
-  one merged higher-shot answer (and runs with different physics, or
-  incomplete runs, never leak into the pool);
-* a v0 (PR 6 layout) journal migrates in place and keeps replaying; an
-  unknown/newer schema version is refused, never guessed at.
+* a new store's tables and ``user_version`` are written in one
+  transaction;
+* a store of this code's version replays, also one whose ``runs`` table
+  still carries the unread ``physics_key`` column; an unversioned journal
+  that holds tables, or an unknown/newer version, is refused, never
+  guessed at.
 """
 
 import sqlite3
 import time
+import warnings
 
 import pytest
 
@@ -25,11 +27,11 @@ from repro.codes import SteaneCode
 from repro.threshold import (
     CacheCorrupt,
     CheckpointJournal,
+    JournalDegraded,
     JournalSchemaError,
-    compute_physics_key,
+    code_capacity_memory,
     compute_run_key,
     row_checksum,
-    sharded_code_capacity_memory,
 )
 from repro.threshold import runtime, sharded
 from repro.threshold.journal import _SCHEMA_VERSION
@@ -60,16 +62,9 @@ def capacity_key(code, eps, shots, seed, num_shards):
 
 
 def run_capacity(code, cache_path, seed, shots=SHOTS, eps=EPS, **kw):
-    return sharded_code_capacity_memory(
+    return code_capacity_memory(
         code, eps, rounds=1, shots=shots, seed=seed, workers=1,
         num_shards=SHARDS, checkpoint=cache_path, **kw,
-    )
-
-
-def pooled(journal, code, eps=EPS):
-    """Cross-run pooled ``(shots, failures, run_keys)`` for this physics."""
-    return journal.pooled_physics_counts(
-        compute_physics_key("capacity", (code, eps, 1))
     )
 
 
@@ -88,7 +83,7 @@ class TestReadBeforeCompute:
             )
 
         monkeypatch.setattr(runtime, "_get_pool", pool_bomb)
-        replayed = sharded_code_capacity_memory(
+        replayed = code_capacity_memory(
             code, EPS, rounds=1, shots=SHOTS, seed=11, workers=4,
             num_shards=SHARDS, checkpoint=cache_path,
         )
@@ -163,67 +158,6 @@ class TestRunKeyLookup:
             assert journal.stats()["quarantined_rows"] == 1
 
 
-class TestCrossRunPooling:
-    def test_same_physics_different_seeds_pool(self, code, cache_path):
-        a = run_capacity(code, cache_path, seed=11)
-        b = run_capacity(code, cache_path, seed=12)
-        with CheckpointJournal(cache_path) as journal:
-            shots, failures, runs = pooled(journal, code)
-        assert shots == a.shots + b.shots
-        assert failures == a.failures + b.failures
-        assert len(runs) == 2
-
-    def test_pooled_result_recomputes_wilson_bounds(self, code, cache_path):
-        from repro.threshold.montecarlo import MemoryResult
-        from repro.util.stats import binomial_confidence
-
-        a = run_capacity(code, cache_path, seed=11)
-        b = run_capacity(code, cache_path, seed=12)
-        with CheckpointJournal(cache_path) as journal:
-            shots, failures, _ = pooled(journal, code)
-        pooled_result = MemoryResult.from_counts(1, shots, failures)
-        assert pooled_result.shots == a.shots + b.shots
-        assert pooled_result.failures == a.failures + b.failures
-        est, low, high = binomial_confidence(failures, shots)
-        assert (pooled_result.failure_rate, pooled_result.low, pooled_result.high) == (
-            est, low, high
-        )
-        # The pooled interval is tighter than either constituent's.
-        assert (pooled_result.high - pooled_result.low) <= min(
-            a.high - a.low, b.high - b.low
-        )
-
-    def test_different_physics_never_pool(self, code, cache_path):
-        run_capacity(code, cache_path, seed=11)
-        other = run_capacity(code, cache_path, seed=11, eps=0.05)
-        with CheckpointJournal(cache_path) as journal:
-            shots, failures, _ = pooled(journal, code, eps=0.05)
-        assert (shots, failures) == (other.shots, other.failures)
-
-    def test_incomplete_runs_excluded_from_pool(self, code, cache_path):
-        a = run_capacity(code, cache_path, seed=11)
-        run_capacity(code, cache_path, seed=12)
-        key_b = capacity_key(code, EPS, SHOTS, 12, SHARDS)
-        with CheckpointJournal(cache_path) as journal:
-            journal._conn.execute(
-                "DELETE FROM shard_results WHERE run_key=? AND shard_index=0",
-                (key_b,),
-            )
-            journal._conn.commit()
-            shots, failures, _ = pooled(journal, code)
-        assert (shots, failures) == (a.shots, a.failures)
-
-    def test_pool_empty_without_completed_runs(self, code, cache_path):
-        with CheckpointJournal(cache_path) as journal:
-            assert pooled(journal, code) == (0, 0, [])
-
-    def test_physics_key_excludes_seed_shots_shards(self, code):
-        base = compute_physics_key("capacity", (code, EPS, 1))
-        assert compute_physics_key("capacity", (code, EPS, 1)) == base
-        assert compute_physics_key("capacity", (code, 0.05, 1)) != base
-        assert compute_physics_key("memory", (code, EPS, 1)) != base
-
-
 class TestSchemaVersioning:
     def test_user_version_stamped(self, cache_path):
         with CheckpointJournal(cache_path):
@@ -232,9 +166,11 @@ class TestSchemaVersioning:
         assert conn.execute("PRAGMA user_version").fetchone()[0] == _SCHEMA_VERSION
         conn.close()
 
-    def test_v0_journal_migrates_and_replays(self, code, cache_path, monkeypatch):
-        """A PR 6 journal (no checksums/physics keys/quarantine) opens,
-        migrates in place, and its rows keep replaying."""
+    def test_v0_journal_is_refused(self, code, cache_path, monkeypatch):
+        """A journal of the first layout (no checksums, no quarantine table,
+        no user_version) holding a real completed run is refused like any
+        unknown layout: at open and through an entry point, before any
+        shard runs, and the file is left as it was."""
         conn = sqlite3.connect(cache_path)
         conn.executescript(
             """
@@ -251,14 +187,7 @@ class TestSchemaVersioning:
             );
             """
         )
-        # Seed it with a *real* completed run's rows so the migrated cache
-        # must produce a bit-for-bit replay.
-        base = sharded_code_capacity_memory(
-            code, EPS, rounds=1, shots=SHOTS, seed=11, workers=1,
-            num_shards=SHARDS,
-        )
         key = capacity_key(code, EPS, SHOTS, 11, SHARDS)
-        sizes = sharded.shard_sizes(SHOTS, SHARDS)
         specs, _ = sharded._build_specs(
             "capacity", (code, EPS, 1), SHOTS, 11, SHARDS
         )
@@ -274,24 +203,115 @@ class TestSchemaVersioning:
             )
         conn.commit()
         conn.close()
+        before = cache_path.read_bytes()
 
-        calls = []
-        original = sharded._run_shard
-        monkeypatch.setattr(
-            sharded, "_run_shard",
-            lambda spec: calls.append(spec) or original(spec),
-        )
-        replayed = run_capacity(code, cache_path, seed=11)
-        assert calls == []  # the migrated rows replayed, none recomputed
-        assert replayed == base
+        with pytest.raises(JournalSchemaError, match="user_version=0 and holds tables"):
+            CheckpointJournal(cache_path)
+
+        def no_shards(spec):
+            raise AssertionError("a shard ran against a refused store")
+
+        monkeypatch.setattr(sharded, "_run_shard", no_shards)
+        with pytest.raises(JournalSchemaError):
+            run_capacity(code, cache_path, seed=11)
+        assert cache_path.read_bytes() == before
+
+    def test_a_denied_version_stamp_leaves_no_tables(self, cache_path, monkeypatch):
+        """A new store's tables and its user_version are written in one
+        transaction: when the version write is refused, no table is left
+        behind, and the next open creates a clean store."""
+        connect = sqlite3.connect
+
+        def deny_version_write(action, arg1, arg2, db_name, source):
+            if action == sqlite3.SQLITE_PRAGMA and arg1 == "user_version" and arg2:
+                return sqlite3.SQLITE_DENY
+            return sqlite3.SQLITE_OK
+
+        def connect_denying(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_authorizer(deny_version_write)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", connect_denying)
+        with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
+            CheckpointJournal(cache_path)
+        monkeypatch.undo()
+        conn = sqlite3.connect(cache_path)
+        assert conn.execute("SELECT name FROM sqlite_master").fetchall() == []
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 0
+        conn.close()
+        with CheckpointJournal(cache_path) as journal:
+            journal.register_run("k1", kind="capacity", shots=100, num_shards=1)
+            journal.record_shard("k1", 0, 100, 3)
+            assert journal.completed_shards("k1") == {0: (100, 3)}
         conn = sqlite3.connect(cache_path)
         assert conn.execute("PRAGMA user_version").fetchone()[0] == _SCHEMA_VERSION
-        # checksums were backfilled at migration
-        for idx, shots, failures, checksum in conn.execute(
-            "SELECT shard_index, shots, failures, checksum FROM shard_results"
-        ):
-            assert checksum == row_checksum(key, idx, shots, failures)
         conn.close()
+
+    def test_store_with_a_physics_key_column_replays_as_a_full_hit(
+        self, code, cache_path, monkeypatch
+    ):
+        """A store of this version may carry a nullable
+        ``runs.physics_key`` column and its index, which no query reads.
+        It opens as it is, and a completed run in it replays without a
+        pool or a shard."""
+        base = code_capacity_memory(
+            code, EPS, rounds=1, shots=SHOTS, seed=11, workers=1,
+            num_shards=SHARDS,
+        )
+        conn = sqlite3.connect(cache_path)
+        conn.executescript(
+            f"""
+            CREATE TABLE runs (
+                run_key TEXT PRIMARY KEY, kind TEXT NOT NULL,
+                shots INTEGER NOT NULL, num_shards INTEGER NOT NULL,
+                physics_key TEXT, created_unix REAL NOT NULL
+            );
+            CREATE TABLE shard_results (
+                run_key TEXT NOT NULL, shard_index INTEGER NOT NULL,
+                shots INTEGER NOT NULL, failures INTEGER NOT NULL,
+                checksum TEXT, recorded_unix REAL NOT NULL,
+                PRIMARY KEY (run_key, shard_index)
+            );
+            CREATE TABLE quarantine (
+                run_key TEXT NOT NULL, shard_index INTEGER NOT NULL,
+                shots INTEGER, failures INTEGER, checksum TEXT,
+                reason TEXT NOT NULL, quarantined_unix REAL NOT NULL
+            );
+            CREATE INDEX idx_runs_physics ON runs (physics_key);
+            PRAGMA user_version = {_SCHEMA_VERSION};
+            """
+        )
+        key = capacity_key(code, EPS, SHOTS, 11, SHARDS)
+        specs, _ = sharded._build_specs(
+            "capacity", (code, EPS, 1), SHOTS, 11, SHARDS
+        )
+        conn.execute(
+            "INSERT INTO runs VALUES (?, 'capacity', ?, ?, 'physics', ?)",
+            (key, SHOTS, SHARDS, time.time()),
+        )
+        for idx, spec in enumerate(specs):
+            shots, failures = sharded._run_shard(spec)
+            conn.execute(
+                "INSERT INTO shard_results VALUES (?, ?, ?, ?, ?, ?)",
+                (key, idx, shots, failures, row_checksum(key, idx, shots, failures),
+                 time.time()),
+            )
+        conn.commit()
+        conn.close()
+
+        def bomb(*args, **kwargs):
+            raise AssertionError("a pool or a shard ran on a full cache hit")
+
+        monkeypatch.setattr(runtime, "_get_pool", bomb)
+        monkeypatch.setattr(sharded, "_run_shard", bomb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", (CacheCorrupt, JournalDegraded))
+            replayed = code_capacity_memory(
+                code, EPS, rounds=1, shots=SHOTS, seed=11, workers=2,
+                num_shards=SHARDS, checkpoint=cache_path,
+            )
+        assert replayed == base
 
     def test_newer_schema_version_refused(self, cache_path):
         conn = sqlite3.connect(cache_path)
@@ -301,10 +321,10 @@ class TestSchemaVersioning:
         conn.close()
         with pytest.raises(JournalSchemaError):
             CheckpointJournal(cache_path)
-        # The refusal propagates out of a sharded run too — migrate-or-refuse
-        # is a user decision, not a fault to degrade on.
+        # The refusal propagates out of a sharded run too — an unknown
+        # layout is a user decision, not a fault to degrade on.
         with pytest.raises(JournalSchemaError):
-            sharded_code_capacity_memory(
+            code_capacity_memory(
                 SteaneCode(), EPS, rounds=1, shots=SHOTS, seed=11, workers=1,
                 num_shards=SHARDS, checkpoint=cache_path,
             )
@@ -340,6 +360,7 @@ class TestMaintenance:
     def test_gc_drops_incomplete_and_quarantine(self, code, cache_path):
         a = run_capacity(code, cache_path, seed=11)
         run_capacity(code, cache_path, seed=12)
+        key_a = capacity_key(code, EPS, SHOTS, 11, SHARDS)
         key_b = capacity_key(code, EPS, SHOTS, 12, SHARDS)
         sizes = sharded.shard_sizes(SHOTS, SHARDS)
         with CheckpointJournal(cache_path) as journal:
@@ -363,8 +384,9 @@ class TestMaintenance:
             assert stats["shard_rows"] == SHARDS
             assert stats["quarantined_rows"] == 0
             # The surviving complete run still answers.
-            shots, failures, _ = pooled(journal, code)
-            assert (shots, failures) == (a.shots, a.failures)
+            counts = journal.completed_shards(key_a, expected_sizes=sizes).values()
+            assert sum(s for s, _ in counts) == a.shots
+            assert sum(f for _, f in counts) == a.failures
 
 
 class TestGcLiveRunRace:

@@ -9,7 +9,8 @@ warning (``JournalDegraded`` / ``CacheCorrupt``) instead of raising.
 Write-ordinal accounting (fresh ``resume=True`` run, the default): the
 run-registration INSERT is write 1 and the per-shard records are writes
 ``2..num_shards+1`` in shard order (serial driver), so ordinals address
-"registration", "first shard", "mid-run" exactly.  A retried statement
+"registration", "first shard", "mid-run" exactly.  Re-registering a run
+that is already stored writes nothing.  A retried statement
 re-executes and advances the counter, so a lock-contention *burst* is
 modelled as consecutive planned ordinals.
 
@@ -29,8 +30,8 @@ from repro.threshold import (
     CheckpointJournal,
     JournalDegraded,
     ResilienceOptions,
+    code_capacity_memory,
     compute_run_key,
-    sharded_code_capacity_memory,
 )
 from repro.threshold import runtime, sharded
 
@@ -53,7 +54,7 @@ def code():
 @pytest.fixture(scope="module")
 def baseline(code):
     """Unjournaled ground truth every chaos run must reproduce exactly."""
-    return sharded_code_capacity_memory(
+    return code_capacity_memory(
         code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=1,
         num_shards=SHARDS,
     )
@@ -63,7 +64,7 @@ def run_with_io_chaos(code, cache_path, io_faults, workers=1, **kw):
     with pytest.MonkeyPatch.context() as mp:
         if io_faults is not None:
             mp.setattr(runtime, "CheckpointJournal", chaos_journal(IOChaosPlan(io_faults)))
-        return sharded_code_capacity_memory(
+        return code_capacity_memory(
             code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=workers,
             num_shards=SHARDS, checkpoint=cache_path, **kw,
         )
@@ -238,7 +239,7 @@ class TestIOFaultKinds:
         """checkpoint= pointing at a directory (sqlite can't open it) must
         degrade at open time, not kill the run."""
         with pytest.warns(JournalDegraded):
-            result = sharded_code_capacity_memory(
+            result = code_capacity_memory(
                 code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=1,
                 num_shards=SHARDS, checkpoint=tmp_path,
             )
@@ -266,7 +267,9 @@ class TestStorageFirewall:
         assert len(spy_run_shard) == SHARDS
         with CheckpointJournal(path) as journal:
             assert journal.runs() == [(key, "capacity", SHOTS, SHARDS)]
-            assert journal.merged_counts(key) == (baseline.shots, baseline.failures)
+            counts = journal.completed_shards(key).values()
+            assert sum(s for s, _ in counts) == baseline.shots
+            assert sum(f for _, f in counts) == baseline.failures
             assert journal._conn.execute(
                 "SELECT shard_index, failures, reason FROM quarantine"
             ).fetchall() == [(0, 99, "metadata mismatch")]
@@ -304,7 +307,7 @@ class TestStorageFirewall:
         plan = IOChaosPlan({1: "io_error_on_write"})
         monkeypatch.setattr(runtime, "CheckpointJournal", chaos_journal(plan))
         with pytest.warns(JournalDegraded, match="while clearing the run"):
-            result = sharded_code_capacity_memory(
+            result = code_capacity_memory(
                 code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=1,
                 num_shards=SHARDS, checkpoint=path, resume=False,
             )
@@ -313,13 +316,13 @@ class TestStorageFirewall:
         assert plan.writes_seen == 1
 
     def test_disk_full_while_quarantining_a_read_degrades(
-        self, code, baseline, tmp_path, spy_run_shard
+        self, code, baseline, tmp_path, spy_run_shard, monkeypatch
     ):
         """A bad row found on the read before computing is quarantined by
-        a write (write 1 is the re-registration's physics-key backfill,
-        write 2 the quarantine insert).  If that write fails, the read
-        degrades and every shard is recomputed; the bad row stays on disk
-        and the next clean run quarantines it."""
+        a write (re-registering the run writes nothing, so write 1 is the
+        quarantine insert, and no later write is tried).  If that write
+        fails, the read degrades and every shard is recomputed; the bad row
+        stays on disk and the next clean run quarantines it."""
         path = tmp_path / "c.sqlite"
         assert run_with_io_chaos(code, path, None) == baseline
         with CheckpointJournal(path) as journal:
@@ -329,9 +332,16 @@ class TestStorageFirewall:
             )
             journal._conn.commit()
         spy_run_shard.clear()
-        with pytest.warns(JournalDegraded, match="while reading completed shards"):
-            result = run_with_io_chaos(code, path, {2: "disk_full"})
+        plan = IOChaosPlan({1: "disk_full"})
+        with monkeypatch.context() as mp:
+            mp.setattr(runtime, "CheckpointJournal", chaos_journal(plan))
+            with pytest.warns(JournalDegraded, match="while reading completed shards"):
+                result = code_capacity_memory(
+                    code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=1,
+                    num_shards=SHARDS, checkpoint=path,
+                )
         assert result == baseline
+        assert plan.writes_seen == 1
         assert len(spy_run_shard) == SHARDS
         spy_run_shard.clear()
         with pytest.warns(CacheCorrupt):
@@ -352,7 +362,7 @@ class TestCombinedChaos:
             chaos_journal(IOChaosPlan({2: "io_error_on_write"})),
         )
         with pytest.warns(JournalDegraded):
-            result = sharded_code_capacity_memory(
+            result = code_capacity_memory(
                 code, EPS, rounds=1, shots=SHOTS, seed=SEED, workers=2,
                 num_shards=SHARDS, checkpoint=tmp_path / "c.sqlite",
             )

@@ -15,7 +15,6 @@ from repro.threshold import (
     fit_level1_coefficient,
     memory_experiment,
     pseudo_threshold,
-    sharded_code_capacity_memory,
     threshold_from_counting,
 )
 from repro.threshold.counting import FullSteaneRound
@@ -232,17 +231,10 @@ class TestRunSizeValidation:
     # Each of these used to return a count: 0/100 for -0.1 and nan, and
     # 83/100 (unsharded) or 75/100 (workers=2) for 1.5.
     BAD_RATES = {"eps=-0.1": -0.1, "eps=1.5": 1.5, "eps=nan": float("nan")}
-    CAPACITY_ENTRY_POINTS = {
-        "code_capacity_memory": code_capacity_memory,
-        "sharded_code_capacity_memory": sharded_code_capacity_memory,
-    }
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("rate", sorted(BAD_RATES))
-    @pytest.mark.parametrize("entry", sorted(CAPACITY_ENTRY_POINTS))
-    def test_bad_rate_raises_value_error_without_warning(
-        self, entry, rate, path, monkeypatch
-    ):
+    def test_bad_rate_raises_value_error_without_warning(self, rate, path, monkeypatch):
         from repro.threshold import sharded
 
         def no_shards(*args, **kwargs):
@@ -252,7 +244,7 @@ class TestRunSizeValidation:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="eps"):
-                self.CAPACITY_ENTRY_POINTS[entry](
+                code_capacity_memory(
                     SteaneCode(), self.BAD_RATES[rate], 1, 100, seed=0,
                     **self.PATHS[path],
                 )
@@ -263,12 +255,9 @@ class TestRunSizeValidation:
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("rate", sorted(EDGE_RATES))
-    @pytest.mark.parametrize("entry", sorted(CAPACITY_ENTRY_POINTS))
-    def test_interval_endpoints_are_accepted(self, entry, rate, path):
+    def test_interval_endpoints_are_accepted(self, rate, path):
         eps = self.EDGE_RATES[rate]
-        result = self.CAPACITY_ENTRY_POINTS[entry](
-            SteaneCode(), eps, 1, 100, seed=0, **self.PATHS[path]
-        )
+        result = code_capacity_memory(SteaneCode(), eps, 1, 100, seed=0, **self.PATHS[path])
         assert result.shots == 100
         if eps == 0.0:
             assert result.failures == 0

@@ -22,7 +22,7 @@ from repro.threshold import (
     JournalMismatch,
     compute_run_key,
     fit_level1_coefficient,
-    sharded_memory_experiment,
+    memory_experiment,
 )
 from repro.threshold import sharded
 
@@ -40,6 +40,12 @@ def protocol():
 @pytest.fixture()
 def journal_path(tmp_path):
     return tmp_path / "checkpoint.sqlite"
+
+
+def shard_totals(journal, run_key):
+    """Summed verified ``(shots, failures)`` of a run's recorded shards."""
+    counts = journal.completed_shards(run_key).values()
+    return sum(s for s, _ in counts), sum(f for _, f in counts)
 
 
 def run_key_for(protocol, code, shots, seed, num_shards):
@@ -111,7 +117,6 @@ class TestJournalStore:
             journal.record_shard("k1", 0, 50, 3)
             journal.record_shard("k1", 1, 50, 1)
             assert journal.completed_shards("k1") == {0: (50, 3), 1: (50, 1)}
-            assert journal.merged_counts("k1") == (100, 4)
             assert journal.runs() == [("k1", "memory", 100, 2)]
 
     def test_rerecord_is_idempotent(self, journal_path):
@@ -180,26 +185,6 @@ class TestJournalStore:
             # The stored row is untouched by the failed attempts.
             assert journal.runs() == [("k1", "memory", 100, 2)]
 
-    def test_reregistration_backfills_only_a_missing_physics_key(
-        self, journal_path
-    ):
-        """A run registered without a physics key (as a migrated v0 run
-        is) gains one on its next registration; an existing key is never
-        overwritten, so a run cannot migrate into another physics pool."""
-        with CheckpointJournal(journal_path) as journal:
-            journal.register_run("k1", kind="memory", shots=100, num_shards=2)
-            journal.record_shard("k1", 0, 50, 3)
-            journal.record_shard("k1", 1, 50, 1)
-            assert journal.pooled_physics_counts("p1") == (0, 0, [])
-            journal.register_run(
-                "k1", kind="memory", shots=100, num_shards=2, physics_key="p1"
-            )
-            journal.register_run(
-                "k1", kind="memory", shots=100, num_shards=2, physics_key="p2"
-            )
-            assert journal.pooled_physics_counts("p1") == (100, 4, ["k1"])
-            assert journal.pooled_physics_counts("p2") == (0, 0, [])
-
     def test_quarantine_run_keeps_every_row_for_forensics(self, journal_path):
         with CheckpointJournal(journal_path) as journal:
             for key in ("k1", "k2"):
@@ -218,17 +203,6 @@ class TestJournalStore:
                 ("k1", 0, 50, 3, "metadata mismatch"),
                 ("k1", 1, 50, 1, "metadata mismatch"),
             ]
-
-    def test_merged_counts_leave_out_a_tampered_row(self, journal_path):
-        with CheckpointJournal(journal_path) as journal:
-            journal.record_shard("k1", 0, 50, 3)
-            journal.record_shard("k1", 1, 50, 1)
-            journal._conn.execute(
-                "UPDATE shard_results SET failures = 0 WHERE shard_index = 0"
-            )
-            journal._conn.commit()
-            with pytest.warns(CacheCorrupt):
-                assert journal.merged_counts("k1") == (50, 1)
 
 
 class TestRowValidation:
@@ -316,10 +290,10 @@ class TestCheckpointedRuns:
     def test_checkpointed_run_matches_plain_run(
         self, protocol, code, journal_path
     ):
-        base = sharded_memory_experiment(
+        base = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1, num_shards=6
         )
-        checkpointed = sharded_memory_experiment(
+        checkpointed = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -327,17 +301,17 @@ class TestCheckpointedRuns:
         key = run_key_for(protocol, code, 600, 5, 6)
         with CheckpointJournal(journal_path) as journal:
             assert sorted(journal.completed_shards(key)) == [0, 1, 2, 3, 4, 5]
-            assert journal.merged_counts(key) == (base.shots, base.failures)
+            assert shard_totals(journal, key) == (base.shots, base.failures)
 
     def test_completed_run_replays_without_executing(
         self, protocol, code, journal_path, spy_run_shard
     ):
-        first = sharded_memory_experiment(
+        first = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
         executed_first = len(spy_run_shard)
-        replayed = sharded_memory_experiment(
+        replayed = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -350,10 +324,10 @@ class TestCheckpointedRuns:
     ):
         """The acceptance criterion: a run killed mid-scan resumes from the
         journal and re-executes only the shards that never finished."""
-        base = sharded_memory_experiment(
+        base = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1, num_shards=6
         )
-        sharded_memory_experiment(
+        memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -367,7 +341,7 @@ class TestCheckpointedRuns:
                 )
             journal._conn.commit()
         spy_run_shard.clear()
-        resumed = sharded_memory_experiment(
+        resumed = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -378,12 +352,12 @@ class TestCheckpointedRuns:
     def test_resume_false_reexecutes_everything(
         self, protocol, code, journal_path, spy_run_shard
     ):
-        sharded_memory_experiment(
+        memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
         spy_run_shard.clear()
-        sharded_memory_experiment(
+        memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path, resume=False,
         )
@@ -392,13 +366,13 @@ class TestCheckpointedRuns:
     def test_changed_inputs_never_replay_stale_rows(
         self, protocol, code, journal_path, spy_run_shard
     ):
-        sharded_memory_experiment(
+        memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
         spy_run_shard.clear()
         # Different seed → different run key → full re-execution.
-        sharded_memory_experiment(
+        memory_experiment(
             protocol, code, rounds=1, shots=600, seed=6, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -410,10 +384,10 @@ class TestCheckpointedRuns:
         """A bad cached row must never poison a resume OR kill it: the row
         is quarantined (CacheCorrupt warning), only that shard recomputes,
         and the pooled answer is bit-for-bit what a clean run produces."""
-        base = sharded_memory_experiment(
+        base = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1, num_shards=6
         )
-        sharded_memory_experiment(
+        memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -422,7 +396,7 @@ class TestCheckpointedRuns:
             journal.record_shard(key, 0, 999, 0)  # wrong shard size
         spy_run_shard.clear()
         with pytest.warns(CacheCorrupt):
-            resumed = sharded_memory_experiment(
+            resumed = memory_experiment(
                 protocol, code, rounds=1, shots=600, seed=5, workers=1,
                 num_shards=6, checkpoint=journal_path,
             )
@@ -430,7 +404,7 @@ class TestCheckpointedRuns:
         assert resumed == base
         # The repaired journal is clean: a further resume replays fully.
         spy_run_shard.clear()
-        sharded_memory_experiment(
+        memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -441,7 +415,7 @@ class TestCheckpointedRuns:
     ):
         """Bit rot on a stored row (failures flipped, checksum now stale)
         is caught by checksum verification, not just shard-plan checks."""
-        base = sharded_memory_experiment(
+        base = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1,
             num_shards=6, checkpoint=journal_path,
         )
@@ -455,7 +429,7 @@ class TestCheckpointedRuns:
             journal._conn.commit()
         spy_run_shard.clear()
         with pytest.warns(CacheCorrupt):
-            resumed = sharded_memory_experiment(
+            resumed = memory_experiment(
                 protocol, code, rounds=1, shots=600, seed=5, workers=1,
                 num_shards=6, checkpoint=journal_path,
             )
@@ -464,10 +438,10 @@ class TestCheckpointedRuns:
 
     @pytest.mark.slow_mp
     def test_multiprocess_checkpoint_resume(self, protocol, code, journal_path):
-        base = sharded_memory_experiment(
+        base = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=1, num_shards=6
         )
-        mp_run = sharded_memory_experiment(
+        mp_run = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=2,
             num_shards=6, checkpoint=journal_path,
         )
@@ -480,7 +454,7 @@ class TestCheckpointedRuns:
                     (key, idx),
                 )
             journal._conn.commit()
-        resumed = sharded_memory_experiment(
+        resumed = memory_experiment(
             protocol, code, rounds=1, shots=600, seed=5, workers=2,
             num_shards=6, checkpoint=journal_path,
         )
@@ -515,14 +489,14 @@ import sys, warnings
 from repro.codes import SteaneCode
 from repro.ft import SteaneECProtocol
 from repro.noise import circuit_level
-from repro.threshold import JournalDegraded, sharded_memory_experiment
+from repro.threshold import JournalDegraded, memory_experiment
 
 seed, path = int(sys.argv[1]), sys.argv[2]
 with warnings.catch_warnings():
     # Degrading under contention would silently skip journaling — the whole
     # point of WAL + busy timeout is that two drivers serialize instead.
     warnings.simplefilter("error", JournalDegraded)
-    res = sharded_memory_experiment(
+    res = memory_experiment(
         SteaneECProtocol(circuit_level(2e-3)), SteaneCode(), rounds=1,
         shots=400, seed=seed, workers=1, num_shards=4, checkpoint=path,
     )
@@ -561,12 +535,12 @@ class TestConcurrentDrivers:
         with CheckpointJournal(journal_path) as journal:
             assert sorted(journal.completed_shards(key5)) == [0, 1, 2, 3]
             assert sorted(journal.completed_shards(key6)) == [0, 1, 2, 3]
-            merged5 = journal.merged_counts(key5)
-            merged6 = journal.merged_counts(key6)
+            merged5 = shard_totals(journal, key5)
+            merged6 = shard_totals(journal, key6)
         # And each child's printed counts are bit-for-bit what an
         # in-process run of the same seed produces.
         for seed, merged, (out, _) in zip((5, 6), (merged5, merged6), outs):
-            expected = sharded_memory_experiment(
+            expected = memory_experiment(
                 protocol, code, rounds=1, shots=400, seed=seed,
                 workers=1, num_shards=4,
             )

@@ -24,9 +24,8 @@ from repro.threshold import (
     RunDegraded,
     ShardRetryExhausted,
     ShardTimeout,
+    code_capacity_memory,
     memory_experiment,
-    sharded_code_capacity_memory,
-    sharded_memory_experiment,
 )
 from repro.threshold import runtime
 
@@ -49,7 +48,7 @@ def protocol():
 @pytest.fixture(scope="module")
 def baseline(protocol, code):
     """Fault-free workers=1 run of the shard plan every chaos test reuses."""
-    return sharded_memory_experiment(
+    return memory_experiment(
         protocol, code, rounds=1, shots=800, seed=7, workers=1, num_shards=8
     )
 
@@ -58,7 +57,7 @@ def run_with_chaos(protocol, code, chaos, workers=2, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         if chaos is not None:
             mp.setattr(runtime, "_guarded_run_shard", chaos)
-        return sharded_memory_experiment(
+        return memory_experiment(
             protocol, code, rounds=1, shots=800, seed=7, workers=workers,
             num_shards=8, **kwargs,
         )
@@ -171,13 +170,13 @@ class TestMultiprocessChaos:
         assert result == baseline
 
     def test_capacity_entry_point_under_chaos(self, code, monkeypatch):
-        base = sharded_code_capacity_memory(
+        base = code_capacity_memory(
             code, 5e-3, rounds=2, shots=400, seed=9, workers=1, num_shards=4
         )
         monkeypatch.setattr(
             runtime, "_guarded_run_shard", ChaosPlan({1: "exception"}, times=1)
         )
-        faulted = sharded_code_capacity_memory(
+        faulted = code_capacity_memory(
             code, 5e-3, rounds=2, shots=400, seed=9, workers=2, num_shards=4,
         )
         assert faulted == base

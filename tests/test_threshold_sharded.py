@@ -32,16 +32,14 @@ from repro.threshold import (
     PseudoThresholdNotBracketed,
     PseudoThresholdWarning,
     code_capacity_memory,
-    compute_physics_key,
     compute_run_key,
     crossing_from_curve,
     memory_experiment,
     pseudo_threshold,
-    sharded_memory_experiment,
     shard_sizes,
     spawn_shard_seeds,
 )
-from repro.threshold import runtime, sharded
+from repro.threshold import montecarlo, runtime, sharded
 from repro.util.stats import binomial_confidence, logical_error_per_round
 
 
@@ -129,25 +127,34 @@ class TestShardPlan:
     @pytest.mark.slow_mp
     def test_more_workers_than_shards_warns(self, code):
         with pytest.warns(UserWarning, match="capped at the shard count"):
-            sharded_memory_experiment(
+            memory_experiment(
                 SteaneECProtocol(circuit_level(1e-2)), code,
                 rounds=1, shots=200, seed=0, workers=3, num_shards=2,
             )
 
 
 class TestSingleProcessParity:
-    def test_workers1_bit_for_bit(self, code, protocol):
-        """The acceptance criterion: workers=1 sharded == unsharded."""
-        base = memory_experiment(protocol, code, rounds=2, shots=2000, seed=7)
-        via_driver = sharded_memory_experiment(
-            protocol, code, rounds=2, shots=2000, seed=7, workers=1
+    def test_workers1_without_a_shard_plan_runs_unsharded(
+        self, code, protocol, monkeypatch
+    ):
+        """workers=1 with no num_shards and no checkpoint plans no shards:
+        it is the one-stream run, seed for seed."""
+        rng_run = memory_experiment(
+            protocol, code, rounds=2, shots=2000, seed=np.random.default_rng(7)
         )
-        assert via_driver == base
+
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a workers=1 run planned shards")
+
+        monkeypatch.setattr(montecarlo, "_run_sharded", no_shards)
+        assert memory_experiment(
+            protocol, code, rounds=2, shots=2000, seed=7, workers=1
+        ) == rng_run
 
     def test_serial_shards_match_manual_pooling(self, code, protocol):
         """Pooled counts == sum of per-shard runs with the spawned seeds."""
         shots, num_shards = 3000, 3
-        pooled = sharded_memory_experiment(
+        pooled = memory_experiment(
             protocol, code, rounds=1, shots=shots, seed=11, workers=1,
             num_shards=num_shards,
         )
@@ -205,13 +212,11 @@ class TestShardPayload:
         # the caller's own args.
         copy = pickle.loads(pickle.dumps(args))
         run_key = compute_run_key(kind, copy, 1001, fingerprint, len(specs))
-        physics_key = compute_physics_key(kind, copy)
         for spec in specs:
             assert spec[1] is specs[0][1]
             shipped = pickle.loads(spec[1])
             key = compute_run_key(kind, shipped, 1001, fingerprint, len(specs))
             assert key == run_key
-            assert compute_physics_key(kind, shipped) == physics_key
 
     def test_a_serial_run_unpickles_once_and_keeps_nothing(self, code, monkeypatch):
         loads = pickle.loads
@@ -444,10 +449,10 @@ class TestPoolLifecycle:
 
     def test_pool_cache_reused_across_clean_calls(self, code, protocol):
         kwargs = dict(rounds=1, shots=600, seed=3, workers=2, num_shards=4)
-        first = sharded_memory_experiment(protocol, code, **kwargs)
+        first = memory_experiment(protocol, code, **kwargs)
         pool = runtime._pool_cache.get(2)
         assert pool is not None
-        second = sharded_memory_experiment(protocol, code, **kwargs)
+        second = memory_experiment(protocol, code, **kwargs)
         # Same executor object: the ~0.6 s spawn cost is paid once per scan.
         assert runtime._pool_cache.get(2) is pool
         assert second == first
@@ -457,8 +462,8 @@ class TestPoolLifecycle:
         the OOM killer would) and the next call must replace the executor
         and still finish bit-for-bit."""
         kwargs = dict(rounds=1, shots=600, seed=3, num_shards=4)
-        base = sharded_memory_experiment(protocol, code, workers=1, **kwargs)
-        sharded_memory_experiment(protocol, code, workers=2, **kwargs)
+        base = memory_experiment(protocol, code, workers=1, **kwargs)
+        memory_experiment(protocol, code, workers=2, **kwargs)
         pool = runtime._pool_cache[2]
         victim = next(iter(pool._processes.values()))
         victim.kill()
@@ -468,7 +473,7 @@ class TestPoolLifecycle:
         while not pool._broken and time.monotonic() < deadline:
             time.sleep(0.05)
         assert pool._broken
-        result = sharded_memory_experiment(protocol, code, workers=2, **kwargs)
+        result = memory_experiment(protocol, code, workers=2, **kwargs)
         assert result == base
         assert runtime._pool_cache.get(2) is not pool
 
