@@ -24,7 +24,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol
-from repro.ft.steane_ec import SteaneAncillaPrep
+from repro.ft.steane_ec import SteaneAncillaPrep, SteaneSyndromeExtraction
 from repro.noise import NoiseModel, circuit_level
 from repro.pauliframe import (
     CompiledFrameProgram,
@@ -154,6 +154,23 @@ class TestExactParity:
         compiled = FrameSimulator(c, backend="compiled").run(shots, seed=0, initial_fx=init_fx)
         assert_results_equal(legacy, compiled)
 
+    def test_e04_extraction_circuit_noiseless_parity(self):
+        # The E04 protocol circuit: X and Z frames on every data and
+        # ancilla qubit at t = 0 must propagate identically.
+        c = SteaneSyndromeExtraction(SteaneCode(), 2).extraction_circuit()
+        rng = np.random.default_rng(4)
+        shots = 70
+        init_fx = (rng.random((shots, c.num_qubits)) < 0.1).astype(np.uint8)
+        init_fz = (rng.random((shots, c.num_qubits)) < 0.1).astype(np.uint8)
+        legacy = FrameSimulator(c, backend="legacy").run(
+            shots, seed=0, initial_fx=init_fx, initial_fz=init_fz
+        )
+        compiled = FrameSimulator(c, backend="compiled").run(
+            shots, seed=0, initial_fx=init_fx, initial_fz=init_fz
+        )
+        assert_results_equal(legacy, compiled)
+        assert legacy.meas_flips.any()
+
     def test_broadcast_initial_frames_match_legacy(self):
         # The legacy engine accepts a (1, n) initial frame via NumPy
         # broadcasting; the packed engine must broadcast before packing
@@ -246,13 +263,28 @@ class TestFaultInjection:
         assert_results_equal(sim.run(shots, seed=3, fault_injections=specs), legacy)
         assert sim._compiled is None
 
+    def test_an_injected_run_keeps_the_cached_program(self):
+        c = Circuit(2, 2).h(0).cnot(0, 1).measure(0, 0).measure(1, 1)
+        sim = FrameSimulator(c, circuit_level(0.05), backend="compiled")
+        plain = sim.run(130, seed=9)
+        program = sim._compiled
+        assert program is not None
+        sim.run(2, seed=0, fault_injections=[(0, 0, "X"), (1, 1, "Z")])
+        assert sim._compiled is program
+        assert_results_equal(sim.run(130, seed=9), plain)
+        assert sim._compiled is program
+
     CIRCUIT = Circuit(2, 2).h(0).cnot(0, 1).measure(0, 0).measure(1, 1)
     # Unchecked, qubit -1 would hit the last qubit, op indices outside the
     # circuit would be dropped, ``True`` would index the frame as a mask
-    # (differently on the two backends), and 1.0 would run as op 1.
+    # (differently on the two backends), and 1.0 would run as op 1.  The
+    # entries one past each end of [-1, 4) and [0, 2) pin the bounds.
     BAD_SPECS = {
         "qubit=-1": ((1, -1, "X"), ValueError),
+        "qubit=2": ((1, 2, "X"), ValueError),
+        "op_index=4": ((4, 0, "X"), ValueError),
         "op_index=7": ((7, 0, "X"), ValueError),
+        "op_index=-2": ((-2, 0, "X"), ValueError),
         "op_index=-5": ((-5, 0, "X"), ValueError),
         "qubit=True": ((1, True, "X"), TypeError),
         "op_index=1.0": ((1.0, 0, "X"), TypeError),
