@@ -6,8 +6,8 @@ overwrite ``BENCH_*.json`` on a >20% throughput regression, and ``--tests``
 runs the tier-1 pytest suite (with the per-test watchdog from
 ``tests/conftest.py`` active, so an injected hang can never wedge it;
 ``--tests --quick`` skips the ``slow_mp`` multiprocess/chaos tests), and
-``--lint`` runs the in-repo static-analysis pass (``repro.analysis
---strict``; see ANALYSIS.md).
+``--lint`` runs the in-repo static-analysis pass (``python -m
+repro.analysis``; see ANALYSIS.md).
 
 Resilience: Monte Carlo experiments run on the crash-safe sharded runtime
 (`repro.threshold.runtime`).  ``--checkpoint PATH`` journals every finished
@@ -110,13 +110,13 @@ def run_tests(quick: bool) -> int:
 
 def run_lint() -> int:
     """Static-analysis pass: the RPL rule catalog over src/scripts/tests
-    plus the committed baseline (``python -m repro.analysis --strict``).
-    See ANALYSIS.md for the catalog and the suppression/baseline
-    workflow."""
+    (``python -m repro.analysis``); any finding no inline suppression
+    covers exits 1.  See ANALYSIS.md for the catalog and the suppression
+    syntax."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.analysis.__main__ import main as lint_main
 
-    return lint_main(["--strict", "--root", str(REPO_ROOT)])
+    return lint_main(["--root", str(REPO_ROOT)])
 
 
 def run_cache_command(command: list[str], cache_path: str) -> int:
@@ -160,9 +160,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--lint", action="store_true",
-        help="run the in-repo static-analysis pass (repro.analysis --strict: "
-        "RPL determinism/picklability/concurrency rules against the "
-        "committed baseline, see ANALYSIS.md)",
+        help="run the in-repo static-analysis pass (repro.analysis: "
+        "RPL determinism/picklability/concurrency rules; a finding fails "
+        "unless suppressed inline with a reason, see ANALYSIS.md)",
     )
     parser.add_argument("--quick", action="store_true", help="CI-sized bench/tests run")
     parser.add_argument(

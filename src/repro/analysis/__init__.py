@@ -4,17 +4,17 @@ linter and the packed-program verifier.
 Two entry points:
 
 * :func:`repro.analysis.linter.lint_paths` / ``python -m repro.analysis``
-  — the AST linter (``RPL###`` rule catalog, per-line suppressions,
-  committed baseline); stdlib-``ast`` only and never imports the code it
-  lints.
+  — the AST linter (``RPL###`` rule catalog; a finding fails unless an
+  inline suppression with a reason covers it); stdlib-``ast`` only and
+  never imports the code it lints.
 * :func:`repro.analysis.progcheck.verify_program` — the packed-program
   verifier :class:`repro.pauliframe.compiled.CompiledFrameProgram` runs
   over its own instruction stream at build time (opcode validity,
   operand bounds, fused-batch aliasing, noise-plane budgets,
   probability ranges).
 
-See ``ANALYSIS.md`` at the repo root for the rule catalog, suppression
-syntax, and the baseline workflow.
+See ``ANALYSIS.md`` at the repo root for the rule catalog and the
+suppression syntax.
 
 ``progcheck`` names are re-exported lazily so importing the linter (CI,
 pre-commit) never pulls numpy or the simulation engine.
@@ -23,16 +23,9 @@ pre-commit) never pulls numpy or the simulation engine.
 from __future__ import annotations
 
 from repro.analysis.diagnostics import RULES, Diagnostic, Rule, iter_rules
-from repro.analysis.linter import (
-    BASELINE_NAME,
-    LintReport,
-    collect_targets,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.linter import LintReport, collect_targets, lint_paths, lint_source
 
 __all__ = [
-    "BASELINE_NAME",
     "Diagnostic",
     "LintReport",
     "RULES",

@@ -2,15 +2,13 @@
 
 Usage (from the repo root)::
 
-    python -m repro.analysis                 # lint, reconcile with baseline
-    python -m repro.analysis --strict        # also fail on stale baseline rows
-    python -m repro.analysis --write-baseline
+    python -m repro.analysis                     # lint the repo layout
     python -m repro.analysis --list-rules
     python -m repro.analysis --verify-programs   # packed-program verifier
     python -m repro.analysis path/to/file.py --profile tests
 
-Exit codes: 0 clean, 1 findings (or, under ``--strict``, stale baseline
-entries), 2 usage/configuration error.
+Exit codes: 0 clean, 1 any finding no inline suppression covers, 2
+usage/configuration error.
 """
 
 from __future__ import annotations
@@ -21,12 +19,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.diagnostics import iter_rules
-from repro.analysis.linter import (
-    BASELINE_NAME,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.linter import lint_paths
 
 
 def _find_root(start: Path) -> Path:
@@ -73,25 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         help="repo root (default: auto-detected from cwd)",
     )
     parser.add_argument(
-        "--strict", action="store_true",
-        help="also fail (exit 1) on stale baseline entries",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: <root>/{BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="regenerate the baseline from current findings and exit 0; "
-        "entries new to the baseline require --reason",
-    )
-    parser.add_argument(
-        "--reason", default=None, metavar="TEXT",
-        help="justification recorded on entries new to the baseline "
-        "(carried-forward entries keep their existing reasons)",
-    )
-    parser.add_argument(
-        "--profile", choices=("auto", "src", "tools", "tests"), default="auto",
+        "--profile", choices=("auto", "src", "tests"), default="auto",
         help="rule profile (default: auto — tests/ relaxed, all else strict)",
     )
     parser.add_argument(
@@ -116,30 +91,12 @@ def main(argv: list[str] | None = None) -> int:
         return _verify_shipped_programs()
 
     root = (args.root or _find_root(Path.cwd())).resolve()
-    baseline_path = args.baseline if args.baseline is not None else root / BASELINE_NAME
     profile = None if args.profile == "auto" else args.profile
     try:
-        report = lint_paths(
-            root,
-            paths=args.paths or None,
-            baseline_path=baseline_path,
-            profile_override=profile,
-        )
+        report = lint_paths(root, paths=args.paths or None, profile_override=profile)
     except (OSError, SyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        old = load_baseline(baseline_path)
-        try:
-            entries = write_baseline(
-                baseline_path, report.findings, old, default_reason=args.reason
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {len(entries)} baseline entr(y/ies) to {baseline_path}")
-        return 0
 
     if args.format == "json":
         print(
@@ -147,9 +104,7 @@ def main(argv: list[str] | None = None) -> int:
                 {
                     "files": report.files,
                     "findings": [d.__dict__ for d in report.findings],
-                    "baselined": len(report.baselined),
                     "suppressed": len(report.suppressed),
-                    "stale_baseline": report.stale_baseline,
                 },
                 indent=1,
             )
@@ -157,27 +112,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for diag in report.findings:
             print(diag.format())
-        summary = (
+        print(
             f"{report.files} file(s): {len(report.findings)} finding(s), "
-            f"{len(report.baselined)} baselined, "
             f"{len(report.suppressed)} suppressed"
         )
-        if report.stale_baseline:
-            summary += f", {len(report.stale_baseline)} stale baseline entr(y/ies)"
-            for entry in report.stale_baseline:
-                print(
-                    f"stale baseline entry: {entry['path']}: {entry['rule']}: "
-                    f"{entry['snippet']!r} no longer matches — run "
-                    f"--write-baseline to drop it",
-                    file=sys.stderr,
-                )
-        print(summary)
-
-    if report.findings:
-        return 1
-    if args.strict and report.stale_baseline:
-        return 1
-    return 0
+    return 1 if report.findings else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ source text and therefore lives outside the rule registry.
 Suppression syntax
 ------------------
 A diagnostic is suppressed by a comment on the flagged line (or on a
-comment-only line directly above it)::
+comment-only line directly above it), the only way a finding passes the
+lint::
 
     pool.shutdown(wait=False)  # repro: disable=RPL303 -- workers reaped below
 
@@ -156,22 +157,15 @@ def iter_rules() -> list[Rule]:
 
 @dataclass
 class Diagnostic:
-    """One finding, addressable by (path, rule, snippet) for baselining.
-
-    ``snippet`` is the stripped source line the finding anchors to; the
-    baseline matches on it instead of the line number so unrelated edits
-    above a baselined violation do not resurrect it.
-    """
+    """One finding: a rule fired at ``path:line``.  ``suppressed`` marks a
+    finding an inline ``# repro: disable=`` comment covers; any other
+    finding fails the lint."""
 
     rule: str
     path: str
     line: int
     message: str
-    snippet: str = ""
     suppressed: bool = field(default=False, compare=False)
-
-    def key(self) -> tuple[str, str, str]:
-        return (self.path, self.rule, self.snippet)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"

@@ -48,13 +48,6 @@ _WALL_CLOCK_CHAINS = {
 }
 
 
-def _snippet(ctx, node: ast.AST) -> str:
-    line = getattr(node, "lineno", 0)
-    if 1 <= line <= len(ctx.lines):
-        return ctx.lines[line - 1].strip()
-    return ""
-
-
 def _attr_chain(node: ast.AST) -> list[str]:
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -136,7 +129,6 @@ class _Visitor(ast.NodeVisitor):
                     "broad except silently swallows the fault; narrow the "
                     "exception type, re-raise, or emit warnings.warn so the "
                     "failure stays observable",
-                    _snippet(self.ctx, node),
                 )
             )
         self.generic_visit(node)
@@ -159,7 +151,6 @@ class _Visitor(ast.NodeVisitor):
                         f"defines no __getstate__/__reduce__; connections "
                         f"are process-local and must refuse to pickle "
                         f"explicitly rather than ship a dead handle",
-                        _snippet(self.ctx, node),
                     )
                 )
 
@@ -174,7 +165,6 @@ class _Visitor(ast.NodeVisitor):
                         "ProcessPoolExecutor without mp_context= uses the "
                         "platform default start method (fork on Linux); "
                         "pass multiprocessing.get_context('spawn')",
-                        _snippet(self.ctx, node),
                     )
                 )
         elif callee == "get_context":
@@ -193,7 +183,6 @@ class _Visitor(ast.NodeVisitor):
                         f"get_context({ctx_name if arg is not None else ''}) "
                         f"is not spawn; forked children inherit locks, RNG "
                         f"state, and sqlite handles mid-flight",
-                        _snippet(self.ctx, node),
                     )
                 )
         elif chain[-2:] == ["multiprocessing", "Pool"]:
@@ -204,7 +193,6 @@ class _Visitor(ast.NodeVisitor):
                     node.lineno,
                     "multiprocessing.Pool() uses the platform default start "
                     "method; use a spawn-context ProcessPoolExecutor",
-                    _snippet(self.ctx, node),
                 )
             )
 
@@ -225,7 +213,6 @@ class _Visitor(ast.NodeVisitor):
                             "reap them (join/terminate with a budget) or "
                             "suppress with the reason they are reaped "
                             "elsewhere",
-                            _snippet(self.ctx, node),
                         )
                     )
 
@@ -244,7 +231,6 @@ class _Visitor(ast.NodeVisitor):
                         f"wall-clock time inside {enclosing}(): content-"
                         f"addressed keys must be time-independent or the "
                         f"cache never hits",
-                        _snippet(self.ctx, node),
                     )
                 )
         elif (
@@ -266,7 +252,6 @@ class _Visitor(ast.NodeVisitor):
                                 f"wall-clock time passed into {callee}(): "
                                 f"content-addressed keys must be "
                                 f"time-independent or the cache never hits",
-                                _snippet(self.ctx, sub),
                             )
                         )
                         break

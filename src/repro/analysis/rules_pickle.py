@@ -36,13 +36,6 @@ _SCRATCH_ATTR = re.compile(r"^_(buffers?|scratch\w*|caches?)$")
 _EXECUTOR_METHODS = {"submit", "map"}
 
 
-def _snippet(ctx, node: ast.AST) -> str:
-    line = getattr(node, "lineno", 0)
-    if 1 <= line <= len(ctx.lines):
-        return ctx.lines[line - 1].strip()
-    return ""
-
-
 def _class_methods(cls: ast.ClassDef) -> set[str]:
     return {
         stmt.name
@@ -127,7 +120,6 @@ class _SubmitVisitor(ast.NodeVisitor):
                         node.lineno,
                         f"{what} passed to .{node.func.attr}() cannot cross "
                         f"the spawn pickle boundary; move it to module level",
-                        _snippet(self.ctx, node),
                     )
                 )
                 break
@@ -149,7 +141,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                 f"class {node.name} defines __slots__ but no "
                 f"__getstate__/__setstate__/__reduce__; worker payloads "
                 f"carrying it can break at the pickle boundary",
-                _snippet(ctx, node),
             )
         # RPL203 — scratch buffers with no __getstate__ to exclude them.
         if not has_pickle_hook:
@@ -164,7 +155,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                     f"'{attr}' but has no __getstate__ excluding it — "
                     f"scratch state leaks into worker pickles and "
                     f"content-addressed run keys",
-                    _snippet(ctx, site),
                 )
     visitor = _SubmitVisitor(ctx)
     visitor.visit(ctx.tree)

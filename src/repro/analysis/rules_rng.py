@@ -87,13 +87,6 @@ def _seed_arithmetic(node: ast.AST) -> ast.BinOp | None:
     return None
 
 
-def _snippet(ctx, node: ast.AST) -> str:
-    line = getattr(node, "lineno", 0)
-    if 1 <= line <= len(ctx.lines):
-        return ctx.lines[line - 1].strip()
-    return ""
-
-
 def check(ctx) -> Iterator[Diagnostic]:
     for node in ast.walk(ctx.tree):
         # RPL104 — stdlib random.
@@ -106,7 +99,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                         node.lineno,
                         "stdlib 'random' is globally seeded; use a seeded "
                         "numpy Generator via repro.util.rng.as_rng",
-                        _snippet(ctx, node),
                     )
         elif isinstance(node, ast.ImportFrom):
             if node.module == "random":
@@ -116,7 +108,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                     node.lineno,
                     "stdlib 'random' is globally seeded; use a seeded "
                     "numpy Generator via repro.util.rng.as_rng",
-                    _snippet(ctx, node),
                 )
             elif node.module in ("numpy.random", "numpy"):
                 for alias in node.names:
@@ -130,7 +121,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                             node.lineno,
                             f"'from numpy.random import {alias.name}' pulls "
                             f"a legacy global-state RNG function",
-                            _snippet(ctx, node),
                         )
         if not isinstance(node, ast.Call):
             continue
@@ -147,7 +137,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                 node.lineno,
                 f"np.random.{chain[2]}() uses the hidden global RandomState; "
                 f"draw from a seeded Generator instead",
-                _snippet(ctx, node),
             )
             continue
         callee = chain[-1] if chain else ""
@@ -166,7 +155,6 @@ def check(ctx) -> Iterator[Diagnostic]:
                     "default_rng() without a seed draws OS entropy — the "
                     "run is irreproducible and its run key never matches; "
                     "pass a seed or SeedSequence",
-                    _snippet(ctx, node),
                 )
         # RPL103 — seed arithmetic feeding a generator.
         if callee in _SEED_CONSUMERS and (len(chain) == 1 or _is_np_random(chain)):
@@ -181,6 +169,5 @@ def check(ctx) -> Iterator[Diagnostic]:
                         f"streams collide across runs; spawn child streams "
                         f"via SeedSequence.spawn "
                         f"(repro.threshold.sharded.spawn_shard_seeds)",
-                        _snippet(ctx, bad),
                     )
                     break

@@ -94,7 +94,7 @@ class LogicalMemory:
         """
         if self.method == "ideal":
             return code_capacity_memory(
-                self.code, self.noise.eps_store or self.eps, rounds, shots, seed,
+                self.code, self.noise.eps_store, rounds, shots, seed,
                 workers=workers,
             )
         return memory_experiment(

@@ -6,8 +6,10 @@ error accumulation p₀ to 1/21 gives ε_gate,0 ~ 6·10⁻⁴ and ε_store,0 ~
 conservative guess that the final thresholds "will exceed 10⁻⁴".
 
 Two independent estimates here:
-* **counting** — exhaustive single-fault-path enumeration over the full
-  Fig. 9 round (the paper's own methodology, mechanized);
+* **counting** — exhaustive single-fault-path enumeration over the
+  Steane-EC protocol's own factory and extraction circuits, weighted as
+  ``circuit_level(ε)`` draws each fault (the paper's own methodology,
+  mechanized), giving ε₀ = 1/(21·c);
 * **Monte Carlo** — the pseudo-threshold crossing where the encoded
   per-round failure equals ε under the pessimistic §6 model.
 The paper's band [1e-4, 1e-3] should contain (or closely bracket) both.
@@ -21,7 +23,6 @@ from repro.codes import SteaneCode
 from repro.ft import SteaneECProtocol
 from repro.noise import circuit_level
 from repro.threshold import count_fault_paths, pseudo_threshold, threshold_from_counting
-from repro.threshold.counting import FullSteaneRound
 
 __all__ = ["run"]
 
@@ -47,7 +48,7 @@ def run(
         resilience["shard_timeout"] = shard_timeout
     if max_retries is not None:
         resilience["max_retries"] = max_retries
-    report = count_fault_paths(FullSteaneRound())
+    report = count_fault_paths()
     eps0_counting = threshold_from_counting(report)
 
     shots = 20_000 if quick else 150_000

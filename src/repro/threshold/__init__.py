@@ -7,8 +7,9 @@ Four complementary routes to the same physics:
 * :mod:`repro.threshold.scaling` — the non-concatenated code-family
   scaling of Eqs. 30–32;
 * :mod:`repro.threshold.counting` — exhaustive single-fault-path counting
-  over the actual Fig. 9 circuits, reproducing the ε₀ ≈ 6·10⁻⁴ estimate's
-  methodology;
+  over the Steane-EC protocol's own factory and extraction circuits,
+  weighted as ``circuit_level(ε)`` draws each fault, reproducing the
+  ε₀ ≈ 6·10⁻⁴ estimate's methodology;
 * :mod:`repro.threshold.montecarlo` — direct Monte Carlo of the EC
   protocols with the Pauli-frame engine (pseudo-threshold crossings,
   quadratic level-1 fits);

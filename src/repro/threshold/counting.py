@@ -6,17 +6,28 @@ eliminated in a previous error correction cycle.  We obtain an expression
 for p₀ in terms of the gate error and storage error probabilities that we
 can equate to 1/21 to find the threshold."
 
-We do exactly that, but mechanically: build the *monolithic* Fig. 9 round
-(ancilla encoding, two-block verification, transversal extraction, repeated
-syndromes), inject every possible single fault (each location × each Pauli
-kind), run the noiseless frame simulation, apply the classical protocol
-(verification fix-ups, §3.4 accept-if-repeated syndrome policy, decoding),
-and count which fault paths leave residual errors on data qubits.  The
-per-qubit path count c gives p₀ = c·ε and the threshold ε₀ = 1/(21·c).
+We do exactly that, mechanically, on the circuits the Monte Carlo runs:
+the ancilla factory and the extraction circuit of
+:class:`~repro.ft.exrec.SteaneECProtocol`.  Under ``circuit_level(ε)``
+every location the compiled sampler draws fails with probability ε, split
+over its outcomes the way the sampler splits it:
+
+* X, Y or Z at ε/3 after a one-qubit gate, and on every qubit at a TICK;
+* each of the nine Pauli pairs at ε/9 after a two-qubit gate
+  (``both_damaged``);
+* a record flip at ε on M or MX;
+* X at ε after R.
+
+Each outcome runs alone through a noiseless legacy-interpreter pass.  A
+factory fault goes through the verification fix-up and then enters each
+extraction layout as that layout's ancilla frame; an extraction fault
+starts from clean ancillas.  The protocol's own unpacked classical steps
+(syndrome parse, §3.4 policy, decode) then leave the residual data
+frames.  The weighted per-qubit path count is c = Σ w·|support| / 7 over
+the raw residual support, so p₀ = c·ε and ε₀ = 1/(21·c).
 
 A fault-tolerance *certificate* falls out for free: no single fault may
-produce a logical error (weight-2 residual on the data), which the test
-suite asserts.
+leave a logical error after ideal decoding, which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -27,140 +38,14 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.codes.steane import SteaneCode
-from repro.ft.exrec import resolve_syndrome_policy
-from repro.noise.models import NoiseModel
+from repro.ft.exrec import SteaneECProtocol
+from repro.noise.models import NoiseModel, circuit_level
 from repro.pauliframe.engine import FrameSimulator
+from repro.threshold.flow import CONCATENATION_COEFFICIENT
 
-__all__ = ["FullSteaneRound", "count_fault_paths", "threshold_from_counting", "FaultPathReport"]
+__all__ = ["count_fault_paths", "threshold_from_counting", "FaultPathReport"]
 
-
-class FullSteaneRound:
-    """The complete Fig. 9 round as one circuit (for fault enumeration).
-
-    Layout: data on [0,7).  For each of the four ancilla blocks
-    (bitflip/phaseflip × 2 repetitions): 7 ancilla qubits + 14 verification
-    qubits.  Classical bits per block: 14 verification + 7 syndrome.
-    """
-
-    def __init__(self, code: SteaneCode | None = None, repetitions: int = 2) -> None:
-        self.code = code or SteaneCode()
-        self.repetitions = repetitions
-        self.kinds = [
-            (kind, rep) for rep in range(repetitions) for kind in ("bitflip", "phaseflip")
-        ]
-        self.num_blocks = len(self.kinds)
-        self.num_qubits = 7 + 21 * self.num_blocks
-        self.cbits_per_block = 21
-        self.num_cbits = self.cbits_per_block * self.num_blocks
-        self.circuit, self.fixup_points = self._build()
-
-    def _block_qubits(self, b: int) -> tuple[int, int, int]:
-        """(ancilla base, verify1 base, verify2 base) for block b."""
-        base = 7 + 21 * b
-        return base, base + 7, base + 14
-
-    def _block_cbits(self, b: int) -> tuple[int, int, int]:
-        """(verify1 cbits, verify2 cbits, syndrome cbits) bases."""
-        base = self.cbits_per_block * b
-        return base, base + 7, base + 14
-
-    def _build(self) -> tuple[Circuit, dict[int, int]]:
-        code = self.code
-        c = Circuit(self.num_qubits, self.num_cbits, name="fig9-full-round")
-        enc = code.encoding_circuit()
-        fixup_points: dict[int, int] = {}
-        for b, (kind, _rep) in enumerate(self.kinds):
-            anc, v1, v2 = self._block_qubits(b)
-            cb_v1, cb_v2, cb_syn = self._block_cbits(b)
-            # Ancilla |0̄> preparation.
-            for q in range(7):
-                c.reset(anc + q, tag="anc_prep")
-            c.compose(enc.remapped({i: anc + i for i in range(7)}, num_qubits=self.num_qubits))
-            # Two verification rounds (§3.3).
-            for vbase, cbase in ((v1, cb_v1), (v2, cb_v2)):
-                for q in range(7):
-                    c.reset(vbase + q, tag="verify")
-                c.compose(
-                    enc.remapped({i: vbase + i for i in range(7)}, num_qubits=self.num_qubits)
-                )
-                for q in range(7):
-                    c.cnot(anc + q, vbase + q, tag="verify")
-                for q in range(7):
-                    c.measure(vbase + q, cbase + q, tag="verify")
-            # Conditional X̄ fix-up happens classically *here* — record the
-            # op index so the counting layer can splice in its effect.
-            fixup_points[b] = len(c.operations) - 1
-            # Extraction (§3.3 / Fig. 7c).
-            if kind == "bitflip":
-                for q in range(7):
-                    c.h(anc + q, tag="syndrome")
-                for q in range(7):
-                    c.cnot(q, anc + q, tag="syndrome")
-            else:
-                for q in range(7):
-                    c.cnot(anc + q, q, tag="syndrome")
-                for q in range(7):
-                    c.h(anc + q, tag="syndrome")
-            for q in range(7):
-                c.measure(anc + q, cb_syn + q, tag="syndrome")
-        return c, fixup_points
-
-    # ------------------------------------------------------------------
-    def classical_postprocess(
-        self, flips: np.ndarray, fx: np.ndarray, fz: np.ndarray, policy: str = "paper"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply verification fix-ups and syndrome corrections.
-
-        ``flips``/``fx``/``fz`` come from the frame simulation of
-        :attr:`circuit`; fix-up responses are added by linearity using the
-        precomputed transfer of an X̄ injected at each block's fix-up
-        point.  Returns corrected data frames ``(fx_data, fz_data)``.
-        """
-        flips = flips.copy()
-        fx = fx.copy()
-        fz = fz.copy()
-        responses = self._fixup_responses()
-        for b in range(self.num_blocks):
-            cb_v1, cb_v2, _ = self._block_cbits(b)
-            v1 = self.code.destructive_measurement_decode(flips[:, cb_v1 : cb_v1 + 7])
-            v2 = self.code.destructive_measurement_decode(flips[:, cb_v2 : cb_v2 + 7])
-            fire = (v1 & v2).astype(bool)
-            if fire.any():
-                r_flips, r_fx, r_fz = responses[b]
-                flips[fire] ^= r_flips
-                fx[fire] ^= r_fx
-                fz[fire] ^= r_fz
-        x_syn = np.zeros((flips.shape[0], self.repetitions, 3), dtype=np.uint8)
-        z_syn = np.zeros((flips.shape[0], self.repetitions, 3), dtype=np.uint8)
-        h = self.code.hz
-        for b, (kind, rep) in enumerate(self.kinds):
-            _, _, cb_syn = self._block_cbits(b)
-            bits = flips[:, cb_syn : cb_syn + 7]
-            syn = (bits @ h.T.astype(np.int64)) % 2
-            if kind == "bitflip":
-                x_syn[:, rep] = syn
-            else:
-                z_syn[:, rep] = syn
-        for syn, frame in ((x_syn, fx), (z_syn, fz)):
-            accepted, act = resolve_syndrome_policy(syn, policy)
-            corr = self.code.decode_bitflip_syndrome(accepted)
-            corr[~act.astype(bool)] = 0
-            frame[:, :7] ^= corr
-        return fx[:, :7], fz[:, :7]
-
-    def _fixup_responses(self):
-        cached = getattr(self, "_fixup_cache", None)
-        if cached is not None:
-            return cached
-        sim = FrameSimulator(self.circuit, NoiseModel())
-        responses = {}
-        for b in range(self.num_blocks):
-            anc, _, _ = self._block_qubits(b)
-            spec = [[(self.fixup_points[b], anc + q, "X") for q in range(7)]]
-            res = sim.run(1, seed=0, fault_injections=spec)
-            responses[b] = (res.meas_flips[0].copy(), res.fx[0].copy(), res.fz[0].copy())
-        self._fixup_cache = responses
-        return responses
+_PAULIS = ("X", "Y", "Z")
 
 
 @dataclass
@@ -169,15 +54,18 @@ class FaultPathReport:
 
     Attributes
     ----------
-    total_fault_cases: locations × Pauli kinds enumerated.
+    total_fault_cases: single-fault outcomes enumerated, over every
+        location of the factory (once per ancilla layout) and extraction.
     benign: cases leaving no residual data error.
-    residual_one: cases leaving exactly one residual data error
-        (the contributions to next round's p₀).
-    residual_multi: cases leaving ≥2 residual data errors (must be 0 for
-        a fault-tolerant circuit; asserted by tests).
+    residual_one: cases leaving an error on exactly one data qubit (the
+        contributions to next round's p₀).
+    residual_multi: cases leaving errors on two or more data qubits.  The
+        raw support counts every qubit a stabilizer factor touches, so a
+        residual that is a stabilizer, or a stabilizer times one Pauli,
+        lands here too.
     logical_failures: cases whose residual is a logical operator (must be 0).
-    per_qubit_paths: average count of (location, kind) cases hitting each
-        data qubit, i.e. the coefficient c with p₀ = (c/3)·ε.
+    per_qubit_paths: the weighted path count c per data qubit, in units
+        of ε, with p₀ = c·ε.
     """
 
     total_fault_cases: int
@@ -188,52 +76,90 @@ class FaultPathReport:
     per_qubit_paths: float
 
 
-def count_fault_paths(
-    round_builder: FullSteaneRound | None = None, policy: str = "paper"
-) -> FaultPathReport:
-    """Enumerate every single fault in the Fig. 9 round and classify it."""
-    rnd = round_builder or FullSteaneRound()
-    code = rnd.code
-    circuit = rnd.circuit
-    specs: list[tuple[int, int, str]] = []
+def _components(circuit: Circuit) -> list[tuple[float, list, int | None]]:
+    """Every outcome of every noise location of ``circuit`` under
+    ``circuit_level(ε)``, in program order: its weight in units of ε, the
+    injections that place it, and the cbit it flips (or ``None``)."""
+    out: list[tuple[float, list, int | None]] = []
     for i, op in enumerate(circuit):
         if op.gate == "TICK":
-            continue
-        for q in op.qubits:
-            for kind in ("X", "Y", "Z"):
-                specs.append((i, q, kind))
-    sim = FrameSimulator(circuit, NoiseModel())
-    res = sim.run(len(specs), seed=0, fault_injections=specs)
-    fx, fz = rnd.classical_postprocess(res.meas_flips, res.fx, res.fz, policy)
-    # Residuals modulo the stabilizer: ideal-correct then inspect.
+            out += [(1 / 3, [(i, q, p)], None) for q in range(circuit.num_qubits) for p in _PAULIS]
+        elif op.gate in ("M", "MX"):
+            out.append((1.0, [], op.cbits[0]))
+        elif op.gate == "R":
+            out.append((1.0, [(i, op.qubits[0], "X")], None))
+        elif len(op.qubits) == 2:
+            a, b = op.qubits
+            out += [(1 / 9, [(i, a, pa), (i, b, pb)], None) for pa in _PAULIS for pb in _PAULIS]
+        else:
+            out += [(1 / 3, [(i, op.qubits[0], p)], None) for p in _PAULIS]
+    return out
+
+
+def _run(circuit: Circuit, cases: list, initial_fx=None, initial_fz=None):
+    """One noiseless legacy run, one shot per case: ``(flips, fx, fz)``.
+    A record flip is a unit row of the flips."""
+    res = FrameSimulator(circuit, NoiseModel(), backend="legacy").run(
+        len(cases),
+        initial_fx=initial_fx,
+        initial_fz=initial_fz,
+        fault_injections=[injections for _, injections, _ in cases],
+    )
+    for shot, (_, _, cbit) in enumerate(cases):
+        if cbit is not None:
+            res.meas_flips[shot, cbit] ^= 1
+    return res.meas_flips, res.fx, res.fz
+
+
+def _single_fault_residuals(policy: str = "paper") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(weights, fx, fz)``: each single fault's weight in units of ε and
+    the data frames one Steane-EC round leaves, before ideal decoding."""
+    # Any ε > 0 gives every location; the weights are in units of ε.
+    protocol = SteaneECProtocol(circuit_level(1e-3), policy=policy)
+    prep, extraction = protocol.prep, protocol.extraction
+    factory = _components(prep.circuit())
+    flips, fx, fz = _run(prep.circuit(), factory)
+    ancilla_fx = prep.apply_fixups(fx[:, :7], prep.parse(flips))
+    ancilla_fz = fz[:, :7]
+
+    circuit = extraction.extraction_circuit()
+    layouts = extraction.layouts
+    cases = [(w, [], None) for w, _, _ in factory] * len(layouts) + _components(circuit)
+    init_fx = np.zeros((len(cases), circuit.num_qubits), dtype=np.uint8)
+    init_fz = np.zeros_like(init_fx)
+    for k, layout in enumerate(layouts):
+        rows = slice(k * len(factory), (k + 1) * len(factory))
+        init_fx[rows, list(layout.anc_qubits)] = ancilla_fx
+        init_fz[rows, list(layout.anc_qubits)] = ancilla_fz
+    flips, fx, fz = _run(circuit, cases, init_fx, init_fz)
+    x_syn, z_syn = extraction.parse_syndromes(flips)
+    fx = fx[:, :7] ^ protocol._corrections(x_syn)
+    fz = fz[:, :7] ^ protocol._corrections(z_syn)
+    return np.array([w for w, _, _ in cases]), fx, fz
+
+
+def count_fault_paths(policy: str = "paper") -> FaultPathReport:
+    """Enumerate every single fault of one Steane-EC round and classify it."""
+    weights, fx, fz = _single_fault_residuals(policy)
+    code = SteaneCode()
     cfx, cfz = code.correct_frame(fx, fz)
-    action = code.logical_action_of_frame(cfx, cfz)
-    logical = action.any(axis=1)
-    raw_weight = (fx | fz).sum(axis=1)
+    logical = code.logical_action_of_frame(cfx, cfz).any(axis=1)
     # "Residual error" counting uses the pre-ideal-EC frames: these are the
     # errors present when the next cycle begins.
-    benign = int((raw_weight == 0).sum())
-    one = int((raw_weight == 1).sum())
-    multi = int((raw_weight >= 2).sum())
-    per_qubit = float((fx | fz).sum() / 7.0)
+    support = (fx | fz).sum(axis=1)
     return FaultPathReport(
-        total_fault_cases=len(specs),
-        benign=benign,
-        residual_one=one,
-        residual_multi=multi,
+        total_fault_cases=len(weights),
+        benign=int((support == 0).sum()),
+        residual_one=int((support == 1).sum()),
+        residual_multi=int((support >= 2).sum()),
         logical_failures=int(logical.sum()),
-        per_qubit_paths=per_qubit,
+        per_qubit_paths=float(weights @ support / code.n),
     )
 
 
-def threshold_from_counting(
-    report: FaultPathReport, coefficient: float = 21.0
-) -> float:
-    """ε₀ from the paper's method: p₀ = (paths/3)·ε = 1/A at threshold.
-
-    Each enumerated location fails with probability ε, and the three Pauli
-    kinds split it — hence the /3.  Returns ε₀ = 3 / (A · per_qubit_paths).
-    """
+def threshold_from_counting(report: FaultPathReport) -> float:
+    """ε₀ from the paper's method: p₀ = c·ε equals 1/21 at threshold, so
+    ε₀ = 1 / (21 · per_qubit_paths) (``CONCATENATION_COEFFICIENT`` = 21)."""
     if report.per_qubit_paths <= 0:
         raise ValueError("no fault paths reach the data; counting is vacuous")
-    return 3.0 / (coefficient * report.per_qubit_paths)
+    return 1.0 / (CONCATENATION_COEFFICIENT * report.per_qubit_paths)

@@ -244,9 +244,27 @@ def memory_experiment(
     return MemoryResult.from_counts(rounds, shots, _count_failures(code, dfx, dfz, shots))
 
 
-def _grid_seeds(seed: int | None, n: int) -> list[np.random.SeedSequence]:
-    """One independent child stream per grid point (never ``seed + i``)."""
-    return spawn_shard_seeds(seed, n)
+def _one_round_rates(
+    protocol_factory: Callable[[float], object],
+    code: StabilizerCode,
+    eps_grid: np.ndarray,
+    shots: int,
+    seed: int,
+    workers: int,
+    num_shards: int | None,
+    resilience: dict,
+) -> list[float]:
+    """One-round failure rate at each grid point, floored at 10⁻¹² so a
+    point without failures stays on a log scale.  Each point runs on its
+    own child stream of ``seed`` (never ``seed + i``)."""
+    rates = []
+    for eps, point_seed in zip(eps_grid, spawn_shard_seeds(seed, len(eps_grid))):
+        result = memory_experiment(
+            protocol_factory(float(eps)), code, rounds=1, shots=shots, seed=point_seed,
+            workers=workers, num_shards=num_shards, **resilience,
+        )
+        rates.append(max(result.failure_rate, 1e-12))
+    return rates
 
 
 def fit_level1_coefficient(
@@ -269,14 +287,9 @@ def fit_level1_coefficient(
     protocol embeds ε), so a killed scan resumes mid-grid.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
-    rates = []
-    for eps, point_seed in zip(eps_grid, _grid_seeds(seed, len(eps_grid))):
-        protocol = protocol_factory(float(eps))
-        result = memory_experiment(
-            protocol, code, rounds=1, shots=shots, seed=point_seed,
-            workers=workers, num_shards=num_shards, **resilience,
-        )
-        rates.append(max(result.failure_rate, 1e-12))
+    rates = _one_round_rates(
+        protocol_factory, code, eps_grid, shots, seed, workers, num_shards, resilience
+    )
     return fit_power_law(eps_grid, np.asarray(rates))
 
 
@@ -339,14 +352,10 @@ def pseudo_threshold(
     if on_unbracketed not in ("warn", "raise"):
         raise ValueError("on_unbracketed must be 'warn' or 'raise'")
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-    curve: list[tuple[float, float]] = []
-    for eps, point_seed in zip(eps_grid, _grid_seeds(seed, len(eps_grid))):
-        protocol = protocol_factory(float(eps))
-        result = memory_experiment(
-            protocol, code, rounds=1, shots=shots, seed=point_seed,
-            workers=workers, num_shards=num_shards, **resilience,
-        )
-        curve.append((float(eps), max(result.failure_rate, 1e-12)))
+    rates = _one_round_rates(
+        protocol_factory, code, eps_grid, shots, seed, workers, num_shards, resilience
+    )
+    curve = [(float(eps), rate) for eps, rate in zip(eps_grid, rates)]
     crossing = crossing_from_curve(curve)
     if np.isnan(crossing):
         message = (

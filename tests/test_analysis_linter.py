@@ -1,6 +1,6 @@
 """Fixture tests for the RPL linter: every rule fires on a minimal
 violating snippet and stays quiet on the compliant rewrite, suppressions
-and the baseline behave as documented, and the repo itself lints clean.
+behave as documented, and the repo itself lints clean.
 
 The linter runs on source text only (``lint_source``) — nothing here
 imports the code under analysis.
@@ -8,7 +8,6 @@ imports the code under analysis.
 
 from __future__ import annotations
 
-import json
 import re
 import textwrap
 from pathlib import Path
@@ -16,14 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.diagnostics import RULES, parse_suppressions
-from repro.analysis.linter import (
-    BASELINE_NAME,
-    collect_targets,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.linter import collect_targets, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -340,7 +332,7 @@ class TestConcurrencyRules:
 
 
 # ----------------------------------------------------------------------
-# Profiles, suppressions, baseline.
+# Profiles, suppressions, the CLI's exit code.
 # ----------------------------------------------------------------------
 class TestMachinery:
     def test_every_rule_has_a_fixture_above(self):
@@ -420,69 +412,41 @@ class TestMachinery:
         )
         assert supp[1] == {"RPL101", "RPL303"}
 
-    def test_baseline_roundtrip_and_staleness(self, tmp_path):
-        src_dir = tmp_path / "src"
-        src_dir.mkdir()
-        bad = src_dir / "mod.py"
+    def test_cli_fails_on_a_finding_no_suppression_covers(self, tmp_path, capsys):
+        from repro.analysis.__main__ import main
+
+        (tmp_path / "src").mkdir()
+        bad = tmp_path / "src" / "mod.py"
         bad.write_text("def stop(pool):\n    pool.shutdown(wait=False)\n")
-        baseline_path = tmp_path / BASELINE_NAME
+        assert main(["--root", str(tmp_path)]) == 1
+        assert "src/mod.py:2: RPL303" in capsys.readouterr().out
 
-        report = lint_paths(tmp_path, baseline_path=baseline_path)
-        assert codes(report.findings) == ["RPL303"]
-
-        # New entries are refused without a justification...
-        with pytest.raises(ValueError, match="lack a justification"):
-            write_baseline(baseline_path, report.findings, [])
-        # ...and recorded with one when given.
-        entries = write_baseline(
-            baseline_path, report.findings, [], default_reason="fixture debt"
-        )
-        assert len(entries) == 1
-        assert entries[0]["reason"] == "fixture debt"
-
-        # Baselined: the same finding no longer fails the run.
-        report = lint_paths(tmp_path, baseline_path=baseline_path)
-        assert report.ok and len(report.baselined) == 1 and not report.stale_baseline
-
-        # Moving the offending line must NOT orphan the entry (snippet-keyed).
         bad.write_text(
-            "import os\n\n\ndef stop(pool):\n    pool.shutdown(wait=False)\n"
+            "def stop(pool):\n"
+            "    pool.shutdown(wait=False)  # repro: disable=RPL303 -- reaped below\n"
         )
-        report = lint_paths(tmp_path, baseline_path=baseline_path)
-        assert report.ok and len(report.baselined) == 1 and not report.stale_baseline
+        assert main(["--root", str(tmp_path)]) == 0
+        assert "0 finding(s), 1 suppressed" in capsys.readouterr().out
 
-        # Fixing the code makes the entry stale.
-        bad.write_text("def stop(pool):\n    pool.shutdown(wait=True)\n")
-        report = lint_paths(tmp_path, baseline_path=baseline_path)
-        assert report.ok and len(report.stale_baseline) == 1
+    @pytest.mark.parametrize(
+        "option", ["--strict", "--baseline=x.json", "--write-baseline", "--reason=x"]
+    )
+    def test_baseline_options_are_refused(self, option):
+        from repro.analysis.__main__ import main
 
-        # Regenerating drops the stale entry.
-        report_entries = write_baseline(baseline_path, [], load_baseline(baseline_path))
-        assert report_entries == []
-
-    def test_malformed_baseline_entry_rejected(self, tmp_path):
-        path = tmp_path / BASELINE_NAME
-        path.write_text(json.dumps({"entries": [{"path": "x.py"}]}))
-        with pytest.raises(ValueError, match="lacks required key"):
-            load_baseline(path)
+        with pytest.raises(SystemExit) as exc:
+            main([option, "--list-rules"])
+        assert exc.value.code == 2
 
 
 # ----------------------------------------------------------------------
 # The repo itself.
 # ----------------------------------------------------------------------
 class TestRepoIsClean:
-    def test_repo_lints_clean_against_committed_baseline(self):
+    def test_repo_lints_clean(self):
         report = lint_paths(REPO_ROOT)
         assert report.files > 100
         assert [d.format() for d in report.findings] == []
-        assert report.stale_baseline == []
-
-    def test_committed_baseline_never_grows(self):
-        """The baseline may only shrink; bump this bound DOWN when entries
-        are burned, never up — new code must be clean or suppressed inline
-        with a reason."""
-        entries = load_baseline(REPO_ROOT / BASELINE_NAME)
-        assert len(entries) <= 0
 
     def test_collect_targets_covers_the_layout(self):
         targets = dict(
@@ -490,8 +454,8 @@ class TestRepoIsClean:
             for p, profile in collect_targets(REPO_ROOT)
         )
         assert targets["src/repro/analysis/linter.py"] == "src"
-        assert targets["scripts_run_full.py"] == "tools"
-        assert targets["scripts/bench_perf.py"] == "tools"
+        assert targets["scripts_run_full.py"] == "src"
+        assert targets["scripts/bench_perf.py"] == "src"
         assert targets["tests/test_analysis_linter.py"] == "tests"
 
     def test_progcheck_reexport_is_lazy(self):

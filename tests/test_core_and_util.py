@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FaultTolerancePlanner, LogicalMemory, UnencodedMemory
+from repro.noise import NoiseModel
 from repro.util import (
     as_rng,
     binomial_confidence,
@@ -80,6 +81,12 @@ class TestLogicalMemoryAPI:
         mem = LogicalMemory(code="steane", method="ideal", eps=1e-3)
         result = mem.run(rounds=2, shots=20_000, seed=0)
         assert result.failure_rate < 1e-3
+
+    def test_ideal_method_runs_an_explicit_noise_model(self):
+        """``eps`` is ignored when a noise model is given, so a model with
+        no storage noise runs noiseless whatever ``eps`` says."""
+        mem = LogicalMemory(code="steane", method="ideal", eps=0.05, noise=NoiseModel())
+        assert mem.run(rounds=1, shots=20_000, seed=1).failures == 0
 
     def test_steane_method_runs(self):
         mem = LogicalMemory(code="steane", method="steane", eps=1e-3)

@@ -109,6 +109,12 @@ class TestCacheCommand:
         assert f"unknown command {command!r}" in capsys.readouterr().err
 
 
+class TestLintCommand:
+    def test_lint_passes_on_the_repo(self, run_full, monkeypatch, capsys, no_experiments):
+        assert call(run_full, monkeypatch, "--lint") == 0
+        assert " 0 finding(s)" in capsys.readouterr().out
+
+
 class TestExperimentFlags:
     """``--checkpoint``/``--resume``/``--cache``/``--no-cache`` resolve to
     the runners' ``checkpoint=`` and ``resume=``; ``DEFAULT`` stands for

@@ -1,7 +1,9 @@
 """Tests for fault-path counting and Monte-Carlo threshold machinery."""
 
+import itertools
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.noise import NoiseModel, circuit_level
+from repro.pauliframe.packing import words_for
 from repro.threshold import (
     code_capacity_memory,
     count_fault_paths,
@@ -17,12 +20,12 @@ from repro.threshold import (
     pseudo_threshold,
     threshold_from_counting,
 )
-from repro.threshold.counting import FullSteaneRound
+from repro.threshold.counting import _single_fault_residuals
 
 
 @pytest.fixture(scope="module")
 def report():
-    return count_fault_paths(FullSteaneRound())
+    return count_fault_paths()
 
 
 class TestFaultPathCounting:
@@ -51,9 +54,96 @@ class TestFaultPathCounting:
         """Acting on a single unrepeated syndrome lets one fault cause a
         miscorrection — §3.4's motivation.  The report shows strictly more
         multi-error residuals than the paper policy."""
-        paper = count_fault_paths(FullSteaneRound(), policy="paper")
-        first = count_fault_paths(FullSteaneRound(), policy="first")
+        paper = count_fault_paths(policy="paper")
+        first = count_fault_paths(policy="first")
         assert first.residual_multi >= paper.residual_multi
+
+    @pytest.mark.parametrize(
+        "policy, cases, c",
+        [
+            ("paper", (2409, 1546, 603, 260, 0), Fraction(2179, 63)),
+            ("first", (2409, 1063, 1068, 278, 0), Fraction(3081, 63)),
+        ],
+    )
+    def test_pinned_counts(self, policy, cases, c):
+        """Cases (total, benign, one, multi, logical) and the weighted
+        per-qubit path count c of the protocol's own round."""
+        r = count_fault_paths(policy=policy)
+        assert (
+            r.total_fault_cases, r.benign, r.residual_one, r.residual_multi,
+            r.logical_failures,
+        ) == cases
+        assert r.per_qubit_paths == pytest.approx(float(c), rel=1e-12)
+
+    def test_threshold_is_one_over_21_c(self, report):
+        assert threshold_from_counting(report) == pytest.approx(3 / 2179, rel=1e-12)
+
+    def test_weights_cover_every_sampled_location(self):
+        """A location's outcomes weigh 1 in units of ε together, so the
+        total weight is the number of locations the compiled programs
+        draw: the factory's once per ancilla layout, plus the
+        extraction's."""
+        weights, _, _ = _single_fault_residuals()
+        protocol = SteaneECProtocol(circuit_level(1e-3))
+        locations = len(protocol.extraction.layouts) * sum(
+            protocol._factory_prog._counts.values()
+        ) + sum(protocol._extract_prog._counts.values())
+        assert locations == 4 * 91 + 119
+        assert weights.sum() == pytest.approx(locations, rel=1e-12)
+
+    @pytest.mark.parametrize("policy, splits", [("paper", 0), ("first", 39)])
+    def test_no_single_fault_reduces_to_two_data_errors(self, policy, splits):
+        """Reduced modulo the stabilizer group, no single fault leaves
+        errors on two data qubits under the paper's policy.  Acting on the
+        first syndrome lets 39 do so, each an X on one qubit and a Z on
+        another."""
+        code = SteaneCode()
+        _, fx, fz = _single_fault_residuals(policy)
+
+        def reduced(frames, checks):
+            group = np.array(
+                [
+                    np.bitwise_xor.reduce(checks[list(rows)], axis=0)
+                    for r in range(len(checks) + 1)
+                    for rows in itertools.combinations(range(len(checks)), r)
+                ]
+            )  # r = 0 is the empty product, the identity
+            candidates = frames[:, None, :] ^ group[None]
+            best = candidates.sum(axis=2).argmin(axis=1)
+            return candidates[np.arange(len(frames)), best]
+
+        rx, rz = reduced(fx, code.hx), reduced(fz, code.hz)
+        weight = (rx | rz).sum(axis=1)
+        two = weight >= 2
+        assert int(two.sum()) == splits
+        assert (rx[two].sum(axis=1) == 1).all() and (rz[two].sum(axis=1) == 1).all()
+        if policy == "paper":
+            # The raw multi-qubit residuals are stabilizers (134) or a
+            # stabilizer times one Pauli (126).
+            multi = (fx | fz).sum(axis=1) >= 2
+            assert np.bincount(weight[multi]).tolist() == [134, 126]
+
+
+class TestPathCountOracle:
+    """c against the compiled Monte Carlo, which shares neither the
+    engine nor the packed decode with the enumeration.  To first order in
+    ε a round from clean data leaves residual support 7·c·ε per shot."""
+
+    SHOTS = 2_000_000  # a whole number of 64-shot words: every lane is live
+    EPS = 1e-4
+
+    def test_residual_support_per_qubit_matches_c(self, report):
+        weights, fx, fz = _single_fault_residuals()
+        # Single faults are (nearly) Poisson: Var(support) = shots·ε·Σw|s|².
+        second_moment = float(weights @ (fx | fz).sum(axis=1) ** 2)
+        sigma = (second_moment / (self.SHOTS * self.EPS)) ** 0.5 / 7
+        protocol = SteaneECProtocol(circuit_level(self.EPS))
+        dfx = np.zeros((7, words_for(self.SHOTS)), dtype=np.uint64)
+        dfz = np.zeros_like(dfx)
+        protocol.run_round_packed(self.SHOTS, 0, dfx, dfz)
+        c = int(np.bitwise_count(dfx | dfz).sum()) / (7 * self.SHOTS * self.EPS)
+        # 4σ for the sampling, 1% for the O(ε) multi-fault terms.
+        assert abs(c - report.per_qubit_paths) <= 4 * sigma + 0.01 * report.per_qubit_paths
 
 
 class TestCodeCapacityMemory:
