@@ -3,7 +3,10 @@
 Sweeps the physical error rate, runs one noisy EC round per point, and
 prints the encoded-vs-physical crossing — the operational meaning of §5's
 "once our hardware meets a specified standard of accuracy ... arbitrarily
-long quantum computations".  Takes a minute or two at the default shots.
+long quantum computations".  At the default shots it takes about half a
+second in one process on a 2-cpu VM.  ``--workers 2`` runs the grid as one
+sharded batch through two spawned workers and takes about 1.2 s there,
+most of it starting the worker pool.
 """
 
 import argparse

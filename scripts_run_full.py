@@ -27,9 +27,12 @@ recomputation even when a cache path is configured.  ``cache stats`` and
 ``cache gc`` inspect and compact the store.
 
 Every Monte Carlo run takes one path: the experiment calls
-``memory_experiment`` (or ``code_capacity_memory``), which hands sharded
-or checkpointed work to the sharded driver; ``runtime.execute_shards``
-supervises the shards and commits each one to the ``CheckpointJournal``.
+``memory_experiment`` (or ``code_capacity_memory``, or a grid scan such as
+``pseudo_threshold``), which hands sharded or checkpointed work to the
+sharded driver as a batch of runs — one for a single call, one per grid
+point for a scan; ``runtime.execute_batch`` supervises every shard of the
+batch and commits each one to the batch's one ``CheckpointJournal``
+connection.
 """
 
 import argparse

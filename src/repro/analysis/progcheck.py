@@ -9,8 +9,10 @@ silent row corruption: a fancy index past the plane width wraps nothing,
 an aliased fused batch XORs a row into itself, a mis-sliced noise plane
 replays another location's faults.  ``verify_program`` re-derives the
 safety argument from the instruction stream itself and is cheap enough
-(O(instructions), run once per compile) that every program is verified at
-build time.
+(O(instructions), run once per compiled stream) that every program is
+verified at build time: a stream shared by programs at different rates
+(``repro.pauliframe.compiled._Stream``) is checked structurally once, and
+each program's own rates every time.
 
 Checks, each with a distinct typed diagnostic:
 
@@ -46,7 +48,9 @@ __all__ = [
     "NoiseRangeError",
     "OperandRangeError",
     "ProgramVerificationError",
+    "check_noise_ranges",
     "verify_program",
+    "verify_stream",
 ]
 
 
@@ -176,15 +180,33 @@ def verify_program(
 
     Parameters mirror what :class:`CompiledFrameProgram` holds: the
     instruction tuples, the frame/flip plane heights, the per-channel
-    noise-location ``counts``, and the ``NoiseModel``.
+    noise-location ``counts``, and the ``NoiseModel``.  The noise ranges
+    are checked first (:func:`check_noise_ranges`), then the stream
+    (:func:`verify_stream`).
     """
-    # Noise probability ranges — checked first and unconditionally: every
-    # plane-sampling routine divides and scales by these.
+    check_noise_ranges(noise)
+    verify_stream(instructions, num_qubits, num_cbits, counts)
+
+
+def check_noise_ranges(noise) -> None:
+    """Every channel probability of ``noise`` in [0, 1]: every
+    plane-sampling routine divides and scales by these.  A program's own
+    check, whoever lowered its stream."""
     for name in ("eps_gate1", "eps_gate2", "eps_meas", "eps_prep", "eps_store"):
         p = float(getattr(noise, name))
         if not 0.0 <= p <= 1.0:
             raise NoiseRangeError(f"{name}={p} is not a probability in [0, 1]")
 
+
+def verify_stream(
+    instructions: list[tuple],
+    num_qubits: int,
+    num_cbits: int,
+    counts: dict[str, int],
+) -> None:
+    """The structural checks of :func:`verify_program`: everything but the
+    noise ranges, so a stream shared by programs at different rates is
+    verified once."""
     table = _opcode_table()
     from repro.pauliframe import compiled as c
 

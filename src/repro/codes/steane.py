@@ -47,14 +47,13 @@ class SteaneCode(CSSCode):
 
     def __init__(self) -> None:
         super().__init__(H_EQ1, H_EQ1, name="Steane[[7,1,3]]")
-        # Replace the generic CSS logicals with the canonical transversal ones.
-        lx = pauli_from_string("XXXXXXX")
-        lz = pauli_from_string("ZZZZZZZ")
-        self.logical_x = [lx]
-        self.logical_z = [lz]
-        self._validate()
         self.hamming = HammingCode("eq1")
         self._frame_table_cache = None
+
+    def _find_logicals(self, n: int, k: int) -> tuple[list[Pauli], list[Pauli]]:
+        """The canonical transversal logicals instead of a generic CSS
+        search; the base constructor validates them with the stabilizers."""
+        return [pauli_from_string("XXXXXXX")], [pauli_from_string("ZZZZZZZ")]
 
     # ------------------------------------------------------------------
     @staticmethod

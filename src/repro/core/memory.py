@@ -106,8 +106,10 @@ class LogicalMemory:
         return self.run(1, shots, seed).failure_rate
 
     def breakeven(self, shots: int = 20_000, seed: int | None = 0) -> bool:
-        """Does encoding beat the bare qubit at this noise level?"""
-        bare = UnencodedMemory(self.eps).run(1, shots, seed).failure_rate
+        """Does encoding beat the bare qubit at this noise level?  The bare
+        qubit sees the storage rate of the model the encoded one runs
+        under, which is ``eps`` unless an explicit ``noise`` was given."""
+        bare = UnencodedMemory(self.noise.eps_store).run(1, shots, seed).failure_rate
         return self.logical_error_per_round(shots, seed) < bare
 
 

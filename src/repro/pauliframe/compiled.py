@@ -438,6 +438,51 @@ def _row_tables(
     return rows
 
 
+@dataclass(frozen=True)
+class _Stream:
+    """A lowered instruction stream, its per-class location counts and its
+    row tables, verified once and shared by every program whose circuit
+    (size and operations), fusion and nonzero rates match: the stream
+    depends on nothing else.  Its arrays are read-only.
+
+    Pickle protocol 5 ships a read-only array as bytes and a writeable one
+    as bytearray, so programs pickle ``thawed``, writeable copies of the
+    instructions and row tables made once here: a shared stream pickles
+    byte for byte as an unshared one would.
+    """
+
+    instructions: list[tuple]
+    counts: dict[str, int]
+    row_tables: dict[str, np.ndarray]
+    dims: tuple[int, int]  # the circuit's (num_qubits, num_cbits)
+    thawed: tuple[list[tuple], dict[str, np.ndarray]]
+
+    @classmethod
+    def of(cls, instrs: list[tuple], counts: dict[str, int], circuit: Circuit) -> "_Stream":
+        """Verify a freshly lowered stream, then add its row tables and
+        freeze it."""
+        from repro.analysis.progcheck import verify_stream
+
+        verify_stream(instrs, circuit.num_qubits, circuit.num_cbits, counts)
+        row_tables = _row_tables(instrs, counts, circuit.num_qubits)
+        thawed = (
+            [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in ins) for ins in instrs],
+            {name: rows.copy() for name, rows in row_tables.items()},
+        )
+        for arr in [*row_tables.values(), *(a for ins in instrs for a in ins)]:
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return cls(instrs, counts, row_tables, (circuit.num_qubits, circuit.num_cbits), thawed)
+
+
+# Streams by everything they depend on, least recently used first.  The
+# bound keeps a process that compiles many circuits from holding them all;
+# a program keeps its own stream alive.  Module-level, so no cache state
+# ever reaches a pickle or a run key.
+_STREAMS: dict[tuple, _Stream] = {}
+_STREAMS_MAX = 64
+
+
 class CompiledFrameProgram:
     """A circuit lowered to a packed-frame instruction stream.
 
@@ -448,6 +493,10 @@ class CompiledFrameProgram:
         batched instructions.  ``fuse=False`` keeps one instruction group
         per operation; both variants consume the RNG identically, so
         results are bit-identical.
+
+    The instruction stream, the noise-location counts and the row tables
+    come from :class:`_Stream`, which lowers and verifies each distinct
+    stream once per process and shares it read-only.
     """
 
     def __init__(self, circuit: Circuit, noise: NoiseModel | None = None, fuse: bool = True) -> None:
@@ -461,42 +510,80 @@ class CompiledFrameProgram:
         self._compile()
         self.verify()
 
-    # The fold's layout is derived from the row tables and stays out of the
-    # pickle: run keys hash pickled protocols, so a program pickles to the
-    # same bytes however it is laid out for sampling.
+    # The shared stream and the fold's layout derived from its row tables
+    # stay out of the pickle: run keys hash pickled protocols, so a program
+    # pickles to the same bytes however it is compiled and laid out.  An
+    # unpickled program owns its stream.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
+        stream = state.pop("_stream")
         del state["_layout"]
+        if stream is not None and self._instructions is stream.instructions:
+            state["_instructions"] = stream.thawed[0]
+        if stream is not None and self._row_tables is stream.row_tables:
+            state["_row_tables"] = stream.thawed[1]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._stream = None
         self._layout = _Layout.of(self._row_tables, self.noise)
 
     def verify(self) -> None:
         """Statically verify the compiled instruction stream.
 
         Runs :func:`repro.analysis.progcheck.verify_program` over the
-        packed tuples ``_compile`` just emitted — opcode validity, operand
+        packed tuples ``_compile`` emitted — opcode validity, operand
         bounds, fused-batch aliasing, noise-plane budgets, probability
-        ranges.  Raises a typed
+        ranges.  A stream that :class:`_Stream` verified when it lowered
+        it, and that this program still runs unchanged, needs only the
+        probability ranges, which are the program's own.  Raises a typed
         :class:`~repro.analysis.progcheck.ProgramVerificationError`
         subclass on the first violation.  Imported lazily: progcheck needs
         this module's opcode constants, so a module-level import would
         cycle.
         """
-        from repro.analysis.progcheck import verify_program
+        from repro.analysis.progcheck import check_noise_ranges, verify_program
 
+        circuit, stream = self.circuit, self._stream
+        if (
+            stream is not None
+            and stream.instructions is self._instructions
+            and stream.counts is self._counts
+            and stream.dims == (circuit.num_qubits, circuit.num_cbits)
+        ):
+            check_noise_ranges(self.noise)
+            return
         verify_program(
-            self._instructions,
-            self.circuit.num_qubits,
-            self.circuit.num_cbits,
-            self._counts,
-            self.noise,
+            self._instructions, circuit.num_qubits, circuit.num_cbits, self._counts, self.noise
         )
 
     # ------------------------------------------------------------------
     def _compile(self) -> None:
+        """Take this program's stream from the cache, lowering it on a miss."""
+        circuit, noise = self.circuit, self.noise
+        key = (
+            circuit.num_qubits,
+            circuit.num_cbits,
+            tuple(circuit.operations),
+            self.fuse,
+            tuple(getattr(noise, rate) > 0 for rate in _RATE.values()),
+        )
+        stream = _STREAMS.pop(key, None)
+        if stream is None:
+            stream = _Stream.of(*self._lower(), circuit)
+            if len(_STREAMS) >= _STREAMS_MAX:
+                del _STREAMS[next(iter(_STREAMS))]
+        _STREAMS[key] = stream  # the most recently used come last
+        self._stream = stream
+        self._instructions = stream.instructions
+        self._counts = stream.counts
+        self._row_tables = stream.row_tables
+        self._layout = _Layout.of(self._row_tables, noise)
+
+    def _lower(self) -> tuple[list[tuple], dict[str, int]]:
+        """The circuit's instruction stream and its per-class location
+        counts.  Of the noise it reads only which rates are nonzero."""
         noise = self.noise
         num_qubits = self.circuit.num_qubits
         instrs: list[tuple] = []
@@ -584,10 +671,7 @@ class CompiledFrameProgram:
             if not self.fuse:
                 flush()
         flush()
-        self._instructions = instrs
-        self._counts = counts
-        self._row_tables = _row_tables(instrs, counts, num_qubits)
-        self._layout = _Layout.of(self._row_tables, noise)
+        return instrs, counts
 
     # ------------------------------------------------------------------
     def _sample_planes(

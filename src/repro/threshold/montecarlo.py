@@ -16,7 +16,10 @@ on both paths, before any round runs, by
 shard plan.  Grid scans derive one independent child stream per grid
 point from ``np.random.SeedSequence(seed).spawn`` — the same plumbing
 :mod:`repro.threshold.sharded` uses per shard — so scans with nearby
-integer seeds never share streams.
+integer seeds never share streams.  A sharded grid scan runs as one batch
+of runs, one per point, with one journal connection: point i's shards
+run while point i+1 is built, and each point's counts equal those of a
+lone ``memory_experiment`` call on its child stream.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.pauliframe.packing import WORD_BITS, pack_shot_major, words_for
 from repro.threshold.sharded import (
     _check_count,
     _resilience_options,
+    _run_batch,
     _run_sharded,
     spawn_shard_seeds,
 )
@@ -256,15 +260,31 @@ def _one_round_rates(
 ) -> list[float]:
     """One-round failure rate at each grid point, floored at 10⁻¹² so a
     point without failures stays on a log scale.  Each point runs on its
-    own child stream of ``seed`` (never ``seed + i``)."""
-    rates = []
-    for eps, point_seed in zip(eps_grid, spawn_shard_seeds(seed, len(eps_grid))):
-        result = memory_experiment(
-            protocol_factory(float(eps)), code, rounds=1, shots=shots, seed=point_seed,
-            workers=workers, num_shards=num_shards, **resilience,
-        )
-        rates.append(max(result.failure_rate, 1e-12))
-    return rates
+    own child stream of ``seed`` (never ``seed + i``).
+
+    A sharded scan is one batch (:func:`~repro.threshold.sharded._run_batch`):
+    each point is built, planned and keyed as the batch draws it, and its
+    shards run while the next point is built.  Each point keeps the shard
+    plan, payload and run key a lone ``memory_experiment`` call gives it.
+    An unsharded scan calls ``memory_experiment`` per point."""
+    point_seeds = spawn_shard_seeds(seed, len(eps_grid))
+    _check_run_size(shots, 1, workers, num_shards)
+    options = _resilience_options(**resilience)
+    if workers != 1 or num_shards is not None or options.checkpoint is not None:
+
+        def points():
+            for eps, point_seed in zip(eps_grid, point_seeds):
+                protocol = protocol_factory(float(eps))
+                _check_data_block(protocol, code)
+                yield (protocol, code, 1), point_seed
+
+        results = _run_batch("memory", points(), 1, shots, workers, num_shards, options)
+    else:
+        results = [
+            memory_experiment(protocol_factory(float(eps)), code, rounds=1, shots=shots, seed=s)
+            for eps, s in zip(eps_grid, point_seeds)
+        ]
+    return [max(result.failure_rate, 1e-12) for result in results]
 
 
 def fit_level1_coefficient(
@@ -282,9 +302,10 @@ def fit_level1_coefficient(
     Returns ``(A, k)``; fault tolerance demands k ≈ 2 (Eq. 33's quadratic
     suppression), and 1/A is the level-1 pseudo-threshold estimate.
 
-    ``**resilience`` is forwarded per grid point; with ``checkpoint=`` set,
-    each point journals under its own content-addressed run key (the
-    protocol embeds ε), so a killed scan resumes mid-grid.
+    ``**resilience`` applies to every grid point; with ``checkpoint=``
+    set, each point journals under its own content-addressed run key (the
+    protocol embeds ε), so a killed scan resumes mid-grid.  A sharded scan
+    runs as one batch (see :func:`_one_round_rates`).
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     rates = _one_round_rates(
@@ -346,8 +367,9 @@ def pseudo_threshold(
     ``"raise"`` raises :class:`PseudoThresholdNotBracketed` with the curve
     attached.
 
-    ``**resilience`` is forwarded per grid point; with ``checkpoint=`` set,
-    a killed scan resumes mid-grid (each point has its own run key).
+    ``**resilience`` applies to every grid point; with ``checkpoint=``
+    set, a killed scan resumes mid-grid (each point has its own run key).
+    A sharded scan runs as one batch (see :func:`_one_round_rates`).
     """
     if on_unbracketed not in ("warn", "raise"):
         raise ValueError("on_unbracketed must be 'warn' or 'raise'")

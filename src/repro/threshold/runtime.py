@@ -2,17 +2,25 @@
 
 A Monte Carlo run has one path:
 :func:`~repro.threshold.montecarlo.memory_experiment` (or
-``code_capacity_memory``) → the sharded driver
-(:mod:`repro.threshold.sharded`) → :func:`execute_shards` here →
-:class:`~repro.threshold.journal.CheckpointJournal`.  Every finished
+``code_capacity_memory``, or a sharded grid scan) → the sharded driver
+(:mod:`repro.threshold.sharded`) → :func:`execute_batch` here →
+:class:`~repro.threshold.journal.CheckpointJournal`.  The runtime
+executes *batches* of runs: a single call is a batch of one, and a
+sharded grid scan hands in every grid point as one batch.  Runs are drawn
+lazily and each run's shards are submitted as soon as it arrives, so the
+workers start on one point while the caller builds the next; there is no
+barrier between runs, one supervision loop serves every shard in flight,
+and one journal connection serves the whole batch.  Every finished
 shard, whether from a worker, a retry, or in-process degradation, passes
-through ``_record``: the one driver-side point where a count is pooled
-and committed.
+through ``_Batch.record``: the one driver-side point where a count is
+pooled and committed.
 
 A plain ``pool.map`` is all-or-nothing: one crashed, hung, or OOM-killed
 worker throws ``BrokenProcessPool`` through the whole scan and discards
 every completed shard.  This module uses per-shard ``submit`` +
-completion supervision instead:
+completion supervision instead.  Each future reports its completion into
+one queue through a done-callback, so a finished shard costs the
+supervisor O(1) however many shards are in flight:
 
 * **per-shard timeouts** — a shard running longer than ``shard_timeout``
   is declared hung; the pool (which cannot cancel a running future) is
@@ -32,15 +40,15 @@ completion supervision instead:
   fails too;
 * **checkpoint journaling / result caching** — with ``checkpoint=`` set,
   every finished shard streams into
-  :class:`repro.threshold.journal.CheckpointJournal` and ``resume=True``
-  replays finished shards from disk, re-executing only the remainder; a
-  fully cached run returns its pooled counts without ever touching a
-  worker pool;
+  :class:`repro.threshold.journal.CheckpointJournal` under its run's own
+  key, one commit per shard, and ``resume=True`` replays finished shards
+  from disk, re-executing only the remainder of each run; a fully cached
+  batch returns its pooled counts without ever touching a worker pool;
 * **a storage-fault firewall** — every journal open/read/write goes
   through :class:`_ResilientJournal`: transient lock contention gets a
   bounded retry with backoff, any other ``sqlite3`` / ``OSError`` fault
   (disk full, readonly filesystem, torn WAL, corrupt file) degrades the
-  run to *uncheckpointed* execution with a
+  whole batch, once, to *uncheckpointed* execution with a
   :class:`~repro.threshold.journal.JournalDegraded` warning — storage
   faults may cost durability and cache reuse, never the run — and rows
   failing checksum/plan validation are quarantined
@@ -68,14 +76,15 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import queue
 import sqlite3
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as _fut_wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from repro.threshold.journal import (
     CacheCorrupt,
@@ -90,11 +99,11 @@ __all__ = [
     "RunDegraded",
     "ShardRetryExhausted",
     "ShardTimeout",
-    "execute_shards",
+    "execute_batch",
 ]
 
 # Supervision loop granularity: how often hung-worker detection runs and
-# how long one wait() blocks when nothing completes.
+# how long one wait for a finished shard blocks when nothing completes.
 _TICK = 0.05
 # Seed of the exponential retry/rebuild sleep (shard retries *and*
 # journal lock retries): step k sleeps _BACKOFF * 2**(k-1) seconds.
@@ -151,7 +160,7 @@ class RunDegraded(UserWarning):
 
 @dataclass(frozen=True)
 class ResilienceOptions:
-    """Knobs for :func:`execute_shards` (all Monte Carlo entry points
+    """Knobs for :func:`execute_batch` (all Monte Carlo entry points
     thread these through as keyword arguments).
 
     ``max_retries`` bounds *re*-executions per shard (total attempts =
@@ -187,8 +196,9 @@ class ResilienceOptions:
 def _guarded_run_shard(payload: tuple) -> tuple[int, int, int]:
     """One attempt at one shard, ``payload = (index, spec, attempt)``:
     the single entry that both the pool and :func:`_execute_serial` call.
-    The shard ignores ``attempt``; it is there so that a test can
-    substitute a fake for this function that fails chosen attempts."""
+    ``index`` is the shard's number in its batch (:class:`_Batch`).  The
+    shard ignores ``index`` and ``attempt``; they are there so that a test
+    can substitute a fake for this function that fails chosen attempts."""
     index, spec, _attempt = payload
     from repro.threshold.sharded import _run_shard
 
@@ -284,18 +294,18 @@ def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
 class _ResilientJournal:
     """Wraps :class:`CheckpointJournal` in the run's fault philosophy:
     every operation either succeeds (after a bounded lock-contention
-    retry) or degrades the run to uncheckpointed execution with a
+    retry) or degrades the batch to uncheckpointed execution with a
     :class:`JournalDegraded` warning — a storage fault may cost durability
     and cache reuse, never the run itself.
 
-    After a hard fault the journal handle is dropped and every later
-    operation is a silent no-op: the run was warned once, loudly, and then
-    left alone to finish.
+    One connection serves every run of a batch; each operation names the
+    run key it reads or writes.  After a hard fault the journal handle is
+    dropped and every later operation, for every run, is a silent no-op:
+    the batch was warned once, loudly, and then left alone to finish.
     """
 
-    def __init__(self, checkpoint: str | Path, run_key: str) -> None:
+    def __init__(self, checkpoint: str | Path) -> None:
         self._journal: CheckpointJournal | None = None
-        self._run_key = run_key
         try:
             self._journal = CheckpointJournal(checkpoint)
         except JournalSchemaError:
@@ -304,10 +314,6 @@ class _ResilientJournal:
             raise
         except (sqlite3.Error, OSError) as exc:
             self._degrade("opening", exc)
-
-    @property
-    def active(self) -> bool:
-        return self._journal is not None
 
     def _degrade(self, doing: str, exc: BaseException) -> None:
         warnings.warn(
@@ -346,43 +352,41 @@ class _ResilientJournal:
                 return None
         return None  # pragma: no cover - loop always returns or degrades
 
-    def register(self, kind: str, shots: int, num_shards: int) -> None:
+    def register(self, run_key: str, kind: str, shots: int, num_shards: int) -> None:
         def _do() -> None:
             try:
-                self._journal.register_run(self._run_key, kind, shots, num_shards)
+                self._journal.register_run(run_key, kind, shots, num_shards)
             except JournalMismatch as exc:
                 # Same run key, contradictory metadata: definitionally
                 # stale or corrupt (the key pins kind/shots/shard count).
                 # Quarantine and start the run fresh instead of dying.
                 warnings.warn(
-                    f"cached metadata for run {self._run_key[:12]}… "
+                    f"cached metadata for run {run_key[:12]}… "
                     f"contradicts this run ({exc}); quarantining its rows "
                     f"and recomputing",
                     CacheCorrupt,
                     stacklevel=7,
                 )
-                self._journal.quarantine_run(self._run_key, "metadata mismatch")
-                self._journal.register_run(self._run_key, kind, shots, num_shards)
+                self._journal.quarantine_run(run_key, "metadata mismatch")
+                self._journal.register_run(run_key, kind, shots, num_shards)
 
         self._attempt("registering the run", _do)
 
-    def resume_counts(self, sizes: list[int]) -> dict[int, tuple[int, int]]:
+    def resume_counts(self, run_key: str, sizes: list[int]) -> dict[int, tuple[int, int]]:
         counts = self._attempt(
             "reading completed shards",
-            lambda: self._journal.completed_shards(self._run_key, expected_sizes=sizes),
+            lambda: self._journal.completed_shards(run_key, expected_sizes=sizes),
         )
         return counts or {}
 
-    def record(self, idx: int, shots: int, failures: int) -> None:
+    def record(self, run_key: str, idx: int, shots: int, failures: int) -> None:
         self._attempt(
             "recording a finished shard",
-            lambda: self._journal.record_shard(self._run_key, idx, shots, failures),
+            lambda: self._journal.record_shard(run_key, idx, shots, failures),
         )
 
-    def clear(self) -> None:
-        self._attempt(
-            "clearing the run", lambda: self._journal.clear_run(self._run_key)
-        )
+    def clear(self, run_key: str) -> None:
+        self._attempt("clearing the run", lambda: self._journal.clear_run(run_key))
 
     def close(self) -> None:
         if self._journal is not None:
@@ -415,258 +419,332 @@ def _backoff_sleep(step: int) -> None:
     time.sleep(min(_BACKOFF * (2 ** max(step - 1, 0)), _BACKOFF_CAP))
 
 
-def execute_shards(
-    specs: list[tuple],
+class _Batch:
+    """The shards of a batch's runs and their counts.
+
+    Shards are numbered across the batch in the order the runs arrive:
+    run ``r``'s shard ``i`` is batch shard ``k`` = (shards of the runs
+    before ``r``) + ``i``, so a batch of one numbers shards as its run
+    does.  With a checkpoint, the one journal connection opens when the
+    first run arrives, and each run registers, resumes and records under
+    its own run key.
+    """
+
+    def __init__(self, opts: ResilienceOptions) -> None:
+        self.opts = opts
+        self.specs: list[tuple] = []
+        self._slots: list[tuple[int, int]] = []  # batch shard -> (run, shard)
+        self._runs: list[tuple[str | None, int, dict[int, tuple[int, int]]]] = []
+        self._journal: _ResilientJournal | None = None
+
+    def add(self, specs: list[tuple], run_key: str | None) -> list[int]:
+        """Take one run in; returns the batch shards left to compute.
+
+        The store is consulted before computing: previously recorded
+        shards (validated — checksummed, plan-checked; bad rows
+        quarantined with :class:`CacheCorrupt` and recomputed) are
+        replayed from disk when ``opts.resume``."""
+        results: dict[int, tuple[int, int]] = {}
+        if self.opts.checkpoint is not None:
+            if run_key is None:
+                raise ValueError("checkpointed execution requires a run_key")
+            if self._journal is None:
+                self._journal = _ResilientJournal(self.opts.checkpoint)
+            kind = specs[0][0] if specs else "?"
+            if not self.opts.resume:
+                self._journal.clear(run_key)
+            self._journal.register(run_key, kind, sum(spec[2] for spec in specs), len(specs))
+            if self.opts.resume:
+                results = self._journal.resume_counts(run_key, [spec[2] for spec in specs])
+        run, base = len(self._runs), len(self.specs)
+        self._runs.append((run_key, len(specs), results))
+        self.specs.extend(specs)
+        self._slots.extend((run, i) for i in range(len(specs)))
+        return [base + i for i in range(len(specs)) if i not in results]
+
+    def record(self, k: int, shots: int, failures: int) -> None:
+        """One finished shard, whether from a worker, a retry, or
+        in-process degradation: pooled in memory, then committed to the
+        journal (a no-op when the batch is uncheckpointed or the journal
+        degraded)."""
+        run, i = self._slots[k]
+        run_key, _, results = self._runs[run]
+        results[i] = (shots, failures)
+        if self._journal is not None:
+            self._journal.record(run_key, i, shots, failures)
+
+    def counts(self) -> list[list[tuple[int, int]]]:
+        """Each run's ``(shots, failures)`` per shard, in shard order."""
+        return [[results[i] for i in range(n)] for _, n, results in self._runs]
+
+    def close(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+
+
+def execute_batch(
+    runs: Iterable[tuple[list[tuple], str | None]],
     workers: int,
     options: ResilienceOptions | None = None,
-    run_key: str | None = None,
-) -> list[tuple[int, int]]:
-    """Execute every shard spec, surviving worker *and* storage faults;
-    returns ``(shots, failures)`` per shard, in shard order.
+) -> list[list[tuple[int, int]]]:
+    """Execute a batch of runs, each ``(specs, run_key)``, surviving worker
+    *and* storage faults; returns each run's ``(shots, failures)`` per
+    shard, in run and shard order.
 
-    ``workers == 1`` executes in-process (with the same retry accounting
-    and journaling).  With ``options.checkpoint`` set, the store is
-    consulted **before computing**: previously recorded shards (validated
-    — checksummed, plan-checked; bad rows quarantined with
-    :class:`CacheCorrupt` and recomputed) are replayed from disk when
-    ``options.resume``, and a full hit returns without a worker pool ever
-    being created.  Completed shards stream into the journal under
-    ``run_key``, and every storage fault on the way degrades the run to
+    ``runs`` is drawn lazily, and each run's pending shards are submitted
+    as soon as it is drawn: with ``workers > 1`` the workers start on one
+    run while the caller builds the next.  There is no barrier between
+    runs, and each run's counts come from its own shards.  ``workers ==
+    1`` executes in-process, run by run (with the same retry accounting
+    and journaling).  With ``options.checkpoint`` set, one journal
+    connection serves the batch (:class:`_Batch`); a run whose every
+    shard is on disk never touches a worker pool, so a fully cached batch
+    creates none.  Every storage fault degrades the batch to
     uncheckpointed execution (:class:`JournalDegraded`) instead of
-    killing it.
+    killing it.  If drawing a run raises, the shards already submitted
+    are finished and journaled before the error propagates.
     """
-    opts = options or ResilienceOptions()
-    results: dict[int, tuple[int, int]] = {}
-    pending = list(range(len(specs)))
-    journal = None
-    if opts.checkpoint is not None:
-        if run_key is None:
-            raise ValueError("checkpointed execution requires a run_key")
-        journal = _ResilientJournal(opts.checkpoint, run_key)
-        if journal.active:
-            kind = specs[0][0] if specs else "?"
-            total_shots = sum(spec[2] for spec in specs)
-            if not opts.resume:
-                journal.clear()
-            journal.register(kind, total_shots, len(specs))
-            if opts.resume:
-                sizes = [spec[2] for spec in specs]
-                for idx, counts in journal.resume_counts(sizes).items():
-                    results[idx] = counts
-                pending = [i for i in pending if i not in results]
+    batch = _Batch(options or ResilienceOptions())
+    pool = _PoolRunner(batch, workers) if workers > 1 else None
     try:
-        if pending:
-            if workers == 1:
-                _execute_serial(specs, pending, results, journal, opts)
-            else:
-                _execute_pool(specs, pending, workers, results, journal, opts)
+        try:
+            for specs, run_key in runs:
+                pending = batch.add(specs, run_key)
+                if pool is None:
+                    _execute_serial(batch, pending)
+                else:
+                    pool.start(pending)
+        except Exception:
+            if pool is not None:
+                pool.finish()
+            raise
+        if pool is not None:
+            pool.finish()
+    except (KeyboardInterrupt, SystemExit):
+        if pool is not None:
+            pool.abandon()
+        raise
     finally:
-        if journal is not None:
-            journal.close()
-        # Serial and degraded shards unpickled the run's args here.
+        batch.close()
+        # Serial and degraded shards unpickled the runs' args here.
         from repro.threshold import sharded as _sharded
 
         _sharded._forget_args()
-    return [results[i] for i in range(len(specs))]
-
-
-def _record(
-    results: dict,
-    journal: "_ResilientJournal | None",
-    idx: int,
-    shots: int,
-    failures: int,
-) -> None:
-    """One finished shard: pooled in memory, then committed to the journal
-    (a no-op when the run is uncheckpointed or the journal degraded)."""
-    results[idx] = (shots, failures)
-    if journal is not None:
-        journal.record(idx, shots, failures)
+    return batch.counts()
 
 
 def _degrade_shard(
-    specs: list,
-    idx: int,
-    attempts: int,
-    last_error: BaseException | None,
-    results: dict,
-    journal,
+    batch: _Batch, k: int, attempts: int, last_error: BaseException | None
 ) -> None:
     """Last resort: run the shard in-process, outside
     :func:`_guarded_run_shard` and the pool.  The result is exact — shards
     are pure — so the run finishes correct; only a fallback that fails too
     raises :class:`ShardRetryExhausted`."""
     warnings.warn(
-        f"shard {idx} failed {attempts} attempt(s) "
+        f"shard {k} failed {attempts} attempt(s) "
         f"(last error: {last_error!r}); degrading to in-process execution — "
         f"pooled counts are unaffected",
         RunDegraded,
         stacklevel=2,
     )
     try:
-        shots, failures = _run_shard_inprocess(specs[idx])
+        shots, failures = _run_shard_inprocess(batch.specs[k])
     except Exception as exc:
-        raise ShardRetryExhausted(idx, attempts + 1, exc) from exc
-    _record(results, journal, idx, shots, failures)
+        raise ShardRetryExhausted(k, attempts + 1, exc) from exc
+    batch.record(k, shots, failures)
 
 
-def _execute_serial(
-    specs: list,
-    pending: list[int],
-    results: dict,
-    journal,
-    opts: ResilienceOptions,
-) -> None:
+def _execute_serial(batch: _Batch, pending: list[int]) -> None:
     """In-process execution with the same retry/degradation accounting;
     every attempt runs through :func:`_guarded_run_shard`, the entry the
     pool submits."""
-    allowed = 1 + opts.max_retries
-    for idx in pending:
+    allowed = 1 + batch.opts.max_retries
+    for k in pending:
         last_error: BaseException | None = None
         for attempt in range(1, allowed + 1):
             try:
-                _, shots, failures = _guarded_run_shard((idx, specs[idx], attempt))
+                _, shots, failures = _guarded_run_shard((k, batch.specs[k], attempt))
             except Exception as exc:
                 last_error = exc
                 if attempt < allowed:
                     _backoff_sleep(attempt)
                 continue
-            _record(results, journal, idx, shots, failures)
+            batch.record(k, shots, failures)
             break
         else:
-            _degrade_shard(specs, idx, allowed, last_error, results, journal)
+            _degrade_shard(batch, k, allowed, last_error)
 
 
-def _execute_pool(
-    specs: list,
-    pending: list[int],
-    workers: int,
-    results: dict,
-    journal,
-    opts: ResilienceOptions,
-) -> None:
-    allowed = 1 + opts.max_retries
-    attempts = {i: 0 for i in pending}
-    last_error: dict[int, BaseException] = {}
-    degraded: list[int] = []
-    rebuilds = 0
-    futures: dict = {}  # Future -> shard index
-    started: dict = {}  # Future -> monotonic stamp when first seen running
-
+def _finished(done: queue.SimpleQueue, timeout: float) -> list[Future]:
+    """The futures queued as finished: the first waited for up to
+    ``timeout`` seconds (0: not at all), then every one already queued."""
     try:
-        pool = _get_pool(workers)
+        first = done.get(timeout=timeout) if timeout > 0 else done.get_nowait()
+    except queue.Empty:
+        return []
+    finished = [first]
+    while True:
+        try:
+            finished.append(done.get_nowait())
+        except queue.Empty:
+            return finished
 
-        def submit(idx: int, new_attempt: bool = True) -> None:
-            nonlocal pool, rebuilds
-            if new_attempt:
-                attempts[idx] += 1
-            payload = (idx, specs[idx], attempts[idx])
+
+class _PoolRunner:
+    """Supervises a batch's shards in the cached worker pool.
+
+    Each submitted future reports its completion into one queue through a
+    done-callback, so handling a finished shard costs O(1) however many
+    are in flight.  The pool is looked up at the first submit, so a batch
+    with nothing to compute never creates one.  Only with a
+    ``shard_timeout`` does a tick look at the running futures, to stamp
+    when each started.
+    """
+
+    def __init__(self, batch: _Batch, workers: int) -> None:
+        self.batch = batch
+        self.workers = workers
+        self.opts = batch.opts
+        self.allowed = 1 + self.opts.max_retries
+        self.pool: ProcessPoolExecutor | None = None
+        self.attempts: dict[int, int] = {}
+        self.last_error: dict[int, BaseException] = {}
+        self.degraded: list[int] = []
+        self.rebuilds = 0
+        self.futures: dict[Future, int] = {}  # in flight -> batch shard
+        self.started: dict[Future, float] = {}  # monotonic stamp when first seen running
+        self.done: queue.SimpleQueue = queue.SimpleQueue()
+
+    def start(self, pending: list[int]) -> None:
+        """Submit a run's pending shards, then handle whatever finished
+        meanwhile without waiting."""
+        for k in pending:
+            self.submit(k)
+        self.supervise(0.0)
+
+    def finish(self) -> None:
+        """Supervise until no shard is in flight, then run the degraded
+        shards in-process."""
+        while self.futures:
+            self.supervise(_TICK)
+        for k in sorted(set(self.degraded)):
+            _degrade_shard(self.batch, k, self.attempts.get(k, 0), self.last_error.get(k))
+        self.degraded.clear()
+
+    def abandon(self) -> None:
+        """Never leave a cached executor holding orphaned in-flight
+        futures: a later call would reuse it and inherit the mess."""
+        if self.futures:
+            self.futures.clear()
+            _kill_pool(self.workers)
+
+    def submit(self, k: int, new_attempt: bool = True) -> None:
+        if new_attempt:
+            self.attempts[k] = self.attempts.get(k, 0) + 1
+        payload = (k, self.batch.specs[k], self.attempts[k])
+        if self.pool is None:
+            self.pool = _get_pool(self.workers)
+        try:
+            fut = self.pool.submit(_guarded_run_shard, payload)
+        except BrokenProcessPool:
+            # The pool broke between supervision ticks (or was already
+            # broken at submit time): replace it and resubmit at the
+            # same attempt — no worker ever ran this shard.  In-flight
+            # futures from the dead pool resolve BrokenProcessPool and
+            # are handled by the supervision loop as usual.
+            _kill_pool(self.workers)
+            self.rebuilds += 1
+            _backoff_sleep(self.rebuilds)
+            self.pool = _get_pool(self.workers)
+            fut = self.pool.submit(_guarded_run_shard, payload)
+        self.futures[fut] = k
+        fut.add_done_callback(self.done.put)
+
+    def _failed(self, k: int, exc: BaseException) -> bool:
+        """Charge an attempt's failure; True → retry, False → degraded."""
+        self.last_error[k] = exc
+        if self.attempts[k] >= self.allowed:
+            self.degraded.append(k)
+            return False
+        return True
+
+    def supervise(self, timeout: float) -> None:
+        """One tick: handle the finished shards (waiting up to ``timeout``
+        for the first), then hung workers, pool breakage and retries."""
+        finished = _finished(self.done, timeout)
+        now = time.monotonic()
+        if self.opts.shard_timeout is not None:
+            for fut in self.futures:
+                if fut not in self.started and fut.running():
+                    self.started[fut] = now
+
+        pool_broken = False
+        retries: list[int] = []
+        for fut in finished:
+            k = self.futures.pop(fut, None)
+            if k is None:
+                continue  # abandoned with a replaced pool
+            self.started.pop(fut, None)
             try:
-                fut = pool.submit(_guarded_run_shard, payload)
-            except BrokenProcessPool:
-                # The pool broke between supervision ticks (or was already
-                # broken at submit time): replace it and resubmit at the
-                # same attempt — no worker ever ran this shard.  In-flight
-                # futures from the dead pool resolve BrokenProcessPool and
-                # are handled by the supervision loop as usual.
-                _kill_pool(workers)
-                rebuilds += 1
-                _backoff_sleep(rebuilds)
-                pool = _get_pool(workers)
-                fut = pool.submit(_guarded_run_shard, payload)
-            futures[fut] = idx
+                _, shots, failures = fut.result()
+            except BrokenProcessPool as exc:
+                pool_broken = True
+                if self._failed(k, exc):
+                    retries.append(k)
+                continue
+            except Exception as exc:
+                if self._failed(k, exc):
+                    retries.append(k)
+                continue
+            self.batch.record(k, shots, failures)
 
-        def on_failure(idx: int, exc: BaseException) -> bool:
-            """Charge an attempt's failure; True → retry, False → degraded."""
-            last_error[idx] = exc
-            if attempts[idx] >= allowed:
-                degraded.append(idx)
-                return False
-            return True
+        timed_out: set[int] = set()
+        if self.opts.shard_timeout is not None:
+            for fut, t0 in self.started.items():
+                if now - t0 > self.opts.shard_timeout:
+                    timed_out.add(self.futures[fut])
 
-        for idx in pending:
-            submit(idx)
-
-        while futures:
-            done, not_done = _fut_wait(
-                set(futures), timeout=_TICK, return_when=FIRST_COMPLETED
-            )
-            now = time.monotonic()
-            for fut in not_done:
-                if fut not in started and fut.running():
-                    started[fut] = now
-
-            pool_broken = False
-            retries: list[int] = []
-            for fut in done:
-                idx = futures.pop(fut)
-                started.pop(fut, None)
-                try:
-                    _, shots, failures = fut.result()
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    if on_failure(idx, exc):
-                        retries.append(idx)
-                    continue
-                except Exception as exc:
-                    if on_failure(idx, exc):
-                        retries.append(idx)
-                    continue
-                _record(results, journal, idx, shots, failures)
-
-            timed_out: set[int] = set()
-            if opts.shard_timeout is not None:
-                for fut, t0 in started.items():
-                    if now - t0 > opts.shard_timeout:
-                        timed_out.add(futures[fut])
-
-            if pool_broken or timed_out:
-                # The executor can neither cancel a running future nor
-                # survive a dead worker: abandon in-flight futures, kill
-                # and replace the pool, and resubmit everything unfinished.
-                # Timed-out shards are charged a failed attempt; innocent
-                # in-flight shards are resubmitted at their same attempt.
-                survivors: list[int] = []
-                for fut, idx in futures.items():
-                    if idx in timed_out:
-                        exc = ShardTimeout(idx, attempts[idx], opts.shard_timeout)
-                        if on_failure(idx, exc):
-                            retries.append(idx)
-                    else:
-                        survivors.append(idx)
-                futures.clear()
-                started.clear()
-                _kill_pool(workers)
-                rebuilds += 1
-                _backoff_sleep(rebuilds)
-                try:
-                    pool = _get_pool(workers)
-                except Exception as exc:
-                    # Pool cannot be rebuilt (fd/memory exhaustion, ...):
-                    # degrade every unfinished shard rather than lose the run.
-                    warnings.warn(
-                        f"worker pool could not be rebuilt ({exc!r}); running "
-                        f"{len(retries) + len(survivors)} remaining shard(s) "
-                        f"in-process",
-                        RunDegraded,
-                        stacklevel=2,
-                    )
-                    degraded.extend(retries)
-                    degraded.extend(survivors)
-                    break
-                for idx in survivors:
-                    submit(idx, new_attempt=False)
-                for idx in retries:
-                    submit(idx)
-            elif retries:
-                _backoff_sleep(max(attempts[i] for i in retries))
-                for idx in retries:
-                    submit(idx)
-    except (KeyboardInterrupt, SystemExit):
-        # Never leave a cached executor holding orphaned in-flight
-        # futures: a later call would reuse it and inherit the mess.
-        _kill_pool(workers)
-        raise
-
-    for idx in sorted(set(degraded)):
-        _degrade_shard(specs, idx, attempts[idx], last_error.get(idx), results, journal)
+        if pool_broken or timed_out:
+            # The executor can neither cancel a running future nor
+            # survive a dead worker: abandon in-flight futures, kill
+            # and replace the pool, and resubmit everything unfinished.
+            # Timed-out shards are charged a failed attempt; innocent
+            # in-flight shards are resubmitted at their same attempt.
+            survivors: list[int] = []
+            for k in self.futures.values():
+                if k in timed_out:
+                    exc = ShardTimeout(k, self.attempts[k], self.opts.shard_timeout)
+                    if self._failed(k, exc):
+                        retries.append(k)
+                else:
+                    survivors.append(k)
+            self.futures.clear()
+            self.started.clear()
+            _kill_pool(self.workers)
+            self.rebuilds += 1
+            _backoff_sleep(self.rebuilds)
+            try:
+                self.pool = _get_pool(self.workers)
+            except Exception as exc:
+                # Pool cannot be rebuilt (fd/memory exhaustion, ...):
+                # degrade every unfinished shard rather than lose the run.
+                # A later run of the batch looks the pool up again.
+                warnings.warn(
+                    f"worker pool could not be rebuilt ({exc!r}); running "
+                    f"{len(retries) + len(survivors)} remaining shard(s) "
+                    f"in-process",
+                    RunDegraded,
+                    stacklevel=2,
+                )
+                self.pool = None
+                self.degraded.extend(retries)
+                self.degraded.extend(survivors)
+                return
+            for k in survivors:
+                self.submit(k, new_attempt=False)
+            for k in retries:
+                self.submit(k)
+        elif retries:
+            _backoff_sleep(max(self.attempts[k] for k in retries))
+            for k in retries:
+                self.submit(k)

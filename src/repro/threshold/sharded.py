@@ -25,16 +25,20 @@ A Monte Carlo run has one path: ``memory_experiment`` (or
 ``code_capacity_memory``) builds the run's
 :class:`~repro.threshold.runtime.ResilienceOptions` here
 (:func:`_resilience_options`) and hands any sharded call to
-:func:`_run_sharded`, which plans the shards and passes them to
-:func:`repro.threshold.runtime.execute_shards`.  The runtime supervises
-them (per-shard timeouts, bounded retry with backoff, pool replacement on
+:func:`_run_sharded`, a batch of one.  A sharded grid scan hands every
+grid point to :func:`_run_batch` as one batch.  The batch plans each run
+as it is drawn and passes it to
+:func:`repro.threshold.runtime.execute_batch`, which submits that run's
+shards before the next run is built.  The runtime supervises them
+(per-shard timeouts, bounded retry with backoff, pool replacement on
 ``BrokenProcessPool``, in-process degradation) and, with ``checkpoint=``,
-journals them in :class:`repro.threshold.journal.CheckpointJournal` under
-a content-addressed run key: the store is consulted *before* computing,
-so a repeated identical run replays its pooled counts without spawning a
-pool, a killed scan resumes from disk re-executing only unfinished
-shards, and corrupted rows are quarantined and recomputed rather than
-replayed.  The four resilience knobs (``max_retries``, ``shard_timeout``,
+journals them in :class:`repro.threshold.journal.CheckpointJournal`, one
+connection per batch, each run under its own content-addressed run key:
+the store is consulted *before* computing, so a repeated identical run
+replays its pooled counts without spawning a pool, a killed scan resumes
+from disk re-executing only each point's unfinished shards, and
+corrupted rows are quarantined and recomputed rather than replayed.  The
+four resilience knobs (``max_retries``, ``shard_timeout``,
 ``checkpoint``, ``resume``) are keyword arguments of both entry points and
 are threaded through every grid scan.
 
@@ -47,7 +51,7 @@ protocols must be picklable (the compiled programs, codes, and noise
 models all are).  Each process keeps the last payload it unpickled
 (:func:`_shard_args`): a worker's later shards of the run reuse that
 protocol together with its warm packed buffers, and
-:func:`~repro.threshold.runtime.execute_shards` drops the calling
+:func:`~repro.threshold.runtime.execute_batch` drops the calling
 process's copy when it returns.  Run keys hash the caller's ``args``,
 not the payload, so a run's key does not depend on how it is shipped.
 """
@@ -57,11 +61,12 @@ from __future__ import annotations
 import pickle
 import warnings
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from repro.threshold.journal import compute_run_key
-from repro.threshold.runtime import ResilienceOptions, execute_shards
+from repro.threshold.runtime import ResilienceOptions, execute_batch
 
 __all__ = ["DEFAULT_NUM_SHARDS", "shard_sizes", "spawn_shard_seeds"]
 
@@ -158,7 +163,8 @@ def _seed_fingerprint(seed: int | np.random.SeedSequence) -> tuple:
 # re-import repro wherever the parent found it).
 # ----------------------------------------------------------------------
 # The last payload this process unpickled, and its args.  One entry is
-# enough: a worker receives a run's shards together.
+# enough: a worker receives a run's shards together, and a batch's runs one
+# after another.
 _args_cache: tuple[bytes, tuple] | None = None
 
 
@@ -179,7 +185,7 @@ def _shard_args(payload: bytes) -> tuple:
 
 
 def _forget_args() -> None:
-    """Release the cached args: ``execute_shards`` calls this as a run
+    """Release the cached args: ``execute_batch`` calls this as a batch
     ends, so the calling process keeps no copy."""
     global _args_cache
     _args_cache = None
@@ -258,6 +264,43 @@ def _resilience_options(
     )
 
 
+def _run_batch(
+    kind: str,
+    points: Iterable[tuple[tuple, object]],
+    rounds: int,
+    shots: int,
+    workers: int,
+    num_shards: int | None,
+    options: ResilienceOptions,
+) -> list:
+    """Plan, execute and pool a batch of runs of one ``kind`` and size.
+
+    ``points`` yields each run's ``(args, seed)``.  It is drawn lazily:
+    each run is planned (specs, and a run key when checkpointed) as it is
+    drawn and handed to :func:`execute_batch`, which submits its shards
+    before the next run is built.  Each run keeps its own shard plan,
+    payload and run key, and its pooled result comes from its own shards.
+    """
+    n = len(shard_sizes(shots, num_shards))
+    if workers > n:
+        warnings.warn(
+            f"only {n} shards for {workers} workers — parallelism is "
+            f"capped at the shard count; pass num_shards >= workers",
+            stacklevel=3,
+        )
+        workers = n
+
+    def runs():
+        for args, seed in points:
+            specs, fingerprint = _build_specs(kind, args, shots, seed, num_shards)
+            run_key = None
+            if options.checkpoint is not None:
+                run_key = compute_run_key(kind, args, shots, fingerprint, len(specs))
+            yield specs, run_key
+
+    return [_pooled_result(counts, rounds) for counts in execute_batch(runs(), workers, options)]
+
+
 def _run_sharded(
     kind: str,
     args: tuple,
@@ -268,17 +311,5 @@ def _run_sharded(
     num_shards: int | None,
     options: ResilienceOptions,
 ):
-    """Plan a run's shards, execute them under ``options`` and pool their
-    counts; only a checkpointed run needs a run key."""
-    specs, fingerprint = _build_specs(kind, args, shots, seed, num_shards)
-    if workers > len(specs):
-        warnings.warn(
-            f"only {len(specs)} shards for {workers} workers — parallelism is "
-            f"capped at the shard count; pass num_shards >= workers",
-            stacklevel=2,
-        )
-        workers = len(specs)
-    run_key = None
-    if options.checkpoint is not None:
-        run_key = compute_run_key(kind, args, shots, fingerprint, len(specs))
-    return _pooled_result(execute_shards(specs, workers, options, run_key), rounds)
+    """One sharded run: a batch of one."""
+    return _run_batch(kind, [(args, seed)], rounds, shots, workers, num_shards, options)[0]

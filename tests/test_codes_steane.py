@@ -1,9 +1,13 @@
 """Tests of the Steane code against the paper's §2 algebra."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.codes import SteaneCode
+from repro.codes.stabilizer_code import StabilizerCode
 from repro.paulis import Pauli, pauli_from_string
 from repro.stabilizer import StabilizerSimulator
 from repro.statevector import StateVector, run_circuit
@@ -50,6 +54,30 @@ class TestStructure:
                 assert any(syn), f"{letter}{q} is undetected"
                 seen.add((letter in "XY", letter in "YZ", syn))
         assert len(seen) == 21
+
+
+class TestConstruction:
+    # sha256 of pickle.dumps(SteaneCode(), protocol=4) as the constructor
+    # that validated twice and discarded a generic logical search built it.
+    # Run keys hash this pickle, so attribute values, their order and
+    # whether hz and hx are one array must all stay as they were.
+    PICKLE_SHA256 = "5ae4b689500a13f5b94c631defbb58b2b46787e2ea318fa76165ef0e7fc45132"
+
+    def test_pickle_is_unchanged(self):
+        data = pickle.dumps(SteaneCode(), protocol=4)
+        assert hashlib.sha256(data).hexdigest() == self.PICKLE_SHA256
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+        validate = StabilizerCode._validate
+        monkeypatch.setattr(
+            StabilizerCode, "_validate", lambda self: (calls.append(1), validate(self))[1]
+        )
+        code = SteaneCode()
+        assert len(calls) == 1
+        assert code.hz is not code.hx
+        assert code.logical_x[0] == pauli_from_string("XXXXXXX")
+        assert code.logical_z[0] == pauli_from_string("ZZZZZZZ")
 
 
 class TestEncoderStateVector:

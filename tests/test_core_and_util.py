@@ -102,6 +102,13 @@ class TestLogicalMemoryAPI:
         mem = LogicalMemory(code="steane", method="steane", eps=5e-5)
         assert mem.breakeven(shots=50_000, seed=1)
 
+    def test_breakeven_compares_under_the_explicit_noise_model(self):
+        """The bare qubit sees the storage noise the encoded one runs
+        under: with no storage noise neither fails, so encoding does not
+        win (it used to compare 0 failures against a bare rate of eps)."""
+        mem = LogicalMemory(code="steane", method="ideal", eps=0.05, noise=NoiseModel())
+        assert mem.breakeven(shots=2000, seed=0) is False
+
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
             LogicalMemory(code="nope")

@@ -102,3 +102,26 @@ class TestCheckpointedMonteCarloPins:
             for eps, failures in self.E08_FAILURES.items()
         ]
         assert fresh["mc_pseudothreshold"] == pytest.approx(self.E08_CROSSING, rel=1e-12)
+
+    @pytest.mark.slow_mp
+    def test_e08_through_the_pool_fresh_and_replayed(self, tmp_path, monkeypatch):
+        """The same pins through two spawned workers: the default plan is
+        16 shards at any worker count, and the replay, a full hit, creates
+        no pool."""
+        from repro.experiments.e08_accuracy_threshold import run as run_e08
+        from repro.threshold import runtime
+
+        store = tmp_path / "e08.sqlite"
+        fresh = run_e08(quick=True, workers=2, checkpoint=store)
+
+        def no_pool(workers):
+            raise AssertionError("a full-hit replay created a worker pool")
+
+        monkeypatch.setattr(runtime, "_get_pool", no_pool)
+        replayed = run_e08(quick=True, workers=2, checkpoint=store)
+        assert replayed == fresh
+        assert fresh["mc_curve"] == [
+            (eps, max(failures / self.SHOTS, 1e-12))
+            for eps, failures in self.E08_FAILURES.items()
+        ]
+        assert fresh["mc_pseudothreshold"] == pytest.approx(self.E08_CROSSING, rel=1e-12)

@@ -16,6 +16,7 @@ identical results, run to run and fused vs unfused).
 """
 
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +45,9 @@ from repro.pauliframe.compiled import (
     _draw_class,
     _fold,
 )
+from repro.analysis import progcheck
+from repro.analysis.progcheck import NoiseRangeError, OperandRangeError
+from repro.pauliframe import compiled
 from repro.threshold import memory_experiment
 from repro.util.stats import wilson_interval
 
@@ -713,6 +717,87 @@ class TestEmptyClasses:
             assert all(row[hits.bounds[0] : hits.bounds[-1]].size == 0 for row in hits.bits)
         hits = faults["g2"]
         assert hits.bounds[-1] > hits.bounds[0]
+
+
+class TestSharedStreams:
+    """Programs whose circuit, fusion and nonzero rates match share one
+    lowered stream: it is verified structurally once, its arrays are
+    read-only, and each program still checks its own rates and pickles as
+    if it had compiled alone."""
+
+    CIRCUIT = random_clifford_circuit(np.random.default_rng(21), conditional=True)
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_STREAMS", {})
+
+    @staticmethod
+    def arrays(prog):
+        found = [a for ins in prog._instructions for a in ins if isinstance(a, np.ndarray)]
+        return found + list(prog._row_tables.values())
+
+    def test_a_cached_build_pickles_as_a_cold_one(self, monkeypatch):
+        CompiledFrameProgram(self.CIRCUIT, circuit_level(1e-3))
+        warm = CompiledFrameProgram(self.CIRCUIT, circuit_level(3e-3))
+        monkeypatch.setattr(compiled, "_STREAMS", {})
+        cold = CompiledFrameProgram(self.CIRCUIT, circuit_level(3e-3))
+        assert warm._instructions is not cold._instructions
+        for protocol in (4, 5):
+            assert pickle.dumps(warm, protocol=protocol) == pickle.dumps(cold, protocol=protocol)
+        assert b"_stream" not in pickle.dumps(warm)
+        copy = pickle.loads(pickle.dumps(warm))
+        runs = [prog.run(500, seed=3) for prog in (copy, warm, cold)]
+        for field in ("meas_flips", "fx", "fz"):
+            assert all(np.array_equal(getattr(r, field), getattr(runs[0], field)) for r in runs)
+
+    def test_shared_arrays_are_read_only(self):
+        first = CompiledFrameProgram(self.CIRCUIT, circuit_level(1e-3))
+        second = CompiledFrameProgram(self.CIRCUIT, circuit_level(2e-3))
+        assert second._instructions is first._instructions
+        assert second._row_tables is first._row_tables
+        arrays = self.arrays(second)
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][...] = 0
+
+    def test_the_stream_depends_on_which_rates_are_nonzero(self):
+        noisy = CompiledFrameProgram(self.CIRCUIT, circuit_level(1e-3))
+        no_store = CompiledFrameProgram(self.CIRCUIT, replace(circuit_level(1e-3), eps_store=0.0))
+        unfused = CompiledFrameProgram(self.CIRCUIT, circuit_level(1e-3), fuse=False)
+        assert len({id(p._instructions) for p in (noisy, no_store, unfused)}) == 3
+        assert no_store._counts["store"] == 0 < noisy._counts["store"]
+
+    def test_structure_is_verified_once_and_rates_every_time(self, monkeypatch):
+        verified = []
+        verify_stream = progcheck.verify_stream
+        monkeypatch.setattr(
+            progcheck, "verify_stream", lambda *args: (verified.append(1), verify_stream(*args))
+        )
+        for eps in (1e-3, 2e-3, 4e-3):
+            CompiledFrameProgram(self.CIRCUIT, circuit_level(eps))
+        assert len(verified) == 1
+        bad = circuit_level(1e-3)
+        object.__setattr__(bad, "eps_gate2", 1.5)
+        with pytest.raises(NoiseRangeError, match="eps_gate2=1.5"):
+            CompiledFrameProgram(self.CIRCUIT, bad)
+        assert len(verified) == 1
+
+    def test_a_replaced_stream_gets_the_full_verifier(self):
+        prog = CompiledFrameProgram(self.CIRCUIT, circuit_level(1e-3))
+        prog._instructions = list(prog._instructions) + [(compiled._OP_H, np.array([99]))]
+        with pytest.raises(OperandRangeError):
+            prog.verify()
+
+    def test_the_cache_is_bounded_least_recently_used_first(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_STREAMS_MAX", 2)
+        circuits = [Circuit(2).h(0), Circuit(2).h(1), Circuit(2).cnot(0, 1)]
+        first = CompiledFrameProgram(circuits[0], circuit_level(1e-3))
+        CompiledFrameProgram(circuits[1], circuit_level(1e-3))
+        CompiledFrameProgram(circuits[0], circuit_level(2e-3))  # a hit refreshes it
+        CompiledFrameProgram(circuits[2], circuit_level(1e-3))
+        kept = [key[2] for key in compiled._STREAMS]
+        assert kept == [tuple(circuits[0].operations), tuple(circuits[2].operations)]
+        first.verify()  # a program keeps its own stream alive
 
 
 class TestTinyRates:

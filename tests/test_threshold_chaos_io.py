@@ -291,8 +291,8 @@ class TestStorageFirewall:
         )
         path = tmp_path / "c.sqlite"
         with pytest.raises(ValueError, match="run_key"):
-            runtime.execute_shards(
-                specs, 1, options=ResilienceOptions(checkpoint=path)
+            runtime.execute_batch(
+                [(specs, None)], 1, options=ResilienceOptions(checkpoint=path)
             )
         assert not path.exists()
 

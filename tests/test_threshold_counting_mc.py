@@ -236,7 +236,7 @@ class TestRunSizeValidation:
         def no_shards(*args, **kwargs):
             raise AssertionError("a shard ran for an invalid run size")
 
-        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        monkeypatch.setattr(sharded, "execute_batch", no_shards)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match=size.split("=")[0]):
@@ -270,7 +270,7 @@ class TestRunSizeValidation:
         def no_shards(*args, **kwargs):
             raise AssertionError("a shard ran for a non-integral run size")
 
-        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        monkeypatch.setattr(sharded, "execute_batch", no_shards)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(TypeError, match=size.split("=")[0]):
@@ -308,7 +308,7 @@ class TestRunSizeValidation:
         def no_shards(*args, **kwargs):
             raise AssertionError("a shard ran for a protocol and code of different sizes")
 
-        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        monkeypatch.setattr(sharded, "execute_batch", no_shards)
         protocol, code = self.MISMATCHED[pair]()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -330,7 +330,7 @@ class TestRunSizeValidation:
         def no_shards(*args, **kwargs):
             raise AssertionError("a shard ran for an invalid noise rate")
 
-        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        monkeypatch.setattr(sharded, "execute_batch", no_shards)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="eps"):
@@ -382,7 +382,7 @@ class TestRunSizeValidation:
         def no_shards(*args, **kwargs):
             raise AssertionError("a shard ran with invalid resilience options")
 
-        monkeypatch.setattr(sharded, "execute_shards", no_shards)
+        monkeypatch.setattr(sharded, "execute_batch", no_shards)
         kwargs, error = self.BAD_RESILIENCE[bad]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

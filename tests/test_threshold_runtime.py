@@ -222,7 +222,7 @@ class TestMultiprocessChaos:
         def interrupted_wait(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(runtime, "_fut_wait", interrupted_wait)
+        monkeypatch.setattr(runtime, "_finished", interrupted_wait)
         with pytest.raises(KeyboardInterrupt):
             run_with_chaos(protocol, code, None)
         assert 2 not in runtime._pool_cache

@@ -185,7 +185,7 @@ PROTOCOLS = {
 class TestShardPayload:
     """A run's args are pickled once and every spec carries those bytes; a
     process unpickles equal bytes once, keeps one run's args, and the
-    caller keeps none once ``execute_shards`` returns."""
+    caller keeps none once ``execute_batch`` returns."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
