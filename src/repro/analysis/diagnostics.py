@@ -106,9 +106,10 @@ RULES: dict[str, Rule] = {
         Rule(
             "RPL203",
             "pickle",
-            "class accumulates scratch buffers (self._buffers/_scratch/"
-            "_cache) without a __getstate__ excluding them — scratch leaks "
-            "into worker payloads and content-addressed run keys",
+            "class accumulates scratch buffers or cached state (self._buffers/"
+            "_scratch*/_*cache) without a __getstate__/__reduce__ excluding "
+            "them — scratch leaks into worker payloads and content-addressed "
+            "run keys",
         ),
         # -- concurrency / resource hygiene --------------------------------
         Rule(

@@ -15,8 +15,9 @@ scratch-buffer leak).  These rules catch both classes at review time:
 * RPL202 — lambdas / nested functions handed to ``submit``/``map``:
   spawn pickles callables by qualified name; only module-level functions
   survive the boundary.
-* RPL203 — scratch-buffer attributes (``_buffers``/``_scratch*``/
-  ``_cache*``) accumulated on a class with no ``__getstate__`` to exclude
+* RPL203 — scratch-buffer and cached attributes (``_buffers``,
+  ``_scratch*``, and any ``_*cache``/``_*caches``, such as a lazily built
+  ``_table_cache``) accumulated on a class with no pickle hook to exclude
   them: the scratch travels in every worker payload and poisons the run
   key with whatever the object last executed.
 """
@@ -32,7 +33,7 @@ from repro.analysis.diagnostics import Diagnostic
 __all__ = ["check"]
 
 _PICKLE_HOOKS = {"__getstate__", "__setstate__", "__reduce__", "__reduce_ex__"}
-_SCRATCH_ATTR = re.compile(r"^_(buffers?|scratch\w*|caches?)$")
+_SCRATCH_ATTR = re.compile(r"^_(buffers?|scratch\w*|\w*caches?)$")
 _EXECUTOR_METHODS = {"submit", "map"}
 
 
@@ -142,7 +143,7 @@ def check(ctx) -> Iterator[Diagnostic]:
                 f"__getstate__/__setstate__/__reduce__; worker payloads "
                 f"carrying it can break at the pickle boundary",
             )
-        # RPL203 — scratch buffers with no __getstate__ to exclude them.
+        # RPL203 — scratch or cached state with no pickle hook to exclude it.
         if not has_pickle_hook:
             scratch = _scratch_assignments(node)
             if scratch:
@@ -152,7 +153,7 @@ def check(ctx) -> Iterator[Diagnostic]:
                     ctx.path,
                     site.lineno,
                     f"class {node.name} accumulates scratch attribute "
-                    f"'{attr}' but has no __getstate__ excluding it — "
+                    f"'{attr}' but has no __getstate__/__reduce__ excluding it — "
                     f"scratch state leaks into worker pickles and "
                     f"content-addressed run keys",
                 )

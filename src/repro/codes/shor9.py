@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.codes.css import CSSCode
-from repro.paulis.pauli import pauli_from_string
+from repro.paulis.pauli import Pauli, pauli_from_string
 
 __all__ = ["ShorNineCode"]
 
@@ -51,10 +51,11 @@ class ShorNineCode(CSSCode):
 
     def __init__(self) -> None:
         super().__init__(_HZ, _HX, name="Shor[[9,1,3]]")
-        self.logical_x = [pauli_from_string("ZZZZZZZZZ")]
-        self.logical_z = [pauli_from_string("XXXXXXXXX")]
-        self._validate()
-        self._frame_table_cache = None
+
+    def _find_logicals(self, n: int, k: int) -> tuple[list[Pauli], list[Pauli]]:
+        """X̄ = Z⊗9 and Z̄ = X⊗9 instead of a generic CSS search; the base
+        constructor validates them with the stabilizers."""
+        return [pauli_from_string("ZZZZZZZZZ")], [pauli_from_string("XXXXXXXXX")]
 
     def encoding_circuit(self) -> Circuit:
         """The textbook encoder: phase-code across triples, bit-code within.

@@ -18,6 +18,8 @@ from repro.paulis.pauli import Pauli
 
 __all__ = ["StabilizerCode"]
 
+_FRAME_TABLES: dict[tuple, np.ndarray] = {}  # see StabilizerCode._frame_table
+
 
 class StabilizerCode:
     """A stabilizer code with explicit logical operators.
@@ -219,18 +221,25 @@ class StabilizerCode:
 
     def _frame_table(self) -> np.ndarray:
         """Dense ``(2**m, 2n)`` syndrome -> correction table for vectorized
-        decoding: row ``sum(bit_j << j)`` is the correction's ``x | z``."""
-        cached = getattr(self, "_frame_table_cache", None)
-        if cached is not None:
-            return cached
-        m = len(self.generators)
-        table = self.decode_syndrome_table(max_weight=self._decoder_weight())
-        corr = np.zeros((2**m, 2 * self.n), dtype=np.uint8)
-        weights = 1 << np.arange(m)
-        for key, pauli in table.items():
-            idx = int(np.dot(np.array(key, dtype=np.int64), weights))
-            corr[idx] = np.concatenate([pauli.x, pauli.z])
-        self._frame_table_cache = corr
+        decoding: row ``sum(bit_j << j)`` is the correction's ``x | z``.
+
+        It depends only on the generators, so it is cached read-only at
+        module level by their content: decoding leaves the code's state,
+        and so its pickle, as the constructor built it.
+        """
+        sym = self._symplectic_matrix(self.generators)
+        key = (sym.shape, sym.tobytes())
+        corr = _FRAME_TABLES.get(key)
+        if corr is None:
+            m = len(self.generators)
+            table = self.decode_syndrome_table(max_weight=self._decoder_weight())
+            corr = np.zeros((2**m, 2 * self.n), dtype=np.uint8)
+            weights = 1 << np.arange(m)
+            for syn, pauli in table.items():
+                idx = int(np.dot(np.array(syn, dtype=np.int64), weights))
+                corr[idx] = np.concatenate([pauli.x, pauli.z])
+            corr.flags.writeable = False
+            _FRAME_TABLES[key] = corr
         return corr
 
     # -- packed twins over (rows, words) uint64 planes, 64 shots per word ---

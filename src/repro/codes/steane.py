@@ -48,7 +48,6 @@ class SteaneCode(CSSCode):
     def __init__(self) -> None:
         super().__init__(H_EQ1, H_EQ1, name="Steane[[7,1,3]]")
         self.hamming = HammingCode("eq1")
-        self._frame_table_cache = None
 
     def _find_logicals(self, n: int, k: int) -> tuple[list[Pauli], list[Pauli]]:
         """The canonical transversal logicals instead of a generic CSS

@@ -31,6 +31,11 @@ layouts of a round into a *single* factory execution instead of one
 simulator run per layout.  ``engine="legacy"`` keeps the original
 per-operation interpreter and per-layout factory runs; the parity suite
 checks the two agree.
+
+A protocol pickles only its constructor arguments and is rebuilt through
+its constructor when unpickled.  No program, packed buffer or fold scratch
+travels, so its pickle, which a sharded run's key hashes, is the same
+before and after any number of rounds.
 """
 
 from __future__ import annotations
@@ -203,26 +208,6 @@ def _run_round_via_packed(
     return unpack_shot_major(dfx, shots), unpack_shot_major(dfz, shots)
 
 
-def _pickle_state(protocol) -> dict:
-    """A compiled protocol's state without its scratch: the packed round
-    buffers and the fault fold's scratch hold whatever the last round left
-    behind.  They must not travel in the pickle: the result cache's
-    content-addressed run keys hash pickled protocols, so leaked scratch
-    would make a protocol's identity depend on what it happened to execute
-    last (and bloat the pickle shipped to every worker)."""
-    state = {k: v for k, v in protocol.__dict__.items() if k != "_scratch"}
-    if "_buffers" in state:
-        state["_buffers"] = {}
-    return state
-
-
-def _restore_state(protocol, state: dict) -> None:
-    """Unpickle a protocol with empty scratch, which its first round fills."""
-    protocol.__dict__.update(state)
-    if "_buffers" in state:
-        protocol._scratch = FoldScratch()
-
-
 class SteaneECProtocol:
     """One Steane-method EC round, vectorized over shots.
 
@@ -269,11 +254,9 @@ class SteaneECProtocol:
                 self.extraction.extraction_circuit(), noise, backend="legacy"
             )
 
-    def __getstate__(self) -> dict:
-        return _pickle_state(self)
-
-    def __setstate__(self, state: dict) -> None:
-        _restore_state(self, state)
+    def __reduce__(self) -> tuple:
+        reps, verify = self.extraction.repetitions, self.prep.verify
+        return type(self), (self.noise, reps, self.policy, verify, self.code, self.engine)
 
     @property
     def data_qubits(self) -> int:
@@ -461,11 +444,9 @@ class ShorECProtocol:
                 for w in self.extraction.factory_widths()
             }
 
-    def __getstate__(self) -> dict:
-        return _pickle_state(self)
-
-    def __setstate__(self, state: dict) -> None:
-        _restore_state(self, state)
+    def __reduce__(self) -> tuple:
+        reps, verify = self.extraction.repetitions, self.verify_ancilla
+        return type(self), (self.code, self.noise, reps, self.policy, verify, self.engine)
 
     @property
     def data_qubits(self) -> int:

@@ -41,6 +41,11 @@ distribution on noisy paths; the parity test suite in
 operation-boundary resolution, which fused batches erase, so
 :meth:`FrameSimulator.run <repro.pauliframe.engine.FrameSimulator.run>`
 sends them to the legacy interpreter.
+
+A program pickles only what it is built from: its circuit, noise model
+and fusion flag.  Unpickling runs the constructor, so the receiving
+process takes the stream from its own cache, lowered and verified there,
+and checks the program's rates.
 """
 
 from __future__ import annotations
@@ -444,18 +449,12 @@ class _Stream:
     row tables, verified once and shared by every program whose circuit
     (size and operations), fusion and nonzero rates match: the stream
     depends on nothing else.  Its arrays are read-only.
-
-    Pickle protocol 5 ships a read-only array as bytes and a writeable one
-    as bytearray, so programs pickle ``thawed``, writeable copies of the
-    instructions and row tables made once here: a shared stream pickles
-    byte for byte as an unshared one would.
     """
 
     instructions: list[tuple]
     counts: dict[str, int]
     row_tables: dict[str, np.ndarray]
     dims: tuple[int, int]  # the circuit's (num_qubits, num_cbits)
-    thawed: tuple[list[tuple], dict[str, np.ndarray]]
 
     @classmethod
     def of(cls, instrs: list[tuple], counts: dict[str, int], circuit: Circuit) -> "_Stream":
@@ -465,14 +464,10 @@ class _Stream:
 
         verify_stream(instrs, circuit.num_qubits, circuit.num_cbits, counts)
         row_tables = _row_tables(instrs, counts, circuit.num_qubits)
-        thawed = (
-            [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in ins) for ins in instrs],
-            {name: rows.copy() for name, rows in row_tables.items()},
-        )
         for arr in [*row_tables.values(), *(a for ins in instrs for a in ins)]:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        return cls(instrs, counts, row_tables, (circuit.num_qubits, circuit.num_cbits), thawed)
+        return cls(instrs, counts, row_tables, (circuit.num_qubits, circuit.num_cbits))
 
 
 # Streams by everything they depend on, least recently used first.  The
@@ -510,24 +505,12 @@ class CompiledFrameProgram:
         self._compile()
         self.verify()
 
-    # The shared stream and the fold's layout derived from its row tables
-    # stay out of the pickle: run keys hash pickled protocols, so a program
-    # pickles to the same bytes however it is compiled and laid out.  An
-    # unpickled program owns its stream.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        stream = state.pop("_stream")
-        del state["_layout"]
-        if stream is not None and self._instructions is stream.instructions:
-            state["_instructions"] = stream.thawed[0]
-        if stream is not None and self._row_tables is stream.row_tables:
-            state["_row_tables"] = stream.thawed[1]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._stream = None
-        self._layout = _Layout.of(self._row_tables, self.noise)
+    def __reduce__(self) -> tuple:
+        """Pickle what the program is built from.  Unpickling runs the
+        constructor, which takes the stream from the cache (lowering and
+        verifying it on a miss) and checks the rates in the receiving
+        process."""
+        return type(self), (self.circuit, self.noise, self.fuse)
 
     def verify(self) -> None:
         """Statically verify the compiled instruction stream.
@@ -547,8 +530,7 @@ class CompiledFrameProgram:
 
         circuit, stream = self.circuit, self._stream
         if (
-            stream is not None
-            and stream.instructions is self._instructions
+            stream.instructions is self._instructions
             and stream.counts is self._counts
             and stream.dims == (circuit.num_qubits, circuit.num_cbits)
         ):

@@ -12,13 +12,14 @@ Content-addressed run keys
 --------------------------
 A journal row is only replayable if it provably belongs to *this* run, so
 rows are keyed by :func:`compute_run_key`: a SHA-256 over the exact inputs
-the sharded driver makes deterministic — ``(kind, pickled args
-(protocol/code/noise/rounds), shots, seed entropy + spawn key, resolved
-shard count)``.  Because every shard is a pure function of its spec, a
-replayed shard is bit-for-bit what re-executing it would produce; resuming
-is therefore exactly as correct as a clean run.  Any input change — one
-more shot, a different seed, a different noise rate — changes the key and
-the run starts fresh.
+the sharded driver makes deterministic — ``(kind, shots, seed entropy +
+spawn key, resolved shard count)`` and the payload bytes every shard
+receives, which pickle each protocol by its constructor arguments and so
+name the run's inputs and nothing a run leaves behind.  Because every
+shard is a pure function of its spec, a replayed shard is bit-for-bit
+what re-executing it would produce; resuming is therefore exactly as
+correct as a clean run.  Any input change — one more shot, a different
+seed, a different noise rate — changes the key and the run starts fresh.
 
 ``seed=None`` runs draw fresh OS entropy, so their key never matches a
 previous run's: an irreproducible run is (correctly) never resumed.  Pass
@@ -86,8 +87,8 @@ __all__ = [
 ]
 
 # Bump when the key payload layout changes so stale journals never replay
-# into a new layout.
-_KEY_VERSION = 1
+# into a new layout (version 2 hashes the shipped payload bytes).
+_KEY_VERSION = 2
 
 # PRAGMA user_version stamped into every journal this code writes; any
 # other version, or an unversioned file that already holds tables, is
@@ -153,26 +154,29 @@ class JournalDegraded(UserWarning):
 
 def compute_run_key(
     kind: str,
-    args: tuple,
+    payload: bytes,
     shots: int,
     seed_fingerprint: tuple,
     num_shards: int,
 ) -> str:
     """Content-addressed key over everything that determines the pooled counts.
 
-    ``args`` are the caller's run args (protocol/code/noise/rounds) that
-    :mod:`repro.threshold.sharded` pickles once and ships to workers,
-    hashed here via their own protocol-4 pickle bytes.  ``seed_fingerprint`` is the
-    normalized ``(entropy, spawn_key)`` identity of the root
+    ``payload`` is the pickle of the run args (protocol/code/noise/rounds)
+    that :func:`repro.threshold.sharded._build_specs` makes once and ships
+    to every worker; its bytes are hashed as they are.  ``seed_fingerprint``
+    is the normalized ``(entropy, spawn_key)`` identity of the root
     ``SeedSequence`` (see ``sharded._seed_fingerprint``), and
     ``num_shards`` is the *resolved* shard count, so the key pins the
     shard plan itself.
     """
-    payload = pickle.dumps(
-        (_KEY_VERSION, kind, int(shots), int(num_shards), seed_fingerprint, args),
-        protocol=4,
+    header = pickle.dumps(
+        (_KEY_VERSION, kind, int(shots), int(num_shards), seed_fingerprint), protocol=4
     )
-    return hashlib.sha256(payload).hexdigest()
+    # The header pickle ends at its STOP opcode, so header + payload parses
+    # one way only.
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    return digest.hexdigest()
 
 
 def row_checksum(run_key: str, shard_index: int, shots: int, failures: int) -> str:

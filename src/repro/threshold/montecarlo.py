@@ -32,8 +32,8 @@ import numpy as np
 
 from repro.codes.stabilizer_code import StabilizerCode
 from repro.pauliframe.packing import WORD_BITS, pack_shot_major, words_for
+from repro.threshold.runtime import _check_count
 from repro.threshold.sharded import (
-    _check_count,
     _resilience_options,
     _run_batch,
     _run_sharded,

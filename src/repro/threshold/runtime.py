@@ -86,6 +86,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from repro.threshold.journal import (
     CacheCorrupt,
     CheckpointJournal,
@@ -176,16 +178,30 @@ class ResilienceOptions:
     resume: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be an int >= 0, got {self.max_retries!r}"
-            )
+        _check_count("max_retries", self.max_retries, least=0)
+        # ``True`` would otherwise run as a 1-second timeout.
+        if isinstance(self.shard_timeout, bool):
+            raise TypeError(f"shard_timeout must be a number or None, got {self.shard_timeout!r}")
         # ``not > 0`` also refuses NaN, which would silently disable
         # hang detection (``elapsed > nan`` never holds).
         if self.shard_timeout is not None and not self.shard_timeout > 0:
             raise ValueError(
                 f"shard_timeout must be positive (or None), got {self.shard_timeout!r}"
             )
+        if not isinstance(self.resume, bool):
+            raise TypeError(f"resume must be a bool, got {self.resume!r}")
+
+
+def _check_count(name: str, value: int, least: int = 1) -> None:
+    """Reject a count that is not an integer of at least ``least``:
+    ``TypeError`` for anything but a Python or NumPy integer (``bool``
+    included), and ``ValueError`` below ``least``.  A float count would
+    otherwise size arrays or split shots as floats, and ``True`` would run
+    as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 # ----------------------------------------------------------------------

@@ -46,14 +46,15 @@ Workers are spawned (``multiprocessing`` spawn context, the portable and
 thread-safe choice); spawn's preparation data carries the parent's
 ``sys.path``, so each worker re-imports ``repro`` wherever the parent
 found it.  A run's ``args`` (protocol, code, rounds) are pickled once, in
-:func:`_build_specs`, and every shard spec carries the same bytes, so
-protocols must be picklable (the compiled programs, codes, and noise
-models all are).  Each process keeps the last payload it unpickled
-(:func:`_shard_args`): a worker's later shards of the run reuse that
-protocol together with its warm packed buffers, and
-:func:`~repro.threshold.runtime.execute_batch` drops the calling
-process's copy when it returns.  Run keys hash the caller's ``args``,
-not the payload, so a run's key does not depend on how it is shipped.
+:func:`_build_specs`, and every shard spec carries the same bytes.  A
+protocol pickles only its constructor arguments and is rebuilt through
+its constructor in the worker, so the payload holds the run's inputs and
+nothing a round leaves behind: it round-trips byte for byte, and the run
+key hashes it (:func:`~repro.threshold.journal.compute_run_key`).  Each
+process keeps the last payload it unpickled (:func:`_shard_args`): a
+worker's later shards of the run reuse that protocol together with its
+warm packed buffers, and :func:`~repro.threshold.runtime.execute_batch`
+drops the calling process's copy when it returns.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.threshold.journal import compute_run_key
-from repro.threshold.runtime import ResilienceOptions, execute_batch
+from repro.threshold.runtime import ResilienceOptions, _check_count, execute_batch
 
 __all__ = ["DEFAULT_NUM_SHARDS", "shard_sizes", "spawn_shard_seeds"]
 
@@ -81,17 +82,6 @@ DEFAULT_NUM_SHARDS = 16
 # they can neither mutate the caller's sequence nor collide with children
 # the caller spawns from it.
 _SHARD_SPAWN_DOMAIN = 2**32 - 1
-
-
-def _check_count(name: str, value: int) -> None:
-    """Reject a count that is not a positive integer: ``TypeError`` for
-    anything but a Python or NumPy integer (``bool`` included), and
-    ``ValueError`` below 1.  A float count would otherwise size arrays or
-    split shots as floats, and ``True`` would run as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def shard_sizes(shots: int, num_shards: int | None = None) -> list[int]:
@@ -223,11 +213,12 @@ def _build_specs(
 
     ``args`` are pickled once here, and every spec holds the same
     ``payload`` bytes: the pool ships bytes per shard instead of pickling
-    the protocol again, and a worker unpickles each run once
-    (:func:`_shard_args`).  ``seed=None`` is materialized into a
-    fresh-entropy ``SeedSequence`` here so even an OS-seeded run has a
-    *knowable* identity — its run key simply never matches a previous
-    run's (an irreproducible run is, correctly, never resumed).
+    the protocol again, a worker unpickles each run once
+    (:func:`_shard_args`), and the run key hashes the same bytes.
+    ``seed=None`` is materialized into a fresh-entropy ``SeedSequence``
+    here so even an OS-seeded run has a *knowable* identity — its run key
+    simply never matches a previous run's (an irreproducible run is,
+    correctly, never resumed).
     """
     sizes = shard_sizes(shots, num_shards)
     if seed is None:
@@ -295,7 +286,7 @@ def _run_batch(
             specs, fingerprint = _build_specs(kind, args, shots, seed, num_shards)
             run_key = None
             if options.checkpoint is not None:
-                run_key = compute_run_key(kind, args, shots, fingerprint, len(specs))
+                run_key = compute_run_key(kind, specs[0][1], shots, fingerprint, len(specs))
             yield specs, run_key
 
     return [_pooled_result(counts, rounds) for counts in execute_batch(runs(), workers, options)]

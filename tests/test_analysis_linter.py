@@ -198,6 +198,30 @@ class TestPickleRules:
         )
         assert codes(clean) == []
 
+    LAZY_TABLE = """
+        class Code:
+            def __init__(self, h):
+                self.h = h
+
+            def table(self):
+                if getattr(self, "_table_cache", None) is None:
+                    self._table_cache = build(self.h)
+                return self._table_cache
+        """
+
+    def test_rpl203_lazily_cached_attribute_without_hook_fires(self):
+        assert codes(lint(self.LAZY_TABLE)) == ["RPL203"]
+
+    def test_rpl203_quiet_with_reduce(self):
+        clean = lint(
+            self.LAZY_TABLE
+            + """
+            def __reduce__(self):
+                return type(self), (self.h,)
+        """
+        )
+        assert codes(clean) == []
+
 
 # ----------------------------------------------------------------------
 # Concurrency family (RPL3xx).

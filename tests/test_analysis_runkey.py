@@ -6,8 +6,8 @@ built to catch (RPL305 wall-clock-in-key, RPL203 scratch-state-in-pickle):
 
 * wall clock — a ``time.time()`` anywhere in the key path would make
   every run cache-miss and silently recompute;
-* scratch buffers — run keys hash the *pickled* protocol payload, so a
-  work buffer leaking into ``__getstate__`` would make a protocol's cache
+* scratch buffers — run keys hash the payload the shards receive, so a
+  work buffer leaking into a protocol's pickle would make its cache
   identity depend on what it happened to execute last.
 """
 
@@ -23,13 +23,18 @@ from repro.ft.exrec import SteaneECProtocol
 from repro.noise.models import circuit_level
 from repro.threshold.journal import compute_run_key
 from repro.threshold.montecarlo import memory_experiment
-from repro.threshold.sharded import _seed_fingerprint
+from repro.threshold.sharded import _build_specs, _seed_fingerprint
+
+
+def _payload(protocol, code):
+    """The bytes every shard of a run of ``protocol`` receives."""
+    specs, _ = _build_specs("memory", (protocol, code, 2), 500, 1, 4)
+    return specs[0][1]
 
 
 def _steane_args(noise=None):
-    noise = noise or circuit_level(1e-3)
-    protocol = SteaneECProtocol(noise)
-    return protocol, ("memory", (protocol, protocol.code, 2))
+    protocol = SteaneECProtocol(noise or circuit_level(1e-3))
+    return protocol, _payload(protocol, protocol.code)
 
 
 def test_run_key_independent_of_wall_clock(monkeypatch):
@@ -50,22 +55,20 @@ def test_run_key_independent_of_scratch_buffers():
     noise = circuit_level(1e-3)
     protocol, _ = _steane_args(noise)
     code = SteaneCode()
-    args = ("memory", (protocol, code, 2))
     fingerprint = _seed_fingerprint(99)
-    fresh_key = compute_run_key("memory", args, 200, fingerprint, 2)
+    fresh_key = compute_run_key("memory", _payload(protocol, code), 200, fingerprint, 2)
 
-    # Execute real rounds so the packed work buffers are populated —
-    # without __getstate__ excluding them, the pickle (and thus the key)
-    # would now differ from the fresh protocol's.
+    # Execute real rounds so the packed work buffers are populated — if
+    # they travelled in the pickle, the payload (and thus the key) would
+    # now differ from the fresh protocol's.
     memory_experiment(protocol, code, rounds=2, shots=64, seed=7)
     assert protocol._buffers, "expected the run to populate scratch buffers"
 
-    assert compute_run_key("memory", args, 200, fingerprint, 2) == fresh_key
+    assert compute_run_key("memory", _payload(protocol, code), 200, fingerprint, 2) == fresh_key
 
     # And a brand-new protocol over the same physics lands on the same key.
     rebuilt = SteaneECProtocol(noise)
-    rebuilt_args = ("memory", (rebuilt, code, 2))
-    assert compute_run_key("memory", rebuilt_args, 200, fingerprint, 2) == fresh_key
+    assert compute_run_key("memory", _payload(rebuilt, code), 200, fingerprint, 2) == fresh_key
 
 
 def test_run_key_pins_seed_shots_and_shard_plan():

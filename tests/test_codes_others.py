@@ -12,6 +12,7 @@ from repro.codes import (
     ShorNineCode,
 )
 from repro.codes.families import STEANE_BLOCK55, hamming_parity_check, shor_family_parameters
+from repro.codes.stabilizer_code import StabilizerCode
 from repro.paulis import Pauli, pauli_from_string
 from repro.stabilizer import StabilizerSimulator
 from repro.statevector import StateVector, run_circuit
@@ -62,6 +63,17 @@ class TestShorNine:
 
     def test_parameters(self, code):
         assert (code.n, code.k) == (9, 1)
+
+    def test_builds_its_logicals_once(self, monkeypatch):
+        calls = []
+        validate = StabilizerCode._validate
+        monkeypatch.setattr(
+            StabilizerCode, "_validate", lambda self: (calls.append(1), validate(self))[1]
+        )
+        code = ShorNineCode()
+        assert len(calls) == 1
+        assert code.logical_x == [pauli_from_string("Z" * 9)]
+        assert code.logical_z == [pauli_from_string("X" * 9)]
 
     def test_encoder_stabilizes(self, code):
         sim = StabilizerSimulator(9)

@@ -248,24 +248,25 @@ class TestScratchByWordCount:
 
 
 class TestScratchStaysOutOfPickles:
-    """Run keys hash pickled protocols.  A round leaves packed buffers and
-    the fault fold's scratch behind, and the programs carry a layout
-    derived for the fold; none of it may enter the pickle."""
+    """Run keys hash the pickled run args.  A protocol pickles only its
+    constructor arguments, so the packed buffers and fold scratch a round
+    leaves behind, and the programs it built, never enter the pickle."""
 
     @pytest.mark.parametrize("case", ["steane", "shor_steane", "shor9"])
     def test_same_bytes_and_run_key_after_a_round(self, case):
         proto, _ = TestScratchByWordCount._protocol(case)
         args = (proto, proto.code, 2)
         before = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
-        key = compute_run_key("memory", args, 100_000, (1, ()), 16)
-        for name in (b"_layout", b"_scratch", b"FoldScratch"):
+        key = compute_run_key("memory", before, 100_000, (1, ()), 16)
+        for name in (b"_layout", b"_scratch", b"FoldScratch", b"CompiledFrameProgram"):
             assert name not in before
         dfx = np.zeros((proto.code.n, words_for(100_000)), dtype=np.uint64)
         proto.run_round_packed(100_000, 3, dfx, dfx.copy())
         assert proto._buffers and proto._scratch._words.size > 0
-        assert pickle.dumps(args, pickle.HIGHEST_PROTOCOL) == before
-        assert compute_run_key("memory", args, 100_000, (1, ()), 16) == key
-        # An unpickled protocol gets empty scratch of its own.
+        after = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
+        assert after == before
+        assert compute_run_key("memory", after, 100_000, (1, ()), 16) == key
+        # An unpickled protocol is rebuilt with empty scratch of its own.
         copy = pickle.loads(before)[0]
         assert copy._buffers == {} and copy._scratch is not proto._scratch
 

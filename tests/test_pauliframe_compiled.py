@@ -782,6 +782,27 @@ class TestSharedStreams:
             CompiledFrameProgram(self.CIRCUIT, bad)
         assert len(verified) == 1
 
+    def test_unpickling_rebuilds_and_verifies(self, monkeypatch):
+        """A program pickles its circuit, noise and fusion flag; loading it
+        runs the constructor, so the receiving process takes its own cached
+        stream and checks the rates."""
+        prog = CompiledFrameProgram(self.CIRCUIT, circuit_level(1e-3), fuse=False)
+        data = pickle.dumps(prog, pickle.HIGHEST_PROTOCOL)
+        verified = []
+        verify = CompiledFrameProgram.verify
+        monkeypatch.setattr(
+            CompiledFrameProgram, "verify", lambda self: (verified.append(self), verify(self))[1]
+        )
+        copy = pickle.loads(data)
+        assert verified == [copy]
+        assert copy._instructions is prog._instructions and copy.fuse is False
+        assert pickle.dumps(copy, pickle.HIGHEST_PROTOCOL) == data
+        bad = circuit_level(1e-3)
+        object.__setattr__(bad, "eps_meas", 2.0)
+        prog.noise = bad
+        with pytest.raises(NoiseRangeError, match="eps_meas=2.0"):
+            pickle.loads(pickle.dumps(prog))
+
     def test_a_replaced_stream_gets_the_full_verifier(self):
         prog = CompiledFrameProgram(self.CIRCUIT, circuit_level(1e-3))
         prog._instructions = list(prog._instructions) + [(compiled._OP_H, np.array([99]))]

@@ -115,7 +115,7 @@ def point_key(code, point: int) -> str:
     args = (factory(GRID[point]), code, 1)
     seed = spawn_shard_seeds(SEED, len(GRID))[point]
     specs, fingerprint = sharded._build_specs("memory", args, SHOTS, seed, SHARDS)
-    return compute_run_key("memory", args, SHOTS, fingerprint, len(specs))
+    return compute_run_key("memory", specs[0][1], SHOTS, fingerprint, len(specs))
 
 
 class TestInProcessBatch:

@@ -56,9 +56,7 @@ def capacity_key(code, eps, shots, seed, num_shards):
     specs, fingerprint = sharded._build_specs(
         "capacity", (code, eps, 1), shots, seed, num_shards
     )
-    return compute_run_key(
-        "capacity", (code, eps, 1), shots, fingerprint, len(specs)
-    )
+    return compute_run_key("capacity", specs[0][1], shots, fingerprint, len(specs))
 
 
 def run_capacity(code, cache_path, seed, shots=SHOTS, eps=EPS, **kw):

@@ -74,7 +74,7 @@ def run_key(code):
     key_specs, fp = sharded._build_specs(
         "capacity", (code, EPS, 1), SHOTS, SEED, SHARDS
     )
-    return compute_run_key("capacity", (code, EPS, 1), SHOTS, fp, len(key_specs))
+    return compute_run_key("capacity", key_specs[0][1], SHOTS, fp, len(key_specs))
 
 
 def shard_rows(cache_path, code):

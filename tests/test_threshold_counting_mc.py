@@ -356,9 +356,12 @@ class TestRunSizeValidation:
             # yet some shots still land back in the code space.
             assert 0 < result.failures < 100
 
-    # Unknown names raise TypeError, bad values ValueError.  Unsharded,
-    # each of these used to be ignored and the run returned a count; a NaN
-    # timeout also did so sharded, with hang detection silently off.
+    # Unknown names and wrong types raise TypeError, bad values ValueError.
+    # Unsharded, each of these used to be ignored and the run returned a
+    # count; a NaN timeout also did so sharded, with hang detection
+    # silently off.  ``max_retries`` follows the run sizes' integer rule:
+    # True ran as one retry, and a bool timeout ran as one second.  A
+    # string ``resume`` resumed.
     BAD_RESILIENCE = {
         "chekpoint": ({"chekpoint": "unused.sqlite"}, TypeError),
         "backoff": ({"backoff": 0.1}, TypeError),
@@ -366,9 +369,12 @@ class TestRunSizeValidation:
         "chaos": ({"chaos": None}, TypeError),
         "io_chaos": ({"io_chaos": None}, TypeError),
         "max_retries=-1": ({"max_retries": -1}, ValueError),
-        "max_retries=2.5": ({"max_retries": 2.5}, ValueError),
+        "max_retries=2.5": ({"max_retries": 2.5}, TypeError),
+        "max_retries=True": ({"max_retries": True}, TypeError),
         "shard_timeout=0": ({"shard_timeout": 0}, ValueError),
         "shard_timeout=nan": ({"shard_timeout": float("nan")}, ValueError),
+        "shard_timeout=True": ({"shard_timeout": True}, TypeError),
+        "resume=no": ({"resume": "no"}, TypeError),
     }
 
     @pytest.mark.parametrize("path", sorted(PATHS))
@@ -391,6 +397,14 @@ class TestRunSizeValidation:
                     shots=64, rounds=1, **kwargs, **self.PATHS[path]
                 )
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_numpy_and_zero_retries_are_accepted(self, entry, path):
+        sizes = dict(shots=64, rounds=1, **self.PATHS[path])
+        expected = self.ENTRY_POINTS[entry](**sizes)
+        for retries in (np.int64(2), 0):
+            assert self.ENTRY_POINTS[entry](max_retries=retries, **sizes) == expected
 
 
 class TestPackedShotPath:

@@ -13,8 +13,8 @@ import warnings
 
 import pytest
 
-from repro.codes import SteaneCode
-from repro.ft import SteaneECProtocol
+from repro.codes import FiveQubitCode, SteaneCode
+from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.noise import circuit_level
 from repro.threshold import (
     CacheCorrupt,
@@ -24,6 +24,7 @@ from repro.threshold import (
     fit_level1_coefficient,
     memory_experiment,
 )
+from repro.threshold import journal as journal_module
 from repro.threshold import sharded
 
 
@@ -52,9 +53,7 @@ def run_key_for(protocol, code, shots, seed, num_shards):
     specs, fingerprint = sharded._build_specs(
         "memory", (protocol, code, 1), shots, seed, num_shards
     )
-    return compute_run_key(
-        "memory", (protocol, code, 1), shots, fingerprint, len(specs)
-    )
+    return compute_run_key("memory", specs[0][1], shots, fingerprint, len(specs))
 
 
 @pytest.fixture()
@@ -89,8 +88,8 @@ class TestRunKey:
         specs, fp = sharded._build_specs(
             "memory", (protocol, code, 1), 600, 5, 6
         )
-        a = compute_run_key("memory", (protocol, code, 1), 600, fp, 6)
-        b = compute_run_key("capacity", (protocol, code, 1), 600, fp, 6)
+        a = compute_run_key("memory", specs[0][1], 600, fp, 6)
+        b = compute_run_key("capacity", specs[0][1], 600, fp, 6)
         assert a != b
 
     def test_seed_none_is_never_resumable(self, protocol, code):
@@ -108,6 +107,47 @@ class TestRunKey:
         assert run_key_for(protocol, code, 600, 5, 6) != run_key_for(
             protocol, code, 600, np.random.SeedSequence(5), 6
         )
+
+
+class TestRunIdentity:
+    """A run is keyed by the payload bytes its shards receive, and those
+    bytes name the run's inputs only."""
+
+    def test_the_key_hashes_payload_bytes(self, protocol, code):
+        args = (protocol, code, 1)
+        specs, fp = sharded._build_specs("memory", args, 600, 5, 6)
+        assert compute_run_key("memory", bytes(bytearray(specs[0][1])), 600, fp, 6) == run_key_for(
+            protocol, code, 600, 5, 6
+        )
+        with pytest.raises(TypeError):
+            compute_run_key("memory", args, 600, fp, 6)
+
+    def test_a_decoded_code_replays_as_a_full_hit(self, journal_path, spy_run_shard):
+        """Decoding builds the five-qubit code's frame table; it is cached
+        outside the code, so an unsharded call on the same objects leaves
+        the checkpointed run's key as it was."""
+        code = FiveQubitCode()
+        protocol = ShorECProtocol(code, circuit_level(1e-3))
+        first = memory_experiment(protocol, code, 1, 4000, seed=1, checkpoint=journal_path)
+        assert len(spy_run_shard) == sharded.DEFAULT_NUM_SHARDS
+        memory_experiment(protocol, code, 1, 4000, seed=1)
+        again = memory_experiment(protocol, code, 1, 4000, seed=1, checkpoint=journal_path)
+        assert again == first
+        assert len(spy_run_shard) == sharded.DEFAULT_NUM_SHARDS
+        with CheckpointJournal(journal_path) as journal:
+            assert len(journal.runs()) == 1
+
+    def test_runs_under_an_older_key_version_are_misses(
+        self, journal_path, spy_run_shard, monkeypatch, protocol, code
+    ):
+        kwargs = dict(rounds=1, shots=800, seed=2, num_shards=4, checkpoint=journal_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(journal_module, "_KEY_VERSION", journal_module._KEY_VERSION - 1)
+            old = memory_experiment(protocol, code, **kwargs)
+        assert memory_experiment(protocol, code, **kwargs) == old
+        assert len(spy_run_shard) == 8
+        with CheckpointJournal(journal_path) as journal:
+            assert len(journal.runs()) == 2
 
 
 class TestJournalStore:
@@ -486,8 +526,8 @@ class TestCheckpointedRuns:
 
 _CONCURRENT_DRIVER_SCRIPT = """\
 import sys, warnings
-from repro.codes import SteaneCode
-from repro.ft import SteaneECProtocol
+from repro.codes import FiveQubitCode, SteaneCode
+from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.noise import circuit_level
 from repro.threshold import JournalDegraded, memory_experiment
 

@@ -13,6 +13,7 @@ and attempt, installed over ``runtime._guarded_run_shard``), so every
 test here is exactly reproducible.
 """
 
+import numpy as np
 import pytest
 
 from faults import ChaosError, ChaosPlan
@@ -78,6 +79,17 @@ class TestResilienceOptions:
             ResilienceOptions(max_retries=-1)
         with pytest.raises(ValueError):
             ResilienceOptions(shard_timeout=0.0)
+
+    def test_types(self):
+        for retries in (True, 2.5, "2"):
+            with pytest.raises(TypeError, match="max_retries"):
+                ResilienceOptions(max_retries=retries)
+        with pytest.raises(TypeError, match="shard_timeout"):
+            ResilienceOptions(shard_timeout=True)
+        with pytest.raises(TypeError, match="resume"):
+            ResilienceOptions(resume="no")
+        assert ResilienceOptions(max_retries=np.int64(3)).max_retries == 3
+        assert ResilienceOptions(max_retries=0, shard_timeout=2, resume=False).max_retries == 0
 
     def test_taxonomy_carries_structure(self):
         timeout = ShardTimeout(3, 2, 1.5)

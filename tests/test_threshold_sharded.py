@@ -25,7 +25,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from repro.codes import ShorNineCode, SteaneCode
+from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.noise import circuit_level
 from repro.threshold import (
@@ -182,10 +182,25 @@ PROTOCOLS = {
 }
 
 
+# Every protocol a payload can carry: both engines, and a non-CSS code
+# whose decode builds a frame table.
+PAYLOADS = {
+    **PROTOCOLS,
+    "steane_legacy": lambda: (
+        SteaneECProtocol(circuit_level(3e-3), engine="legacy"), SteaneCode()
+    ),
+    "five": lambda: (
+        ShorECProtocol(FiveQubitCode(), circuit_level(3e-3)), FiveQubitCode()
+    ),
+}
+CAPACITY_CODES = {"capacity": SteaneCode, "capacity_five": FiveQubitCode}
+
+
 class TestShardPayload:
-    """A run's args are pickled once and every spec carries those bytes; a
-    process unpickles equal bytes once, keeps one run's args, and the
-    caller keeps none once ``execute_batch`` returns."""
+    """A run's args are pickled once and every spec carries those bytes,
+    which are the run's identity; a process unpickles equal bytes once,
+    keeps one run's args, and the caller keeps none once
+    ``execute_batch`` returns."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -193,30 +208,27 @@ class TestShardPayload:
         yield
         sharded._forget_args()
 
-    @pytest.mark.parametrize("case", [*sorted(PROTOCOLS), "capacity"])
-    def test_every_spec_ships_what_the_run_key_names(self, case):
-        if case == "capacity":
-            kind, args = "capacity", (SteaneCode(), 1e-3, 2)
+    @pytest.mark.parametrize("case", [*sorted(PAYLOADS), *sorted(CAPACITY_CODES)])
+    def test_the_payload_round_trips_and_a_run_leaves_it_unchanged(self, case):
+        if case in CAPACITY_CODES:
+            code = CAPACITY_CODES[case]()
+            kind, args = "capacity", (code, 1e-3, 2)
+            run = lambda: code_capacity_memory(code, 0.05, 2, 100, seed=0)  # noqa: E731
         else:
-            protocol, code = PROTOCOLS[case]()
-            # A protocol that already ran holds scratch, which neither the
-            # payload nor the keys may carry.
-            memory_experiment(protocol, code, rounds=1, shots=100, seed=0)
+            protocol, code = PAYLOADS[case]()
             kind, args = "memory", (protocol, code, 2)
+            run = lambda: memory_experiment(protocol, code, 1, 100, seed=0)  # noqa: E731
         specs, fingerprint = sharded._build_specs(kind, args, 1001, 5, 4)
-        # Pickle memoizes strings by identity, and unpickling interns only
-        # attribute names: a Steane protocol shares the interned "verify"
-        # and "prep" between attribute names, circuit tags and dict keys,
-        # its copy does not, so the copy pickles to other bytes than its
-        # original.  Keys are compared on copies; a run itself is keyed by
-        # the caller's own args.
-        copy = pickle.loads(pickle.dumps(args))
-        run_key = compute_run_key(kind, copy, 1001, fingerprint, len(specs))
-        for spec in specs:
-            assert spec[1] is specs[0][1]
-            shipped = pickle.loads(spec[1])
-            key = compute_run_key(kind, shipped, 1001, fingerprint, len(specs))
-            assert key == run_key
+        payload = specs[0][1]
+        assert all(spec[1] is payload for spec in specs)
+        assert pickle.dumps(pickle.loads(payload), pickle.HIGHEST_PROTOCOL) == payload
+        key = compute_run_key(kind, payload, 1001, fingerprint, len(specs))
+        # A run leaves buffers, scratch and decode tables behind; none of
+        # them reaches the payload or the key.
+        assert run().failures > 0
+        again, _ = sharded._build_specs(kind, args, 1001, 5, 4)
+        assert again[0][1] == payload
+        assert compute_run_key(kind, again[0][1], 1001, fingerprint, len(specs)) == key
 
     def test_a_serial_run_unpickles_once_and_keeps_nothing(self, code, monkeypatch):
         loads = pickle.loads
