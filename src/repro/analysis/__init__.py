@@ -16,14 +16,15 @@ Two entry points:
 See ``ANALYSIS.md`` at the repo root for the rule catalog and the
 suppression syntax.
 
-``progcheck`` names are re-exported lazily so importing the linter (CI,
-pre-commit) never pulls numpy or the simulation engine.
+Every name is re-exported lazily, from the module that defines it, so
+importing the linter (CI, pre-commit) never pulls numpy or the simulation
+engine, and a process that only verifies programs (every spawned Monte
+Carlo worker) never loads the linter or its rule catalog.
 """
 
 from __future__ import annotations
 
-from repro.analysis.diagnostics import RULES, Diagnostic, Rule, iter_rules
-from repro.analysis.linter import LintReport, collect_targets, lint_paths, lint_source
+import importlib
 
 __all__ = [
     "Diagnostic",
@@ -34,7 +35,6 @@ __all__ = [
     "iter_rules",
     "lint_paths",
     "lint_source",
-    # lazily re-exported from repro.analysis.progcheck:
     "BadOpcode",
     "BufferAliasError",
     "NoiseRangeError",
@@ -43,19 +43,26 @@ __all__ = [
     "verify_program",
 ]
 
-_PROGCHECK_NAMES = {
-    "BadOpcode",
-    "BufferAliasError",
-    "NoiseRangeError",
-    "OperandRangeError",
-    "ProgramVerificationError",
-    "verify_program",
+# Each exported name -> the submodule that defines it.
+_HOME = {
+    **dict.fromkeys(("Diagnostic", "RULES", "Rule", "iter_rules"), "diagnostics"),
+    **dict.fromkeys(("LintReport", "collect_targets", "lint_paths", "lint_source"), "linter"),
+    **dict.fromkeys(
+        (
+            "BadOpcode",
+            "BufferAliasError",
+            "NoiseRangeError",
+            "OperandRangeError",
+            "ProgramVerificationError",
+            "verify_program",
+        ),
+        "progcheck",
+    ),
 }
 
 
 def __getattr__(name: str):
-    if name in _PROGCHECK_NAMES:
-        from repro.analysis import progcheck
-
-        return getattr(progcheck, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.analysis.{home}"), name)

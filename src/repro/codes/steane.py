@@ -14,6 +14,7 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.classical.hamming import H_EQ1, H_EQ15, HammingCode
 from repro.codes.css import CSSCode
+from repro.codes.packed_decode import parity_planes
 from repro.paulis.pauli import Pauli, pauli_from_string
 
 __all__ = ["SteaneCode", "EQ15_TO_EQ1_PERMUTATION"]
@@ -146,6 +147,26 @@ class SteaneCode(CSSCode):
         return circuit
 
     # -- frame-level decoding ------------------------------------------------
+    def corrected_parity_plane(self, rows: np.ndarray) -> np.ndarray:
+        """Lanes whose ``(7, words)`` packed bits have odd parity after
+        Hamming correction, returned as one ``(words,)`` plane.
+
+        The syndrome ``H·rows`` locates at most one flip, and flipping it
+        leaves a Hamming codeword, whose parity is odd exactly when it is a
+        logical operator.  The weight-1 correction flips the parity exactly
+        when the syndrome is nonzero, so the corrected parity is
+        ``XOR(rows) ^ OR(H·rows)``.  Both check matrices are H (Eq. 1), so
+        this decodes X frames, Z frames and measured blocks alike.
+        """
+        parity = np.bitwise_xor.reduce(rows, axis=0)
+        return parity ^ np.bitwise_or.reduce(parity_planes(self.hz, rows), axis=0)
+
+    def logical_failure_plane(self, fx: np.ndarray, fz: np.ndarray) -> np.ndarray:
+        """:meth:`StabilizerCode.logical_failure_plane` through the parity
+        identity: a residual frame, ideally decoded, acts as X̄ (Z̄) exactly
+        when its corrected X (Z) parity is odd (:meth:`corrected_parity_plane`)."""
+        return self.corrected_parity_plane(fx) | self.corrected_parity_plane(fz)
+
     def decode_bitflip_syndrome(self, syndrome: np.ndarray) -> np.ndarray:
         """Map 3-bit Hamming syndromes to 7-bit correction masks.
 

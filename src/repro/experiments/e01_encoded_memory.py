@@ -13,6 +13,8 @@ import numpy as np
 from repro.codes import SteaneCode
 from repro.core import UnencodedMemory
 from repro.threshold import code_capacity_memory, spawn_shard_seeds
+from repro.threshold.runtime import _check_count
+from repro.threshold.sharded import _resilience_options, _run_batch
 from repro.util.stats import fit_power_law
 
 __all__ = ["run"]
@@ -29,8 +31,12 @@ def run(
     """``checkpoint``/``resume`` journal each grid point's shards under its
     own content-addressed run key (the per-point seed is spawned, hence
     distinct), so a killed sweep resumes mid-grid; ``shard_timeout`` /
-    ``max_retries`` bound hung and failing workers.  All four thread into
-    :func:`repro.threshold.montecarlo.code_capacity_memory`.
+    ``max_retries`` bound hung and failing workers.  A sharded or
+    checkpointed sweep runs its encoded points as one batch of
+    ``code_capacity_memory`` runs (one journal connection, no idle workers
+    between points), each point keeping the run key a lone call gives it;
+    an unsharded sweep calls
+    :func:`repro.threshold.montecarlo.code_capacity_memory` per point.
 
     The journal doubles as a content-addressed result cache: a rerun of
     an already-completed sweep replays every grid point from disk without
@@ -50,13 +56,17 @@ def run(
     rows = []
     encoded_seeds = spawn_shard_seeds(100, len(eps_grid))
     bare_seeds = spawn_shard_seeds(200, len(eps_grid))
-    encoded_rates = [
-        code_capacity_memory(
-            code, float(eps), rounds=1, shots=shots, seed=encoded_seeds[i],
-            workers=workers, **resilience,
-        ).failure_rate
-        for i, eps in enumerate(eps_grid)
-    ]
+    if workers != 1 or checkpoint is not None:
+        _check_count("workers", workers)
+        points = [((code, float(eps), 1), seed) for eps, seed in zip(eps_grid, encoded_seeds)]
+        options = _resilience_options(**resilience)
+        encoded = _run_batch("capacity", points, 1, shots, workers, None, options)
+    else:
+        encoded = [
+            code_capacity_memory(code, float(eps), rounds=1, shots=shots, seed=seed, **resilience)
+            for eps, seed in zip(eps_grid, encoded_seeds)
+        ]
+    encoded_rates = [result.failure_rate for result in encoded]
     for i, eps in enumerate(eps_grid):
         bare = UnencodedMemory(float(eps)).run(1, shots, seed=bare_seeds[i])
         rows.append(

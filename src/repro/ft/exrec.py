@@ -28,9 +28,17 @@ Execution backends
 frames, reuses pre-allocated packed buffers across rounds (see
 :meth:`SteaneECProtocol.run_round_packed`), and batches all ancilla-factory
 layouts of a round into a *single* factory execution instead of one
-simulator run per layout.  ``engine="legacy"`` keeps the original
-per-operation interpreter and per-layout factory runs; the parity suite
-checks the two agree.
+simulator run per layout.  A packed round runs a
+:class:`~repro.pauliframe.compiled.LanePlan`: several independent
+segments, each with its own generator and word range, side by side in one
+set of buffers.  Each segment draws, resamples and counts what its solo
+round would, and the round's instruction dispatches and classical stage
+run once for all of them.  Steane's factory lays its layouts out
+``[layout][segment]`` and Shor's cat batches ``[block][segment]``, each
+region padded to whole words, so a layout or a block is one word range
+for every segment.  ``engine="legacy"`` keeps the original per-operation
+interpreter and per-layout factory runs; the parity suite checks the two
+agree.
 
 A protocol pickles only its constructor arguments and is rebuilt through
 its constructor when unpickled.  No program, packed buffer or fold scratch
@@ -49,7 +57,7 @@ from repro.codes.stabilizer_code import StabilizerCode
 from repro.ft.shor_ec import ShorSyndromeExtraction
 from repro.ft.steane_ec import SteaneAncillaPrep, SteaneSyndromeExtraction
 from repro.noise.models import NoiseModel
-from repro.pauliframe.compiled import CompiledFrameProgram, FoldScratch
+from repro.pauliframe.compiled import CompiledFrameProgram, FoldScratch, LanePlan, plan_streams
 from repro.pauliframe.engine import FrameSimulator
 from repro.pauliframe.packing import pack_shot_major, unpack_shot_major, words_for
 from repro.util.rng import as_rng
@@ -272,20 +280,21 @@ class SteaneECProtocol:
         fx = self.prep.apply_fixups(res.fx[:, :7], flip)
         return fx, res.fz[:, :7].copy()
 
-    def _round_buffers(self, shots: int) -> tuple:
+    def _round_buffers(self, plan: LanePlan) -> tuple:
         """Pre-allocated packed buffers, reused across rounds and keyed by
-        word count: every shape depends only on ``words_for(shots)`` and
-        every round overwrites them, so the uneven shots of one shard plan
-        share one set.
+        word count: every shape depends only on the plan's words and every
+        round overwrites them, so the uneven shots of one shard plan share
+        one set.
 
-        The factory batch pads each layout's shot block to a whole number
-        of 64-bit words so layout slices are word ranges — the batched
-        factory output feeds the extraction buffer without ever unpacking.
+        The factory batch lays the layouts out one after another, each as
+        many words as the data frames, so layout slices are word ranges —
+        the batched factory output feeds the extraction buffer without ever
+        unpacking.
         """
-        nwords = words_for(shots)
+        nwords = plan.words
         buf = self._buffers.get(nwords)
         if buf is None:
-            ext = self._extract_prog.new_buffers(shots)
+            ext = self._extract_prog.new_buffers(plan.lanes)
             fac = self._factory_prog.new_buffers(nwords * 64 * len(self.extraction.layouts))
             buf = self._buffers[nwords] = ext + fac
         return buf
@@ -304,32 +313,36 @@ class SteaneECProtocol:
 
     def run_round_packed(
         self,
-        shots: int,
-        rng: int | np.random.Generator | None,
+        shots: int | LanePlan,
+        rng,
         data_fx: np.ndarray,
         data_fz: np.ndarray,
     ) -> None:
         """One EC round over packed ``(7, words)`` data frames, in place.
 
-        The whole round stays in the packed domain: one word-aligned
-        batched factory run produces every ancilla layout, verification
-        decode and the syndrome policy are evaluated as plane algebra
+        ``shots`` and ``rng`` are a shot count and a seed or generator, or
+        a :class:`~repro.pauliframe.compiled.LanePlan` and one generator
+        per segment: each segment then runs the round its solo call would,
+        from its own generator, in its own word range.  The whole round
+        stays in the packed domain: one word-aligned batched factory run
+        produces every ancilla layout of every segment (laid out
+        ``[layout][segment]``, each segment padded to whole words, so each
+        layout is one column range), verification decode and the syndrome
+        policy are evaluated as plane algebra
         (:meth:`SteaneAncillaPrep.parse_packed`,
         :meth:`_corrections_packed`), and every buffer is allocated once
         per word count and reused across rounds.
         """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
-        rng = as_rng(rng)
-        ext_fx, ext_fz, ext_flips, fac_fx, fac_fz, fac_flips = self._round_buffers(shots)
+        plan, rngs = plan_streams(shots, rng)
+        ext_fx, ext_fz, ext_flips, fac_fx, fac_fz, fac_flips = self._round_buffers(plan)
         layouts = self.extraction.layouts
-        nwords = words_for(shots)
-        padded_total = nwords * 64 * len(layouts)
+        nwords = plan.words
+        factory = LanePlan(tuple(64 * words_for(size) for size in plan.sizes), len(layouts))
         fac_fx[:] = 0
         fac_fz[:] = 0
-        self._factory_prog.run_packed(
-            padded_total, rng, fac_fx, fac_fz, fac_flips, scratch=self._scratch
-        )
+        self._factory_prog.run_packed(factory, rngs, fac_fx, fac_fz, fac_flips, scratch=self._scratch)
         afx = fac_fx[:7]
         afz = fac_fz[:7]
         if self.prep.verify:
@@ -343,7 +356,7 @@ class SteaneECProtocol:
             anc = list(layout.anc_qubits)
             ext_fx[anc] = afx[:, cols]
             ext_fz[anc] = afz[:, cols]
-        self._extract_prog.run_packed(shots, rng, ext_fx, ext_fz, ext_flips, scratch=self._scratch)
+        self._extract_prog.run_packed(plan, rngs, ext_fx, ext_fz, ext_flips, scratch=self._scratch)
         x_syn, z_syn = self.extraction.parse_syndromes_packed(ext_flips)
         data_fx[:] = ext_fx[:7] ^ self._corrections_packed(x_syn)
         data_fz[:] = ext_fz[:7] ^ self._corrections_packed(z_syn)
@@ -476,44 +489,60 @@ class ShorECProtocol:
         return fx, fz
 
     def _cat_batch_packed(
-        self, width: int, shots: int, blocks: int, rng: np.random.Generator
+        self, width: int, shots: int | LanePlan, blocks: int, rng
     ) -> np.ndarray:
         """Packed ``(2, width, words)`` X and Z planes of accepted cats.
 
-        One factory run covers every block of this width, block ``k`` in
-        lanes ``[k * shots, (k + 1) * shots)``.  Rejected cats are
-        overwritten on the packed planes by accepted ones *of the same
-        block*, matching the legacy per-block batches — a replacement drawn
-        across blocks could hand two syndrome blocks of one shot identical
-        correlated errors.  Each block with rejections draws, in block
-        order, exactly what ``rng.choice(accepted, size=rejected)`` draws in
+        One factory run covers every block of this width for every segment
+        of the plan (``shots`` and ``rng`` as :meth:`run_round_packed`
+        takes them), laid out ``[block][segment]``: block ``k`` of segment
+        ``j`` is the region that starts at ``starts[k, j]`` of the factory
+        plan (:class:`~repro.pauliframe.compiled.LanePlan`), so block ``k``
+        of every segment lines up with the extraction's lanes.  Rejected
+        cats are overwritten on the packed planes by accepted ones *of the
+        same block and segment*, matching the legacy per-block batches — a
+        replacement drawn across blocks could hand two syndrome blocks of
+        one shot identical correlated errors.  Each segment maps its
+        rejected lanes to its solo lanes, and each of its blocks with
+        rejections draws from the segment's generator, in block order,
+        exactly what ``rng.choice(accepted, size=rejected)`` draws in
         :meth:`sample_cat_frames`: an index into its accepted lanes, in lane
-        order.  One sorted search then finds every source lane.
+        order.  One sorted search then finds every source lane, which moves
+        back into the plan.
         """
-        total = shots * blocks
+        plan, rngs = plan_streams(shots, rng)
+        factory = LanePlan(plan.sizes, blocks)
         prog = self._factory_progs[width]
-        frames, flips = self._round_buffers(prog, total)
+        frames, flips = self._round_buffers(prog, factory.lanes)
         frames[:] = 0
-        prog.run_packed(total, rng, frames[0], frames[1], flips, scratch=self._scratch)
+        prog.run_packed(factory, rngs, frames[0], frames[1], flips, scratch=self._scratch)
         cats = frames[:, :width]
         if not self.verify_ancilla:
             return cats
         bad = _set_lanes(flips[0])
-        ends = np.searchsorted(bad, np.arange(1, blocks + 1) * shots)
-        counts = np.diff(ends, prepend=0)
-        if (counts == shots).any():
-            raise RuntimeError("every cat preparation failed verification; noise too high")
-        # Block k's r-th accepted lane is accepted lane k * shots - lo + r of
-        # the batch (lo rejected lanes precede the block), and accepted lane
-        # R sits after every rejected lane bad[j] with bad[j] - j <= R.
-        rank = np.empty_like(bad)
-        for k, (c, lo) in enumerate(zip(counts, ends - counts)):
-            if c:
-                rank[lo : lo + c] = rng.integers(0, shots - c, size=c) + (k * shots - lo)
-        order = np.argsort(rank)
-        rank = rank[order]
-        src = rank + np.searchsorted(bad - np.arange(bad.size), rank, side="right")
-        _copy_lanes(cats, src, bad[order], flips[0])
+        segment, solo = factory.solo_lanes(bad)
+        src, dst = [], []
+        for j, (size, seg_rng) in enumerate(zip(plan.sizes, rngs)):
+            mine = segment == j
+            lanes = solo[mine]
+            ends = np.searchsorted(lanes, np.arange(1, blocks + 1) * size)
+            counts = np.diff(ends, prepend=0)
+            if (counts == size).any():
+                raise RuntimeError("every cat preparation failed verification; noise too high")
+            # Block k's r-th accepted lane is accepted lane k * size - lo + r
+            # of the segment (lo rejected lanes precede the block), and
+            # accepted lane R sits after every rejected lane lanes[i] with
+            # lanes[i] - i <= R.  Sorted ranks keep that search local.
+            rank = np.empty_like(lanes)
+            for k, (c, lo) in enumerate(zip(counts, ends - counts)):
+                if c:
+                    rank[lo : lo + c] = seg_rng.integers(0, size - c, size=c) + (k * size - lo)
+            order = np.argsort(rank)
+            rank = rank[order]
+            lane = rank + np.searchsorted(lanes - np.arange(lanes.size), rank, side="right")
+            src.append(factory.plan_lanes(j, lane))
+            dst.append(bad[mine][order])
+        _copy_lanes(cats, np.concatenate(src), np.concatenate(dst), flips[0])
         return cats
 
     def _round_buffers(self, prog: CompiledFrameProgram, shots: int) -> tuple:
@@ -529,35 +558,39 @@ class ShorECProtocol:
 
     def run_round_packed(
         self,
-        shots: int,
-        rng: int | np.random.Generator | None,
+        shots: int | LanePlan,
+        rng,
         data_fx: np.ndarray,
         data_fz: np.ndarray,
     ) -> None:
         """One EC round over packed ``(n, words)`` data frames, in place.
 
-        The extraction's X and Z frames share one ``(2, qubits, words)``
-        buffer, as do each factory batch's, so every glue step covers both
-        planes.  Cats are resampled on the packed factory planes
-        (:meth:`_cat_batch_packed`) and each block's lanes are written
-        straight into its wires, which are contiguous; the data and the
-        blocks cover every wire, so no row is cleared first.  Syndrome
-        parsing, the policy and the table decode run on packed planes too.
+        ``shots`` and ``rng`` are as :meth:`SteaneECProtocol.run_round_packed`
+        takes them: a shot count and a seed or generator, or a plan and one
+        generator per segment.  The extraction's X and Z frames share one
+        ``(2, qubits, words)`` buffer, as do each factory batch's, so every
+        glue step covers both planes.  Cats are resampled on the packed
+        factory planes (:meth:`_cat_batch_packed`) and each block's lanes
+        are written straight into its wires, which are contiguous, in one
+        :func:`_lane_block`; the data and the blocks cover every wire, so no
+        row is cleared first.  Syndrome parsing, the policy and the table
+        decode run on packed planes too.
         """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
-        rng = as_rng(rng)
-        frames, flips = self._round_buffers(self._extract_prog, shots)
+        plan, rngs = plan_streams(shots, rng)
+        frames, flips = self._round_buffers(self._extract_prog, plan.lanes)
         n = self.code.n
         frames[0, :n] = data_fx
         frames[1, :n] = data_fz
         for width, blocks in self._width_blocks.items():
-            cats = self._cat_batch_packed(width, shots, len(blocks), rng)
+            cats = self._cat_batch_packed(width, plan, len(blocks), rngs)
+            starts = LanePlan(plan.sizes, len(blocks)).starts
             for k, block in enumerate(blocks):
                 wires = slice(block.qubits[0], block.qubits[0] + width)
-                _lane_block(cats, k * shots, shots, out=frames[:, wires])
+                _lane_block(cats, int(starts[k, 0]), plan.lanes, out=frames[:, wires])
         self._extract_prog.run_packed(
-            shots, rng, frames[0], frames[1], flips, scratch=self._scratch
+            plan, rngs, frames[0], frames[1], flips, scratch=self._scratch
         )
         syn = self.extraction.parse_syndromes_packed(flips)
         corr_x, corr_z = self._corrections_packed(syn)

@@ -96,19 +96,12 @@ class SteaneAncillaPrep:
         """:meth:`parse` over bit-packed measurement planes.
 
         ``flips`` is ``(14, words)`` uint64 (shots along the bit axis);
-        returns a ``(words,)`` packed X̄-fixup mask.  The classical Hamming
-        decode is pure parity algebra — each syndrome bit is the XOR of a
-        check's measurement rows, and correcting the located single flip
-        restores codeword parity, so the decoded logical bit is
-        ``raw_parity ^ (syndrome != 0)`` — all computable as plane-wise
-        XOR/OR without unpacking a single shot.
+        returns a ``(words,)`` packed X̄-fixup mask.  Each block's decoded
+        logical bit is its Hamming-corrected parity
+        (:meth:`SteaneCode.corrected_parity_plane`), plane-wise XOR/OR
+        without unpacking a single shot.
         """
-        h = self.code.hz
-
-        def decode(block: np.ndarray) -> np.ndarray:
-            parity = np.bitwise_xor.reduce(block, axis=0)
-            return parity ^ np.bitwise_or.reduce(parity_planes(h, block), axis=0)
-
+        decode = self.code.corrected_parity_plane
         return decode(flips[0:7]) & decode(flips[7:14])
 
 

@@ -33,6 +33,12 @@ XOR touches 64 shots.  Two compile-time transformations carry the speedup:
   buffer, so a noise instruction XORs a contiguous slice of bits into the
   1-D view of the buffer.  No dense locations x words noise plane is ever
   built.
+* **Lane plans** — a :class:`LanePlan` lays several independent streams
+  (segments) side by side, word-aligned, in one set of buffers.  Each
+  segment draws its classes from its own generator over its own solo lane
+  count, exactly as a run of that segment alone would, and the fold
+  merges the segments by location, so one pass over the instruction
+  stream serves them all.  A one-segment plan is a plain run.
 
 Semantics match the legacy interpreter in ``engine.py`` exactly on
 deterministic paths (no noise, arbitrary initial frames) and in
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +68,7 @@ from repro.pauliframe.engine import FrameResult, validate_frame_circuit
 from repro.pauliframe.packing import pack_shot_major, unpack_shot_major, words_for
 from repro.util.rng import as_rng
 
-__all__ = ["CompiledFrameProgram"]
+__all__ = ["CompiledFrameProgram", "LanePlan"]
 
 # Instruction opcodes.  Frame ops first, then noise-application ops.
 _OP_H = 0
@@ -286,6 +293,85 @@ class _Layout:
         )
 
 
+@dataclass(frozen=True)
+class LanePlan:
+    """Independent streams (segments) laid side by side in one set of
+    packed buffers.
+
+    Segment ``j`` stands for a run of its own: that solo run covers
+    ``blocks * sizes[j]`` lanes, ``blocks`` blocks of ``sizes[j]`` lanes
+    each, and the segment draws from its own generator exactly what the
+    solo run draws.  One segment keeps its solo layout, block ``k`` at lane
+    ``k * sizes[0]``.  Several are laid out ``[block][segment]`` with each
+    region padded to whole words: a block row has ``W = sum(words_for(
+    sizes))`` words, and region ``(k, j)`` starts at word ``k * W`` plus
+    the words of the segments before ``j``.  So a plan of ``blocks=1``
+    holds segment ``j`` in one word range, and block ``k`` of every
+    segment is the word range ``[k * W, (k + 1) * W)``.
+    """
+
+    sizes: tuple[int, ...]
+    blocks: int = 1
+
+    @cached_property
+    def word_bounds(self) -> np.ndarray:
+        """The word where each segment starts in a block row, and last the
+        row's width."""
+        return np.cumsum([0] + [words_for(size) for size in self.sizes], dtype=np.int64)
+
+    @cached_property
+    def lanes(self) -> int:
+        """Lanes the buffers hold."""
+        if len(self.sizes) == 1:
+            return self.blocks * self.sizes[0]
+        return 64 * self.blocks * int(self.word_bounds[-1])
+
+    @property
+    def words(self) -> int:
+        """Words per buffer row."""
+        return words_for(self.lanes)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """``(blocks, segments)``: the lane where each region starts."""
+        block = np.arange(self.blocks, dtype=np.int64)[:, None]
+        if len(self.sizes) == 1:
+            return block * self.sizes[0]
+        at = self.word_bounds
+        return 64 * (block * at[-1] + at[:-1])
+
+    def solo_lanes(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each of the plan's ``lanes`` as its segment and its lane in that
+        segment's solo run.  A block row holds every segment's block ``k``,
+        segment ``j`` from lane ``starts[0, j]``; one segment is already in
+        its solo lanes."""
+        if len(self.sizes) == 1:
+            return np.zeros(lanes.size, dtype=np.int64), lanes
+        block, lane = np.divmod(lanes, self.lanes // self.blocks)
+        segment = np.searchsorted(self.starts[0, 1:], lane, side="right")
+        return segment, lane - self.starts[0, segment] + block * np.array(self.sizes)[segment]
+
+    def plan_lanes(self, segment: int, solo: np.ndarray) -> np.ndarray:
+        """Lanes ``solo`` of one segment's solo run, in the plan."""
+        if len(self.sizes) == 1:
+            return solo
+        size = self.sizes[segment]
+        block = solo // size
+        return self.starts[block, segment] + solo - block * size
+
+
+def plan_streams(shots: int | LanePlan, rng) -> tuple[LanePlan, list[np.random.Generator]]:
+    """A plan and one generator per segment: ``shots`` and ``rng`` as one
+    run takes them (a count, and a seed or generator), or a
+    :class:`LanePlan` and a sequence of generators or seeds."""
+    if not isinstance(shots, LanePlan):
+        return LanePlan((int(shots),)), [as_rng(rng)]
+    rngs = [as_rng(r) for r in rng]
+    if len(rngs) != len(shots.sizes):
+        raise ValueError(f"{len(shots.sizes)} segment(s) need as many generators, got {len(rngs)}")
+    return shots, rngs
+
+
 class FoldScratch:
     """The fold's output buffer, reused by every run of the programs that
     share it.  A protocol's programs run one after another, so one scratch
@@ -324,27 +410,22 @@ class _Hits:
     bounds: np.ndarray
 
 
-def _fold(
+def _place(
     layout: _Layout,
     drawn: dict[str, tuple[np.ndarray, np.ndarray | None]],
     shots: int,
-    scratch: FoldScratch,
-) -> dict[str, _Hits]:
-    """Fold every class's hits into one entry per (location, word).
-
-    ``drawn`` maps a class to its sorted hit positions ``location * shots
-    + shot`` and one fault code per hit, or ``None`` for flips; the fold
-    empties it, releasing each class's arrays once they are copied.
-    Placed in the fold's location space, the positions of all classes form
-    one sorted run.  Each location's hits are one stretch of it, and within
-    that each word's hits are one stretch.  The stretch's first hit starts
-    an entry, and the few later hits in the same word are ORed in.
-    """
-    words = words_for(shots)
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One draw's hits in the fold's location space, ``location * shots +
+    shot``, and their codes offset into :data:`_MASKS`, written to ``out``
+    when given.  Empties ``drawn``, releasing each class's arrays once they
+    are copied.  Placed so, the positions of all classes form one sorted
+    run."""
     span = layout.span
-    n_hits = sum(idx.size for idx, _ in drawn.values())
-    lane = np.empty(n_hits, dtype=np.int64)
-    code = np.empty(n_hits, dtype=np.int64)
+    if out is None:
+        n_hits = sum(idx.size for idx, _ in drawn.values())
+        out = np.empty(n_hits, dtype=np.int64), np.empty(n_hits, dtype=np.int64)
+    lane, code = out
     a = 0
     for name in _ROWS:
         if name in drawn:
@@ -356,6 +437,85 @@ def _fold(
             else:
                 np.add(kind, layout.code_at[name], out=code[a:b])
             a = b
+    return lane, code
+
+
+def _merge(
+    layout: _Layout, drawn: list[dict[str, tuple[np.ndarray, np.ndarray | None]]], plan: LanePlan
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Several segments' draws as one run of hits in the plan's buffers,
+    for :func:`_entries`: each hit's flat target, its code with its shot
+    bit, and where each location's hits start (one longer).
+
+    Segment ``j`` places its hits at ``location * solo + lane`` over its
+    solo lanes ``solo = blocks * sizes[j]`` (:func:`_place`).  Its hits of
+    one (location, block) are one stretch of that sorted run, found by one
+    sorted search.  In the plan, block ``k`` of segment ``j`` starts at
+    lane ``starts[k, j]``, so the stretches, taken in (location, block,
+    segment) order, hold the location's hits in flat-bit order.  Each
+    stretch moves as a whole: one ``np.repeat`` gives each hit its
+    stretch's source, one gather moves the hits, and another repeat adds
+    each stretch's shift from its solo position to its flat bit, which
+    then splits as in :func:`_fold`.
+    """
+    blocks, segments, words = plan.blocks, len(plan.sizes), plan.words
+    sizes = np.array(plan.sizes, dtype=np.int64)
+    loc, block = layout.locations, np.arange(blocks, dtype=np.int64)
+    nruns = (loc.size - 1) * blocks
+    runs = np.empty((nruns, segments), dtype=np.int64)
+    src = np.empty((nruns, segments), dtype=np.int64)
+    n_hits = sum(idx.size for segment in drawn for idx, _ in segment.values())
+    placed = np.empty(n_hits, dtype=np.int64), np.empty(n_hits, dtype=np.int64)
+    a = 0
+    for j, (segment, size) in enumerate(zip(drawn, plan.sizes)):
+        b = a + sum(idx.size for idx, _ in segment.values())
+        lane, _ = _place(layout, segment, blocks * size, out=(placed[0][a:b], placed[1][a:b]))
+        # Stretch (l, k) starts at l * solo + k * size; the row past the
+        # last location closes the run.
+        edges = (loc[:, None] * (blocks * size) + block * size).ravel()[: nruns + 1]
+        at = np.searchsorted(lane, edges)
+        runs[:, j] = np.diff(at)
+        src[:, j] = at[:-1] + a
+        a = b
+    runs = runs.ravel()
+    dest = np.cumsum(runs) - runs
+    shift = (
+        (layout.rows * (64 * words))[:, None, None]
+        + plan.starts
+        - loc[:-1, None, None] * (blocks * sizes)
+        - block[:, None] * sizes
+    ).ravel()
+    order = np.repeat(src.ravel() - dest, runs)
+    order += np.arange(n_hits)
+    lane, code = placed
+    del placed
+    lane = lane.take(order)
+    code = code.take(order)
+    del order
+    lane += np.repeat(shift, runs)
+    code <<= 6
+    code |= lane & 63
+    lane >>= 6
+    return lane, code, np.append(dest[:: blocks * segments], n_hits)
+
+
+def _fold(
+    layout: _Layout,
+    drawn: dict[str, tuple[np.ndarray, np.ndarray | None]],
+    shots: int,
+    scratch: FoldScratch,
+) -> dict[str, _Hits]:
+    """Fold every class's hits into one entry per (location, word).
+
+    ``drawn`` maps a class to its sorted hit positions ``location * shots
+    + shot`` and one fault code per hit, or ``None`` for flips; the fold
+    empties it, releasing each class's arrays once they are copied.
+    Placed in the fold's location space (:func:`_place`), the positions of
+    all classes form one sorted run, which :func:`_entries` turns into
+    entries.
+    """
+    lane, code = _place(layout, drawn, shots)
+    words = words_for(shots)
     # Location l's hits are lane[at[l]:at[l + 1]].  Each hit moves to bit
     # 64 * (row * words + word) + shot % 64 of the flat buffer, where row
     # is its location's first buffer row; the quotient by 64 is then the
@@ -368,6 +528,27 @@ def _fold(
     code |= np.bitwise_and(lane, 63, out=shift)
     del shift
     lane >>= 6
+    return _entries(layout, lane, code, at, words, scratch)
+
+
+def _entries(
+    layout: _Layout,
+    lane: np.ndarray,
+    code: np.ndarray,
+    at: np.ndarray,
+    words: int,
+    scratch: FoldScratch,
+) -> dict[str, _Hits]:
+    """The entry list of a run of hits, sorted by location and then flat
+    target ``lane``, each with its ``code`` shifted left by 6 and its shot
+    bit below; location ``l``'s hits are ``lane[at[l]:at[l + 1]]``.  Each
+    location's hits are one stretch of the run, and within that each
+    word's hits are one stretch.  The stretch's first hit starts an entry,
+    and the few later hits in the same word are ORed in.  Overwrites
+    ``lane``.
+    """
+    span = layout.span
+    n_hits = lane.size
     # Entries start at each location's first hit and wherever the word
     # changes within a location.
     new = np.empty(n_hits + 1, dtype=bool)
@@ -657,17 +838,27 @@ class CompiledFrameProgram:
 
     # ------------------------------------------------------------------
     def _sample_planes(
-        self, rng: np.random.Generator, shots: int, scratch: FoldScratch | None = None
+        self, rng, shots: int | LanePlan, scratch: FoldScratch | None = None
     ) -> dict[str, _Hits]:
-        """Every channel class's view of the run's faults: the classes are
-        drawn in :data:`_DRAW_ORDER` and folded in one pass.  A class
+        """Every channel class's view of the run's faults, ``rng`` and
+        ``shots`` as :meth:`run_packed` takes them.  Each segment draws its
+        classes from its own generator in :data:`_DRAW_ORDER`, over its solo
+        lanes; several segments are merged into one draw over the plan's
+        lanes (:func:`_merge`), and one fold turns it into entries.  A class
         without locations draws nothing."""
-        drawn = {
-            name: _draw_class(rng, name, self._counts[name], shots, self.noise)
-            for name in _DRAW_ORDER
-            if self._counts[name]
-        }
-        return _fold(self._layout, drawn, shots, scratch or FoldScratch())
+        plan, rngs = plan_streams(shots, rng)
+        drawn = [
+            {
+                name: _draw_class(stream, name, self._counts[name], plan.blocks * size, self.noise)
+                for name in _DRAW_ORDER
+                if self._counts[name]
+            }
+            for stream, size in zip(rngs, plan.sizes)
+        ]
+        scratch = scratch or FoldScratch()
+        if len(drawn) == 1:
+            return _fold(self._layout, drawn[0], plan.lanes, scratch)
+        return _entries(self._layout, *_merge(self._layout, drawn, plan), plan.words, scratch)
 
     # ------------------------------------------------------------------
     def new_buffers(self, shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -680,8 +871,8 @@ class CompiledFrameProgram:
 
     def run_packed(
         self,
-        shots: int,
-        rng: int | np.random.Generator | None,
+        shots: int | LanePlan,
+        rng,
         fx: np.ndarray,
         fz: np.ndarray,
         flips: np.ndarray,
@@ -689,17 +880,19 @@ class CompiledFrameProgram:
     ) -> None:
         """Execute in place over caller-provided packed buffers.
 
-        ``fx``/``fz`` carry the initial frames on entry and the residual
-        frames on exit; ``flips`` is zeroed here before execution.  Buffers
-        must have ``words_for(shots)`` columns (reuse across rounds is the
-        point of this entry) and be C-contiguous: faults are applied
-        through flat indices into ``reshape(-1)`` views, which on any other
-        layout would be copies that silently drop every fault.  The sampled
-        faults go into ``scratch`` when one is given, and into fresh
-        arrays otherwise.
+        ``shots`` and ``rng`` are a lane count and a seed or generator, or
+        a :class:`LanePlan` and one generator per segment
+        (:func:`plan_streams`).  ``fx``/``fz`` carry the initial frames on
+        entry and the residual frames on exit; ``flips`` is zeroed here
+        before execution.  Buffers must have the plan's ``words`` columns
+        (reuse across rounds is the point of this entry) and be
+        C-contiguous: faults are applied through flat indices into
+        ``reshape(-1)`` views, which on any other layout would be copies
+        that silently drop every fault.  The sampled faults go into
+        ``scratch`` when one is given, and into fresh arrays otherwise.
         """
-        rng = as_rng(rng)
-        nwords = words_for(shots)
+        plan, rngs = plan_streams(shots, rng)
+        nwords = plan.words
         frame_shape = (self.circuit.num_qubits, nwords)
         flips_shape = (max(1, self.circuit.num_cbits), nwords)
         buffers = (("fx", fx, frame_shape), ("fz", fz, frame_shape), ("flips", flips, flips_shape))
@@ -707,7 +900,7 @@ class CompiledFrameProgram:
             if buf.shape != shape or not buf.flags.c_contiguous:
                 raise ValueError(f"{name} must be a C-contiguous {shape} uint64 buffer")
         flips[:] = 0
-        faults = self._sample_planes(rng, shots, scratch)
+        faults = self._sample_planes(rngs, plan, scratch)
         self._execute(self._instructions, fx, fz, flips, faults)
 
     def run(

@@ -20,6 +20,13 @@ integer seeds never share streams.  A sharded grid scan runs as one batch
 of runs, one per point, with one journal connection: point i's shards
 run while point i+1 is built, and each point's counts equal those of a
 lone ``memory_experiment`` call on its child stream.
+
+One function runs the EC rounds, :func:`_run_plan`: ``rounds`` rounds and
+the final count over a plan of segments, each a shot count on its own
+stream.  An unsharded ``memory_experiment`` is a plan of one segment, and
+a worker runs each task (consecutive shards of one run) as one plan, so
+the round's fixed work is paid once per task while every segment counts
+what a lone call on its stream counts.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from repro.codes.stabilizer_code import StabilizerCode
-from repro.pauliframe.packing import WORD_BITS, pack_shot_major, words_for
+from repro.pauliframe.compiled import LanePlan
+from repro.pauliframe.packing import WORD_BITS, pack_shot_major
 from repro.threshold.runtime import _check_count
 from repro.threshold.sharded import (
     _resilience_options,
@@ -126,15 +134,56 @@ def _check_rate(eps: float) -> None:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
 
 
-def _count_failures(code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, shots: int) -> int:
-    """Shots whose packed ``(n, words)`` residual frames fail the ideal
-    decode, counted by popcount over the live lanes only: lanes past
-    ``shots`` in the last word may hold simulated junk."""
+def _count_failures(
+    code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, plan: LanePlan
+) -> list[int]:
+    """Each segment's shots whose packed ``(n, words)`` residual frames
+    fail the ideal decode, counted by popcount over the segment's live
+    lanes only: lanes past a segment's shots in its last word may hold
+    simulated junk."""
     failed = code.logical_failure_plane(fx, fz)
-    tail = shots % WORD_BITS
-    if tail:
-        failed[-1] &= np.uint64((1 << tail) - 1)
-    return int(np.bitwise_count(failed).sum())
+    at = plan.word_bounds
+    tails = np.array(plan.sizes, dtype=np.uint64) % np.uint64(WORD_BITS)
+    last = at[1:][tails > 0] - 1
+    failed[last] &= (np.uint64(1) << tails[tails > 0]) - np.uint64(1)
+    return np.add.reduceat(np.bitwise_count(failed), at[:-1], dtype=np.int64).tolist()
+
+
+def _run_plan(
+    protocol, code: StabilizerCode, rounds: int, sizes: list[int], seeds: list
+) -> list[int]:
+    """``rounds`` EC rounds and the ideal decode over a plan of segments,
+    segment ``j`` of ``sizes[j]`` shots on the stream of ``seeds[j]``;
+    returns each segment's failures, exactly as a lone call on that
+    segment counts them.
+
+    Protocols exposing the packed entry (``run_round_packed`` on a
+    compiled engine) run every segment in one round
+    (:class:`~repro.pauliframe.compiled.LanePlan`): the data frames stay
+    bit-packed for the whole round loop, one pair of ``(n, words)`` uint64
+    buffers allocated up front and carried across rounds.  Any other
+    protocol runs its segments one after another, and its frames are
+    packed once to share the final count.
+    """
+    rngs = [as_rng(seed) for seed in seeds]
+    if getattr(protocol, "engine", None) == "compiled" and hasattr(
+        protocol, "run_round_packed"
+    ):
+        plan = LanePlan(tuple(sizes))
+        dfx = np.zeros((code.n, plan.words), dtype=np.uint64)
+        dfz = np.zeros((code.n, plan.words), dtype=np.uint64)
+        for _ in range(rounds):
+            protocol.run_round_packed(plan, rngs, dfx, dfz)
+        return _count_failures(code, dfx, dfz, plan)
+    failures = []
+    for shots, rng in zip(sizes, rngs):
+        fx = fz = None
+        for _ in range(rounds):
+            fx, fz = protocol.run_round(shots, rng, data_fx=fx, data_fz=fz)
+        failures += _count_failures(
+            code, pack_shot_major(fx), pack_shot_major(fz), LanePlan((shots,))
+        )
+    return failures
 
 
 def code_capacity_memory(
@@ -201,11 +250,9 @@ def memory_experiment(
     """Circuit-level memory: ``rounds`` noisy EC rounds, then ideal decode.
 
     ``protocol`` is a :class:`repro.ft.SteaneECProtocol`-like object with
-    ``run_round(shots, seed, data_fx, data_fz)``.  Protocols exposing the
-    packed entry (``run_round_packed`` on a compiled engine) keep the data
-    frames bit-packed for the whole round loop — one pair of ``(n, words)``
-    uint64 buffers allocated up front and carried across rounds, no
-    per-round pack/unpack of the data block.
+    ``run_round(shots, seed, data_fx, data_fz)``.  An unsharded call is a
+    plan of one segment (:func:`_run_plan`): protocols exposing the packed
+    entry keep the data frames bit-packed for the whole round loop.
 
     ``workers>1`` (or an explicit ``num_shards``) shards the shots across
     processes; see :mod:`repro.threshold.sharded`.  ``**resilience``
@@ -220,8 +267,7 @@ def memory_experiment(
 
     After the last round the ideal decode runs on packed planes
     (:meth:`~repro.codes.StabilizerCode.logical_failure_plane`) and
-    failures are counted by popcount; legacy-engine frames are packed once
-    to share that count.
+    failures are counted by popcount.
     """
     _check_run_size(shots, rounds, workers, num_shards)
     _check_data_block(protocol, code)
@@ -231,21 +277,8 @@ def memory_experiment(
             "memory", (protocol, code, rounds), rounds, shots, seed, workers,
             num_shards, options,
         )
-    rng = as_rng(seed)
-    if getattr(protocol, "engine", None) == "compiled" and hasattr(
-        protocol, "run_round_packed"
-    ):
-        nwords = words_for(shots)
-        dfx = np.zeros((code.n, nwords), dtype=np.uint64)
-        dfz = np.zeros((code.n, nwords), dtype=np.uint64)
-        for _ in range(rounds):
-            protocol.run_round_packed(shots, rng, dfx, dfz)
-    else:
-        fx = fz = None
-        for _ in range(rounds):
-            fx, fz = protocol.run_round(shots, rng, data_fx=fx, data_fz=fz)
-        dfx, dfz = pack_shot_major(fx), pack_shot_major(fz)
-    return MemoryResult.from_counts(rounds, shots, _count_failures(code, dfx, dfz, shots))
+    (failures,) = _run_plan(protocol, code, rounds, [shots], [seed])
+    return MemoryResult.from_counts(rounds, shots, failures)
 
 
 def _one_round_rates(

@@ -7,33 +7,41 @@ A Monte Carlo run has one path:
 :class:`~repro.threshold.journal.CheckpointJournal`.  The runtime
 executes *batches* of runs: a single call is a batch of one, and a
 sharded grid scan hands in every grid point as one batch.  Runs are drawn
-lazily and each run's shards are submitted as soon as it arrives, so the
-workers start on one point while the caller builds the next; there is no
-barrier between runs, one supervision loop serves every shard in flight,
-and one journal connection serves the whole batch.  Every finished
-shard, whether from a worker, a retry, or in-process degradation, passes
-through ``_Batch.record``: the one driver-side point where a count is
-pooled and committed.
+lazily and each run's pending shards are submitted as soon as it
+arrives, so the workers start on one point while the caller builds the
+next; there is no barrier between runs, one supervision loop serves
+everything in flight, and one journal connection serves the whole batch.
+
+The unit of execution is a *task*: consecutive pending shards of one run
+(:func:`~repro.threshold.sharded.task_groups`), which a worker runs as
+one multi-stream round, paying the round's fixed work once.  Each shard
+of a task keeps its own stream and counts its own failures, so tasks
+change how long a run takes, never what it counts.  A task is what is
+submitted, retried, timed and degraded; every finished task, whether
+from a worker, a retry, or in-process degradation, passes through
+``_Batch.record``, the one driver-side point where counts are pooled and
+committed, one journal record per shard.
 
 A plain ``pool.map`` is all-or-nothing: one crashed, hung, or OOM-killed
 worker throws ``BrokenProcessPool`` through the whole scan and discards
-every completed shard.  This module uses per-shard ``submit`` +
+every completed shard.  This module uses per-task ``submit`` +
 completion supervision instead.  Each future reports its completion into
-one queue through a done-callback, so a finished shard costs the
-supervisor O(1) however many shards are in flight:
+one queue through a done-callback, so a finished task costs the
+supervisor O(1) however many tasks are in flight:
 
-* **per-shard timeouts** — a shard running longer than ``shard_timeout``
-  is declared hung; the pool (which cannot cancel a running future) is
-  killed and rebuilt, and the shard retries;
-* **bounded retry with exponential backoff** — failed shards retry up to
+* **per-shard timeouts** — a task of ``k`` shards running longer than
+  ``k * shard_timeout`` is declared hung; the pool (which cannot cancel
+  a running future) is killed and rebuilt, and the task retries;
+* **bounded retry with exponential backoff** — failed tasks retry up to
   ``max_retries`` times; pool rebuilds back off exponentially
   (``_BACKOFF * 2**k``, capped) so a crash-looping environment is not
   hammered;
 * **pool replacement on ``BrokenProcessPool``** — a dead worker evicts
   and replaces the cached executor instead of poisoning every later call;
-* **graceful degradation** — a shard that keeps failing in workers (or a
-  pool that cannot be rebuilt) runs in-process: the run finishes correct,
-  with a :class:`RunDegraded` warning, and never loses completed work;
+* **graceful degradation** — a task that keeps failing in workers (or a
+  pool that cannot be rebuilt) runs in-process as one round: the run
+  finishes correct, with a :class:`RunDegraded` warning naming each of
+  the task's shards, and never loses completed work;
 * **a structured exception taxonomy** — :class:`ShardTimeout` replaces
   bare pool errors, and :class:`ShardRetryExhausted` (with the last
   underlying error attached) is raised only when the in-process fallback
@@ -61,15 +69,15 @@ degraded, or resumed shard returns bit-for-bit the counts a clean run
 would have — the chaos suites (``tests/test_threshold_runtime.py``,
 ``tests/test_threshold_chaos_io.py``) assert exactly that.  They inject
 faults from ``tests/faults.py`` by monkeypatching the two names this
-module looks up at call time: :func:`_guarded_run_shard`, which every
-shard attempt runs through, and ``CheckpointJournal``.
+module looks up at call time: :func:`_guarded_run_task`, which every
+task attempt runs through, and ``CheckpointJournal``.
 
 Attempt accounting under ``BrokenProcessPool`` is deliberately
-conservative: the executor cannot say *which* running shard killed the
-worker, so every shard that was in flight when the pool broke is charged
-an attempt.  An innocent bystander can therefore exhaust its retries
-under sustained crashing — and then it degrades to in-process execution
-and still finishes correct.
+conservative: the executor cannot say *which* running task killed the
+worker, so every task that was in flight when the pool broke is charged
+an attempt, and a failed task charges each of its shards.  An innocent
+bystander can therefore exhaust its retries under sustained crashing —
+and then it degrades to in-process execution and still finishes correct.
 """
 
 from __future__ import annotations
@@ -123,38 +131,45 @@ _JOURNAL_LOCK_RETRIES = 4
 # ----------------------------------------------------------------------
 # Exception taxonomy.
 # ----------------------------------------------------------------------
-class ShardTimeout(RuntimeError):
-    """A shard ran longer than ``shard_timeout`` — its worker is presumed
-    hung and the pool is replaced.  When a shard hangs every attempt, it
-    is the last error named in the :class:`RunDegraded` warning."""
+def _named(shards: tuple[int, ...]) -> str:
+    """``shard 4, shard 5``: a task's shards as its messages name them."""
+    return ", ".join(f"shard {k}" for k in shards)
 
-    def __init__(self, shard_index: int, attempt: int, timeout: float) -> None:
+
+class ShardTimeout(RuntimeError):
+    """A task ran longer than ``shard_timeout`` per shard — its worker is
+    presumed hung and the pool is replaced.  When a task hangs every
+    attempt, it is the last error named in the :class:`RunDegraded`
+    warning.  ``shards`` are the task's batch shards."""
+
+    def __init__(self, shards: tuple[int, ...], attempt: int, timeout: float) -> None:
         super().__init__(
-            f"shard {shard_index} exceeded shard_timeout={timeout}s on "
+            f"{_named(shards)} exceeded shard_timeout={timeout}s per shard on "
             f"attempt {attempt}; presuming the worker hung"
         )
-        self.shard_index = shard_index
+        self.shards = shards
         self.attempt = attempt
         self.timeout = timeout
 
 
 class ShardRetryExhausted(RuntimeError):
-    """A shard failed every allowed attempt (1 + ``max_retries``) and then
-    its in-process fallback failed too.  Carries the fallback's error as
-    ``last_error`` (and as ``__cause__``)."""
+    """A task failed every allowed attempt (1 + ``max_retries``) and then
+    its in-process fallback failed too.  Carries the task's batch shards
+    as ``shards`` and the fallback's error as ``last_error`` (and as
+    ``__cause__``)."""
 
-    def __init__(self, shard_index: int, attempts: int, last_error: BaseException) -> None:
+    def __init__(self, shards: tuple[int, ...], attempts: int, last_error: BaseException) -> None:
         super().__init__(
-            f"shard {shard_index} failed {attempts} attempt(s); "
+            f"{_named(shards)} failed {attempts} attempt(s); "
             f"last error: {last_error!r}"
         )
-        self.shard_index = shard_index
+        self.shards = shards
         self.attempts = attempts
         self.last_error = last_error
 
 
 class RunDegraded(UserWarning):
-    """The run finished correct but not as planned: shards fell back to
+    """The run finished correct but not as planned: tasks fell back to
     in-process execution after exhausting pool retries (or the pool could
     not be rebuilt).  Counts are unaffected — shards are pure functions
     of their specs."""
@@ -165,11 +180,12 @@ class ResilienceOptions:
     """Knobs for :func:`execute_batch` (all Monte Carlo entry points
     thread these through as keyword arguments).
 
-    ``max_retries`` bounds *re*-executions per shard (total attempts =
-    ``1 + max_retries``); a shard that exhausts them runs in-process.
-    ``shard_timeout=None`` disables hung-worker detection.  ``checkpoint``
-    names the journal/result-cache database; ``resume=False`` clears any
-    prior rows for this run key first.
+    ``max_retries`` bounds *re*-executions per task (total attempts =
+    ``1 + max_retries``); a task that exhausts them runs in-process.
+    ``shard_timeout`` bounds one shard: a task of ``k`` shards runs under
+    ``k * shard_timeout``, and ``None`` disables hung-worker detection.
+    ``checkpoint`` names the journal/result-cache database;
+    ``resume=False`` clears any prior rows for this run key first.
     """
 
     max_retries: int = 2
@@ -209,23 +225,24 @@ def _check_count(name: str, value: int, least: int = 1) -> None:
 # sharded import is deferred to call time (worker process) to keep the
 # sharded -> runtime import edge acyclic.
 # ----------------------------------------------------------------------
-def _guarded_run_shard(payload: tuple) -> tuple[int, int, int]:
-    """One attempt at one shard, ``payload = (index, spec, attempt)``:
+def _guarded_run_task(payload: tuple) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """One attempt at one task, ``payload = (shards, specs, attempt)``:
     the single entry that both the pool and :func:`_execute_serial` call.
-    ``index`` is the shard's number in its batch (:class:`_Batch`).  The
-    shard ignores ``index`` and ``attempt``; they are there so that a test
-    can substitute a fake for this function that fails chosen attempts."""
-    index, spec, _attempt = payload
-    from repro.threshold.sharded import _run_shard
+    ``shards`` are the task's numbers in its batch (:class:`_Batch`) and
+    ``specs`` their specs; returns ``shards`` and each one's ``(shots,
+    failures)``.  The task ignores ``shards`` and ``attempt``; they are
+    there so that a test can substitute a fake for this function that
+    fails chosen attempts."""
+    shards, specs, _attempt = payload
+    from repro.threshold.sharded import _run_task
 
-    shots, failures = _run_shard(spec)
-    return index, shots, failures
+    return shards, _run_task(specs)
 
 
 # ----------------------------------------------------------------------
 # Pool cache.  Spawned pools cost ~0.6 s to start, so they are cached per
 # worker count and reused across calls — a grid scan pays the startup
-# once.  A worker keeps only the last run's unpickled args between shards
+# once.  A worker keeps only the last run's unpickled args between tasks
 # (``sharded._shard_args``), whose buffers every round overwrites, so reuse
 # cannot leak state into a count.
 # ----------------------------------------------------------------------
@@ -425,10 +442,10 @@ class _ResilientJournal:
 # ----------------------------------------------------------------------
 # Driver side.
 # ----------------------------------------------------------------------
-def _run_shard_inprocess(spec: tuple) -> tuple[int, int]:
+def _run_task_inprocess(specs: list[tuple]) -> list[tuple[int, int]]:
     from repro.threshold import sharded as _sharded
 
-    return _sharded._run_shard(spec)
+    return _sharded._run_task(specs)
 
 
 def _backoff_sleep(step: int) -> None:
@@ -441,25 +458,33 @@ class _Batch:
     Shards are numbered across the batch in the order the runs arrive:
     run ``r``'s shard ``i`` is batch shard ``k`` = (shards of the runs
     before ``r``) + ``i``, so a batch of one numbers shards as its run
-    does.  With a checkpoint, the one journal connection opens when the
-    first run arrives, and each run registers, resumes and records under
-    its own run key.
+    does.  Each run's pending shards are grouped into tasks
+    (:func:`~repro.threshold.sharded.task_groups`), tuples of consecutive
+    pending batch shards that run as one round and are submitted,
+    retried, timed and degraded together.  With a checkpoint, the one
+    journal connection opens when the first run arrives, and each run
+    registers, resumes and records under its own run key, one record per
+    shard.
     """
 
-    def __init__(self, opts: ResilienceOptions) -> None:
+    def __init__(self, opts: ResilienceOptions, workers: int) -> None:
         self.opts = opts
+        self.workers = workers
         self.specs: list[tuple] = []
         self._slots: list[tuple[int, int]] = []  # batch shard -> (run, shard)
         self._runs: list[tuple[str | None, int, dict[int, tuple[int, int]]]] = []
         self._journal: _ResilientJournal | None = None
 
-    def add(self, specs: list[tuple], run_key: str | None) -> list[int]:
-        """Take one run in; returns the batch shards left to compute.
+    def add(self, specs: list[tuple], run_key: str | None) -> list[tuple[int, ...]]:
+        """Take one run in; returns the tasks of the batch shards left to
+        compute.
 
         The store is consulted before computing: previously recorded
         shards (validated — checksummed, plan-checked; bad rows
         quarantined with :class:`CacheCorrupt` and recomputed) are
         replayed from disk when ``opts.resume``."""
+        from repro.threshold.sharded import task_groups
+
         results: dict[int, tuple[int, int]] = {}
         if self.opts.checkpoint is not None:
             if run_key is None:
@@ -476,18 +501,24 @@ class _Batch:
         self._runs.append((run_key, len(specs), results))
         self.specs.extend(specs)
         self._slots.extend((run, i) for i in range(len(specs)))
-        return [base + i for i in range(len(specs)) if i not in results]
+        pending = [base + i for i in range(len(specs)) if i not in results]
+        groups = task_groups([self.specs[k][2] for k in pending], self.workers)
+        return [tuple(pending[i] for i in group) for group in groups]
 
-    def record(self, k: int, shots: int, failures: int) -> None:
-        """One finished shard, whether from a worker, a retry, or
-        in-process degradation: pooled in memory, then committed to the
-        journal (a no-op when the batch is uncheckpointed or the journal
-        degraded)."""
-        run, i = self._slots[k]
-        run_key, _, results = self._runs[run]
-        results[i] = (shots, failures)
-        if self._journal is not None:
-            self._journal.record(run_key, i, shots, failures)
+    def task_specs(self, task: tuple[int, ...]) -> list[tuple]:
+        return [self.specs[k] for k in task]
+
+    def record(self, task: tuple[int, ...], counts: list[tuple[int, int]]) -> None:
+        """One finished task, whether from a worker, a retry, or in-process
+        degradation: each shard's count pooled in memory, then committed to
+        the journal (a no-op when the batch is uncheckpointed or the
+        journal degraded)."""
+        for k, (shots, failures) in zip(task, counts, strict=True):
+            run, i = self._slots[k]
+            run_key, _, results = self._runs[run]
+            results[i] = (shots, failures)
+            if self._journal is not None:
+                self._journal.record(run_key, i, shots, failures)
 
     def counts(self) -> list[list[tuple[int, int]]]:
         """Each run's ``(shots, failures)`` per shard, in shard order."""
@@ -520,16 +551,16 @@ def execute_batch(
     killing it.  If drawing a run raises, the shards already submitted
     are finished and journaled before the error propagates.
     """
-    batch = _Batch(options or ResilienceOptions())
+    batch = _Batch(options or ResilienceOptions(), workers)
     pool = _PoolRunner(batch, workers) if workers > 1 else None
     try:
         try:
             for specs, run_key in runs:
-                pending = batch.add(specs, run_key)
+                tasks = batch.add(specs, run_key)
                 if pool is None:
-                    _execute_serial(batch, pending)
+                    _execute_serial(batch, tasks)
                 else:
-                    pool.start(pending)
+                    pool.start(tasks)
         except Exception:
             if pool is not None:
                 pool.finish()
@@ -542,53 +573,53 @@ def execute_batch(
         raise
     finally:
         batch.close()
-        # Serial and degraded shards unpickled the runs' args here.
+        # Serial and degraded tasks unpickled the runs' args here.
         from repro.threshold import sharded as _sharded
 
         _sharded._forget_args()
     return batch.counts()
 
 
-def _degrade_shard(
-    batch: _Batch, k: int, attempts: int, last_error: BaseException | None
+def _degrade_task(
+    batch: _Batch, task: tuple[int, ...], attempts: int, last_error: BaseException | None
 ) -> None:
-    """Last resort: run the shard in-process, outside
-    :func:`_guarded_run_shard` and the pool.  The result is exact — shards
+    """Last resort: run the task in-process as one round, outside
+    :func:`_guarded_run_task` and the pool.  The result is exact — shards
     are pure — so the run finishes correct; only a fallback that fails too
     raises :class:`ShardRetryExhausted`."""
     warnings.warn(
-        f"shard {k} failed {attempts} attempt(s) "
+        f"{_named(task)} failed {attempts} attempt(s) "
         f"(last error: {last_error!r}); degrading to in-process execution — "
         f"pooled counts are unaffected",
         RunDegraded,
         stacklevel=2,
     )
     try:
-        shots, failures = _run_shard_inprocess(batch.specs[k])
+        counts = _run_task_inprocess(batch.task_specs(task))
     except Exception as exc:
-        raise ShardRetryExhausted(k, attempts + 1, exc) from exc
-    batch.record(k, shots, failures)
+        raise ShardRetryExhausted(task, attempts + 1, exc) from exc
+    batch.record(task, counts)
 
 
-def _execute_serial(batch: _Batch, pending: list[int]) -> None:
+def _execute_serial(batch: _Batch, tasks: list[tuple[int, ...]]) -> None:
     """In-process execution with the same retry/degradation accounting;
-    every attempt runs through :func:`_guarded_run_shard`, the entry the
+    every attempt runs through :func:`_guarded_run_task`, the entry the
     pool submits."""
     allowed = 1 + batch.opts.max_retries
-    for k in pending:
+    for task in tasks:
         last_error: BaseException | None = None
         for attempt in range(1, allowed + 1):
             try:
-                _, shots, failures = _guarded_run_shard((k, batch.specs[k], attempt))
+                _, counts = _guarded_run_task((task, batch.task_specs(task), attempt))
             except Exception as exc:
                 last_error = exc
                 if attempt < allowed:
                     _backoff_sleep(attempt)
                 continue
-            batch.record(k, shots, failures)
+            batch.record(task, counts)
             break
         else:
-            _degrade_shard(batch, k, allowed, last_error)
+            _degrade_task(batch, task, allowed, last_error)
 
 
 def _finished(done: queue.SimpleQueue, timeout: float) -> list[Future]:
@@ -607,10 +638,10 @@ def _finished(done: queue.SimpleQueue, timeout: float) -> list[Future]:
 
 
 class _PoolRunner:
-    """Supervises a batch's shards in the cached worker pool.
+    """Supervises a batch's tasks in the cached worker pool.
 
     Each submitted future reports its completion into one queue through a
-    done-callback, so handling a finished shard costs O(1) however many
+    done-callback, so handling a finished task costs O(1) however many
     are in flight.  The pool is looked up at the first submit, so a batch
     with nothing to compute never creates one.  Only with a
     ``shard_timeout`` does a tick look at the running futures, to stamp
@@ -623,28 +654,28 @@ class _PoolRunner:
         self.opts = batch.opts
         self.allowed = 1 + self.opts.max_retries
         self.pool: ProcessPoolExecutor | None = None
-        self.attempts: dict[int, int] = {}
-        self.last_error: dict[int, BaseException] = {}
-        self.degraded: list[int] = []
+        self.attempts: dict[tuple[int, ...], int] = {}
+        self.last_error: dict[tuple[int, ...], BaseException] = {}
+        self.degraded: list[tuple[int, ...]] = []
         self.rebuilds = 0
-        self.futures: dict[Future, int] = {}  # in flight -> batch shard
+        self.futures: dict[Future, tuple[int, ...]] = {}  # in flight -> task
         self.started: dict[Future, float] = {}  # monotonic stamp when first seen running
         self.done: queue.SimpleQueue = queue.SimpleQueue()
 
-    def start(self, pending: list[int]) -> None:
-        """Submit a run's pending shards, then handle whatever finished
+    def start(self, tasks: list[tuple[int, ...]]) -> None:
+        """Submit a run's pending tasks, then handle whatever finished
         meanwhile without waiting."""
-        for k in pending:
-            self.submit(k)
+        for task in tasks:
+            self.submit(task)
         self.supervise(0.0)
 
     def finish(self) -> None:
-        """Supervise until no shard is in flight, then run the degraded
-        shards in-process."""
+        """Supervise until no task is in flight, then run the degraded
+        tasks in-process."""
         while self.futures:
             self.supervise(_TICK)
-        for k in sorted(set(self.degraded)):
-            _degrade_shard(self.batch, k, self.attempts.get(k, 0), self.last_error.get(k))
+        for task in sorted(set(self.degraded)):
+            _degrade_task(self.batch, task, self.attempts.get(task, 0), self.last_error.get(task))
         self.degraded.clear()
 
     def abandon(self) -> None:
@@ -654,38 +685,38 @@ class _PoolRunner:
             self.futures.clear()
             _kill_pool(self.workers)
 
-    def submit(self, k: int, new_attempt: bool = True) -> None:
+    def submit(self, task: tuple[int, ...], new_attempt: bool = True) -> None:
         if new_attempt:
-            self.attempts[k] = self.attempts.get(k, 0) + 1
-        payload = (k, self.batch.specs[k], self.attempts[k])
+            self.attempts[task] = self.attempts.get(task, 0) + 1
+        payload = (task, self.batch.task_specs(task), self.attempts[task])
         if self.pool is None:
             self.pool = _get_pool(self.workers)
         try:
-            fut = self.pool.submit(_guarded_run_shard, payload)
+            fut = self.pool.submit(_guarded_run_task, payload)
         except BrokenProcessPool:
             # The pool broke between supervision ticks (or was already
             # broken at submit time): replace it and resubmit at the
-            # same attempt — no worker ever ran this shard.  In-flight
+            # same attempt — no worker ever ran this task.  In-flight
             # futures from the dead pool resolve BrokenProcessPool and
             # are handled by the supervision loop as usual.
             _kill_pool(self.workers)
             self.rebuilds += 1
             _backoff_sleep(self.rebuilds)
             self.pool = _get_pool(self.workers)
-            fut = self.pool.submit(_guarded_run_shard, payload)
-        self.futures[fut] = k
+            fut = self.pool.submit(_guarded_run_task, payload)
+        self.futures[fut] = task
         fut.add_done_callback(self.done.put)
 
-    def _failed(self, k: int, exc: BaseException) -> bool:
+    def _failed(self, task: tuple[int, ...], exc: BaseException) -> bool:
         """Charge an attempt's failure; True → retry, False → degraded."""
-        self.last_error[k] = exc
-        if self.attempts[k] >= self.allowed:
-            self.degraded.append(k)
+        self.last_error[task] = exc
+        if self.attempts[task] >= self.allowed:
+            self.degraded.append(task)
             return False
         return True
 
     def supervise(self, timeout: float) -> None:
-        """One tick: handle the finished shards (waiting up to ``timeout``
+        """One tick: handle the finished tasks (waiting up to ``timeout``
         for the first), then hung workers, pool breakage and retries."""
         finished = _finished(self.done, timeout)
         now = time.monotonic()
@@ -695,45 +726,46 @@ class _PoolRunner:
                     self.started[fut] = now
 
         pool_broken = False
-        retries: list[int] = []
+        retries: list[tuple[int, ...]] = []
         for fut in finished:
-            k = self.futures.pop(fut, None)
-            if k is None:
+            task = self.futures.pop(fut, None)
+            if task is None:
                 continue  # abandoned with a replaced pool
             self.started.pop(fut, None)
             try:
-                _, shots, failures = fut.result()
+                _, counts = fut.result()
             except BrokenProcessPool as exc:
                 pool_broken = True
-                if self._failed(k, exc):
-                    retries.append(k)
+                if self._failed(task, exc):
+                    retries.append(task)
                 continue
             except Exception as exc:
-                if self._failed(k, exc):
-                    retries.append(k)
+                if self._failed(task, exc):
+                    retries.append(task)
                 continue
-            self.batch.record(k, shots, failures)
+            self.batch.record(task, counts)
 
-        timed_out: set[int] = set()
+        timed_out: set[tuple[int, ...]] = set()
         if self.opts.shard_timeout is not None:
             for fut, t0 in self.started.items():
-                if now - t0 > self.opts.shard_timeout:
-                    timed_out.add(self.futures[fut])
+                task = self.futures[fut]
+                if now - t0 > len(task) * self.opts.shard_timeout:
+                    timed_out.add(task)
 
         if pool_broken or timed_out:
             # The executor can neither cancel a running future nor
             # survive a dead worker: abandon in-flight futures, kill
             # and replace the pool, and resubmit everything unfinished.
-            # Timed-out shards are charged a failed attempt; innocent
-            # in-flight shards are resubmitted at their same attempt.
-            survivors: list[int] = []
-            for k in self.futures.values():
-                if k in timed_out:
-                    exc = ShardTimeout(k, self.attempts[k], self.opts.shard_timeout)
-                    if self._failed(k, exc):
-                        retries.append(k)
+            # Timed-out tasks are charged a failed attempt; innocent
+            # in-flight tasks are resubmitted at their same attempt.
+            survivors: list[tuple[int, ...]] = []
+            for task in self.futures.values():
+                if task in timed_out:
+                    exc = ShardTimeout(task, self.attempts[task], self.opts.shard_timeout)
+                    if self._failed(task, exc):
+                        retries.append(task)
                 else:
-                    survivors.append(k)
+                    survivors.append(task)
             self.futures.clear()
             self.started.clear()
             _kill_pool(self.workers)
@@ -743,11 +775,11 @@ class _PoolRunner:
                 self.pool = _get_pool(self.workers)
             except Exception as exc:
                 # Pool cannot be rebuilt (fd/memory exhaustion, ...):
-                # degrade every unfinished shard rather than lose the run.
+                # degrade every unfinished task rather than lose the run.
                 # A later run of the batch looks the pool up again.
                 warnings.warn(
                     f"worker pool could not be rebuilt ({exc!r}); running "
-                    f"{len(retries) + len(survivors)} remaining shard(s) "
+                    f"{len(retries) + len(survivors)} remaining task(s) "
                     f"in-process",
                     RunDegraded,
                     stacklevel=2,
@@ -756,11 +788,11 @@ class _PoolRunner:
                 self.degraded.extend(retries)
                 self.degraded.extend(survivors)
                 return
-            for k in survivors:
-                self.submit(k, new_attempt=False)
-            for k in retries:
-                self.submit(k)
+            for task in survivors:
+                self.submit(task, new_attempt=False)
+            for task in retries:
+                self.submit(task)
         elif retries:
-            _backoff_sleep(max(self.attempts[k] for k in retries))
-            for k in retries:
-                self.submit(k)
+            _backoff_sleep(max(self.attempts[task] for task in retries))
+            for task in retries:
+                self.submit(task)

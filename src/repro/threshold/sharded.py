@@ -20,6 +20,12 @@ Determinism contract
 * Because each shard is a **pure function of its spec**, the resilient
   runtime's retries, degradations, and journal resumes are bit-for-bit
   identical to a clean run — faults can cost time, never correctness.
+* Workers run **tasks**, consecutive pending shards of one run
+  (:func:`task_groups`), as one round over a lane plan: each shard keeps
+  its own stream, makes exactly the RNG calls it makes alone and counts
+  its own failures, so a task changes how long a run takes, never its
+  counts, journal rows, run key or shard plan.  A task holds at most
+  :data:`TASK_SHOTS` shots and each worker gets at least one.
 
 A Monte Carlo run has one path: ``memory_experiment`` (or
 ``code_capacity_memory``) builds the run's
@@ -30,8 +36,9 @@ grid point to :func:`_run_batch` as one batch.  The batch plans each run
 as it is drawn and passes it to
 :func:`repro.threshold.runtime.execute_batch`, which submits that run's
 shards before the next run is built.  The runtime supervises them
-(per-shard timeouts, bounded retry with backoff, pool replacement on
-``BrokenProcessPool``, in-process degradation) and, with ``checkpoint=``,
+(per-task timeouts of ``shard_timeout`` per shard, bounded retry with
+backoff, pool replacement on ``BrokenProcessPool``, in-process
+degradation) and, with ``checkpoint=``,
 journals them in :class:`repro.threshold.journal.CheckpointJournal`, one
 connection per batch, each run under its own content-addressed run key:
 the store is consulted *before* computing, so a repeated identical run
@@ -50,11 +57,13 @@ found it.  A run's ``args`` (protocol, code, rounds) are pickled once, in
 protocol pickles only its constructor arguments and is rebuilt through
 its constructor in the worker, so the payload holds the run's inputs and
 nothing a round leaves behind: it round-trips byte for byte, and the run
-key hashes it (:func:`~repro.threshold.journal.compute_run_key`).  Each
-process keeps the last payload it unpickled (:func:`_shard_args`): a
-worker's later shards of the run reuse that protocol together with its
-warm packed buffers, and :func:`~repro.threshold.runtime.execute_batch`
-drops the calling process's copy when it returns.
+key hashes it (:func:`~repro.threshold.journal.compute_run_key`).  A
+task's specs share one payload object, so its message carries the bytes
+once.  Each process keeps the last payload it unpickled
+(:func:`_shard_args`): a worker's later tasks of the run reuse that
+protocol together with its warm packed buffers, and
+:func:`~repro.threshold.runtime.execute_batch` drops the calling
+process's copy when it returns.
 """
 
 from __future__ import annotations
@@ -69,13 +78,20 @@ import numpy as np
 from repro.threshold.journal import compute_run_key
 from repro.threshold.runtime import ResilienceOptions, _check_count, execute_batch
 
-__all__ = ["DEFAULT_NUM_SHARDS", "shard_sizes", "spawn_shard_seeds"]
+__all__ = ["DEFAULT_NUM_SHARDS", "TASK_SHOTS", "shard_sizes", "spawn_shard_seeds", "task_groups"]
 
 # Fixed default so the shard plan — and hence the pooled result — does not
 # depend on how many workers happen to execute it.  16 keeps shards large
 # enough for the packed engine while feeding up to 16 cores; runs with more
 # workers than shards warn and should pass num_shards explicitly.
 DEFAULT_NUM_SHARDS = 16
+
+# Shots one task may hold (:func:`task_groups`).  Memory bounds it: a
+# process running one-round Steane-EC calls peaks at about 46 MiB at 62.5k
+# shots, 51 at 125k, 61 at 250k and 81 at 500k, so tasks of two 62.5k-shot
+# shards add about 7% to a two-worker scan's resident memory, and tasks of
+# four would add about 19%.
+TASK_SHOTS = 2**17
 
 # Shard streams spawned from a caller-supplied SeedSequence live under this
 # reserved spawn-key branch, far above any realistic n_children_spawned, so
@@ -97,6 +113,27 @@ def shard_sizes(shots: int, num_shards: int | None = None) -> list[int]:
     n = min(n, shots)
     base, rem = divmod(shots, n)
     return [base + 1 if i < rem else base for i in range(n)]
+
+
+def task_groups(sizes: list[int], workers: int) -> list[list[int]]:
+    """A run's pending shards, of ``sizes`` shots, split into consecutive
+    tasks: positions into ``sizes``, each task run as one round.
+
+    A task holds at most ``g = max(1, min(TASK_SHOTS // max(sizes),
+    ceil(len(sizes) / workers)))`` shards, so every worker gets a task and
+    no task of several shards outgrows :data:`TASK_SHOTS`; the shards are
+    split into ``ceil(len(sizes) / g)`` near-equal tasks, the first ones a
+    shard larger.  Tasks change only how shards are run, never what each
+    computes.
+    """
+    if not sizes:
+        return []
+    group = max(1, min(TASK_SHOTS // max(sizes), -(-len(sizes) // workers)))
+    tasks, at = [], 0
+    for length in shard_sizes(len(sizes), -(-len(sizes) // group)):
+        tasks.append(list(range(at, at + length)))
+        at += length
+    return tasks
 
 
 def spawn_shard_seeds(
@@ -153,14 +190,14 @@ def _seed_fingerprint(seed: int | np.random.SeedSequence) -> tuple:
 # re-import repro wherever the parent found it).
 # ----------------------------------------------------------------------
 # The last payload this process unpickled, and its args.  One entry is
-# enough: a worker receives a run's shards together, and a batch's runs one
+# enough: a worker receives a run's tasks together, and a batch's runs one
 # after another.
 _args_cache: tuple[bytes, tuple] | None = None
 
 
 def _shard_args(payload: bytes) -> tuple:
     """The run args that ``payload`` pickles, from the cache when it holds
-    equal bytes, so a worker's later shards of a run reuse its protocol
+    equal bytes, so a worker's later tasks of a run reuse its protocol
     with warm packed buffers (each round overwrites them).  Any other
     payload releases the cached args before it is unpickled, so a process
     never holds two runs' protocols."""
@@ -181,21 +218,32 @@ def _forget_args() -> None:
     _args_cache = None
 
 
-def _run_shard(spec: tuple) -> tuple[int, int]:
-    """Run one shard; returns ``(shots, failures)`` for pooling."""
-    kind, payload, shard_shots, seed_seq = spec
-    from repro.threshold.montecarlo import code_capacity_memory, memory_experiment
+def _run_task(specs: list[tuple]) -> list[tuple[int, int]]:
+    """Run a task, consecutive shards of one run; returns each shard's
+    ``(shots, failures)`` for pooling.
 
+    Memory shards run as one multi-stream round
+    (:func:`~repro.threshold.montecarlo._run_plan`): each keeps its own
+    stream and counts its own failures, exactly as it would alone, and
+    the round's fixed work is paid once.  Capacity shards run one after
+    another."""
+    from repro.threshold.montecarlo import _run_plan, code_capacity_memory
+
+    kind, payload = specs[0][:2]
+    sizes = [spec[2] for spec in specs]
     args = _shard_args(payload)
     if kind == "memory":
         protocol, code, rounds = args
-        res = memory_experiment(protocol, code, rounds, shard_shots, seed=seed_seq)
+        failures = _run_plan(protocol, code, rounds, sizes, [spec[3] for spec in specs])
     elif kind == "capacity":
         code, eps, rounds = args
-        res = code_capacity_memory(code, eps, rounds, shard_shots, seed=seed_seq)
+        failures = [
+            code_capacity_memory(code, eps, rounds, spec[2], seed=spec[3]).failures
+            for spec in specs
+        ]
     else:  # pragma: no cover - specs are built in this module
         raise ValueError(f"unknown shard kind {kind!r}")
-    return res.shots, res.failures
+    return list(zip(sizes, failures))
 
 
 # ----------------------------------------------------------------------

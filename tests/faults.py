@@ -7,10 +7,13 @@ names the runtime looks up at call time, and nothing is random, so every
 chaos test is exactly reproducible.
 
 Worker faults: a :class:`ChaosPlan` instance stands in for
-``runtime._guarded_run_shard``, which every shard attempt runs through
+``runtime._guarded_run_task``, which every task attempt runs through
 (pool workers and the serial path alike; the in-process fallback does
-not), and injects the planned fault for the planned shard index on
-attempts ``1..times``:
+not).  A task is consecutive shards of one run, run as one round, so a
+planned fault lands on whichever task holds its shard index: each
+planned shard of a task faults ``times`` attempts of the task in a row,
+in shard order, so a task holding two planned shards suffers both
+faults, one after the other.  The kinds:
 
 ``"crash"``
     The worker calls ``os._exit`` mid-shard, which breaks the whole
@@ -60,9 +63,9 @@ import time
 from repro.threshold import runtime
 from repro.threshold.journal import CheckpointJournal
 
-# Captured before any test patches runtime._guarded_run_shard, or a plan
+# Captured before any test patches runtime._guarded_run_task, or a plan
 # standing in for it would call itself.
-_run_attempt = runtime._guarded_run_shard
+_run_attempt = runtime._guarded_run_task
 _CRASH_EXIT_CODE = 13
 
 
@@ -79,8 +82,9 @@ class _UnpicklableResult:
 
 
 class ChaosPlan:
-    """Picklable stand-in for ``runtime._guarded_run_shard``: ``faults``
-    maps shard index to fault kind, injected on attempts ``1..times``."""
+    """Picklable stand-in for ``runtime._guarded_run_task``: ``faults``
+    maps batch shard index to fault kind, and each planned shard of a task
+    faults ``times`` attempts of it, in shard order."""
 
     def __init__(
         self, faults: dict[int, str], times: int = 1, hang_seconds: float = 3600.0
@@ -91,22 +95,30 @@ class ChaosPlan:
 
     def fault_for(self, shard_index: int, attempt: int) -> str | None:
         """Fault to inject for this ``(shard_index, attempt)``, or ``None``."""
-        return self.faults.get(shard_index) if attempt <= self.times else None
+        return self.fault_for_task((shard_index,), attempt)
 
-    def __call__(self, payload: tuple) -> tuple[int, int, int]:
-        index, _spec, attempt = payload
-        fault = self.fault_for(index, attempt)
+    def fault_for_task(self, shards: tuple[int, ...], attempt: int) -> str | None:
+        """Fault to inject on this attempt at a task of ``shards``, or
+        ``None``: its planned shards take ``times`` attempts each, in
+        order."""
+        planned = [self.faults[k] for k in shards if k in self.faults]
+        turn = (attempt - 1) // self.times
+        return planned[turn] if turn < len(planned) else None
+
+    def __call__(self, payload: tuple) -> tuple:
+        shards, _specs, attempt = payload
+        fault = self.fault_for_task(shards, attempt)
         if fault is not None and multiprocessing.parent_process() is None:
             raise ChaosError(
                 f"injected {fault} (as exception, in-process): "
-                f"shard {index} attempt {attempt}"
+                f"task {shards} attempt {attempt}"
             )
         if fault == "crash":
             os._exit(_CRASH_EXIT_CODE)
         elif fault == "hang":
             time.sleep(self.hang_seconds)
         elif fault == "exception":
-            raise ChaosError(f"injected exception: shard {index} attempt {attempt}")
+            raise ChaosError(f"injected exception: task {shards} attempt {attempt}")
         result = _run_attempt(payload)
         return _UnpicklableResult() if fault == "unpicklable" else result
 

@@ -5,9 +5,15 @@ clean, and the verifier actually runs at build time.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.progcheck import (
     BadOpcode,
     BufferAliasError,
@@ -293,3 +299,27 @@ class TestShippedExperimentsVerifyClean:
         circ.cnot(0, 1)
         prog = CompiledFrameProgram(circ, NoiseModel())
         reverify(prog, stream_of(prog))
+
+
+class TestVerifierImportsNoLinter:
+    """Every spawned Monte Carlo worker imports the verifier when it
+    rebuilds a program; the package re-exports the linter's names lazily,
+    so that import never loads the linter or its rule catalog."""
+
+    @staticmethod
+    def loaded_after(statement: str) -> set[str]:
+        probe = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        ).stdout
+        return set(out.split())
+
+    def test_the_verifier_loads_neither_linter_nor_diagnostics(self):
+        loaded = self.loaded_after("import repro.analysis.progcheck")
+        assert "repro.analysis.progcheck" in loaded
+        assert not loaded & {"repro.analysis.linter", "repro.analysis.diagnostics"}
+
+    def test_the_linter_names_still_resolve(self):
+        loaded = self.loaded_after("from repro.analysis import lint_paths, RULES, verify_program")
+        assert {"repro.analysis.linter", "repro.analysis.diagnostics"} <= loaded

@@ -90,6 +90,26 @@ class TestCheckpointedMonteCarloPins:
             eps: failures / self.SHOTS for eps, failures in self.E01_FAILURES.items()
         }
 
+    def test_a_checkpointed_e01_opens_the_journal_once(self, tmp_path, monkeypatch):
+        """E01's encoded points run as one batch: one journal connection
+        for the sweep (it opened one per point), and the pinned counts."""
+        from repro.experiments.e01_encoded_memory import run as run_e01
+        from repro.threshold import runtime
+        from repro.threshold.journal import CheckpointJournal
+
+        opened = []
+
+        def open_journal(path):
+            opened.append(path)
+            return CheckpointJournal(path)
+
+        monkeypatch.setattr(runtime, "CheckpointJournal", open_journal)
+        out = run_e01(quick=True, checkpoint=tmp_path / "e01.sqlite")
+        assert len(opened) == 1
+        assert {r["eps"]: r["encoded_failure"] for r in out["rows"]} == {
+            eps: failures / self.SHOTS for eps, failures in self.E01_FAILURES.items()
+        }
+
     def test_e08_fresh_and_replayed(self, tmp_path):
         from repro.experiments.e08_accuracy_threshold import run as run_e08
 

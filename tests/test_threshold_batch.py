@@ -8,7 +8,8 @@ Per point nothing changes: its curve value equals a lone
 ``memory_experiment`` call on its child stream, and it resumes and
 retries under its own run key.  Shards are numbered across the batch, so
 point ``i``'s shard ``j`` is batch shard ``i * SHARDS + j`` — the index a
-``faults.ChaosPlan`` addresses.
+``faults.ChaosPlan`` addresses.  A point's pending shards run as tasks:
+in-process one task of all of them, through two workers two of two.
 """
 
 import warnings
@@ -93,16 +94,18 @@ def track_journals(monkeypatch) -> list:
 
 
 def spy_attempts(monkeypatch) -> list:
-    """``(batch shard, attempt)`` of every in-process attempt, through
-    whatever ``_guarded_run_shard`` is installed when this is called."""
+    """``(batch shard, attempt)`` of every shard of every in-process task
+    attempt, through whatever ``_guarded_run_task`` is installed when this
+    is called."""
     attempts = []
-    inner = runtime._guarded_run_shard
+    inner = runtime._guarded_run_task
 
     def run(payload):
-        attempts.append((payload[0], payload[2]))
+        shards, _, attempt = payload
+        attempts.extend((k, attempt) for k in shards)
         return inner(payload)
 
-    monkeypatch.setattr(runtime, "_guarded_run_shard", run)
+    monkeypatch.setattr(runtime, "_guarded_run_task", run)
     return attempts
 
 
@@ -162,13 +165,13 @@ class TestInProcessBatch:
             events.append("build")
             return factory(eps)
 
-        inner = runtime._guarded_run_shard
+        inner = runtime._guarded_run_task
 
         def run(payload):
-            events.append(("shard", payload[0]))
+            events.extend(("shard", k) for k in payload[0])
             return inner(payload)
 
-        monkeypatch.setattr(runtime, "_guarded_run_shard", run)
+        monkeypatch.setattr(runtime, "_guarded_run_task", run)
         assert scan(code, make=recording_factory) == per_point
         last_build = len(events) - 1 - events[::-1].index("build")
         assert events.index(("shard", 0)) < last_build
@@ -190,16 +193,18 @@ class TestInProcessBatch:
         assert scan(code, checkpoint=store) == per_point
         assert attempts == [(2 * SHARDS + 1, 1), (2 * SHARDS + 3, 1)]
 
-    def test_a_failed_shard_retries_alone(self, code, per_point, monkeypatch):
+    def test_a_failed_task_retries_alone(self, code, per_point, monkeypatch):
         """An injected fault on point 1's shard 2 (in-process, every fault
-        kind raises) is retried once; no other shard runs twice."""
+        kind raises) fails point 1's task, which is retried once; no shard
+        of another point runs twice."""
         target = 1 * SHARDS + 2
-        monkeypatch.setattr(runtime, "_guarded_run_shard", ChaosPlan({target: "crash"}))
+        task = range(1 * SHARDS, 2 * SHARDS)
+        monkeypatch.setattr(runtime, "_guarded_run_task", ChaosPlan({target: "crash"}))
         attempts = spy_attempts(monkeypatch)
         assert scan(code) == per_point
         assert sorted(a for a in attempts if a[0] == target) == [(target, 1), (target, 2)]
-        assert all(attempt == 1 for k, attempt in attempts if k != target)
-        assert len(attempts) == SHARDS * len(GRID) + 1
+        assert all(attempt == 1 for k, attempt in attempts if k not in task)
+        assert len(attempts) == SHARDS * len(GRID) + SHARDS
 
     def test_a_storage_fault_degrades_the_whole_batch_once(
         self, code, per_point, tmp_path, monkeypatch
@@ -261,7 +266,7 @@ class TestPoolBatch:
                 self._pool = pool
 
             def submit(self, fn, payload):
-                events.append(("submit", payload[0]))
+                events.extend(("submit", k) for k in payload[0])
                 return self._pool.submit(fn, payload)
 
         def recording_factory(eps):
@@ -291,7 +296,7 @@ class TestPoolBatch:
         replaces it, resubmits what was in flight and finishes without
         degrading."""
         monkeypatch.setattr(
-            runtime, "_guarded_run_shard", ChaosPlan({1 * SHARDS + 2: "crash"})
+            runtime, "_guarded_run_task", ChaosPlan({1 * SHARDS + 2: "crash"})
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RunDegraded)

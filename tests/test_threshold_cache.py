@@ -90,10 +90,10 @@ class TestReadBeforeCompute:
     def test_full_hit_executes_no_shards(self, code, cache_path, monkeypatch):
         run_capacity(code, cache_path, seed=11)
         calls = []
-        original = sharded._run_shard
+        original = sharded._run_task
         monkeypatch.setattr(
-            sharded, "_run_shard",
-            lambda spec: calls.append(spec) or original(spec),
+            sharded, "_run_task",
+            lambda specs: calls.extend(specs) or original(specs),
         )
         run_capacity(code, cache_path, seed=11)
         assert calls == []
@@ -108,10 +108,10 @@ class TestReadBeforeCompute:
             )
             journal._conn.commit()
         calls = []
-        original = sharded._run_shard
+        original = sharded._run_task
         monkeypatch.setattr(
-            sharded, "_run_shard",
-            lambda spec: calls.append(spec) or original(spec),
+            sharded, "_run_task",
+            lambda specs: calls.extend(specs) or original(specs),
         )
         resumed = run_capacity(code, cache_path, seed=11)
         assert len(calls) == 2
@@ -194,7 +194,7 @@ class TestSchemaVersioning:
             (key, SHOTS, SHARDS, time.time()),
         )
         for idx, spec in enumerate(specs):
-            shots, failures = sharded._run_shard(spec)
+            ((shots, failures),) = sharded._run_task([spec])
             conn.execute(
                 "INSERT INTO shard_results VALUES (?, ?, ?, ?, ?)",
                 (key, idx, shots, failures, time.time()),
@@ -206,10 +206,10 @@ class TestSchemaVersioning:
         with pytest.raises(JournalSchemaError, match="user_version=0 and holds tables"):
             CheckpointJournal(cache_path)
 
-        def no_shards(spec):
+        def no_shards(specs):
             raise AssertionError("a shard ran against a refused store")
 
-        monkeypatch.setattr(sharded, "_run_shard", no_shards)
+        monkeypatch.setattr(sharded, "_run_task", no_shards)
         with pytest.raises(JournalSchemaError):
             run_capacity(code, cache_path, seed=11)
         assert cache_path.read_bytes() == before
@@ -289,7 +289,7 @@ class TestSchemaVersioning:
             (key, SHOTS, SHARDS, time.time()),
         )
         for idx, spec in enumerate(specs):
-            shots, failures = sharded._run_shard(spec)
+            ((shots, failures),) = sharded._run_task([spec])
             conn.execute(
                 "INSERT INTO shard_results VALUES (?, ?, ?, ?, ?, ?)",
                 (key, idx, shots, failures, row_checksum(key, idx, shots, failures),
@@ -302,7 +302,7 @@ class TestSchemaVersioning:
             raise AssertionError("a pool or a shard ran on a full cache hit")
 
         monkeypatch.setattr(runtime, "_get_pool", bomb)
-        monkeypatch.setattr(sharded, "_run_shard", bomb)
+        monkeypatch.setattr(sharded, "_run_task", bomb)
         with warnings.catch_warnings():
             warnings.simplefilter("error", (CacheCorrupt, JournalDegraded))
             replayed = code_capacity_memory(

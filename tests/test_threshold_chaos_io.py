@@ -86,9 +86,9 @@ def shard_rows(cache_path, code):
 def spy_run_shard(monkeypatch):
     """Counts real shard executions so replays are observable."""
     calls = []
-    original = sharded._run_shard
+    original = sharded._run_task
     monkeypatch.setattr(
-        sharded, "_run_shard", lambda spec: calls.append(spec) or original(spec)
+        sharded, "_run_task", lambda specs: calls.extend(specs) or original(specs)
     )
     return calls
 
@@ -219,10 +219,10 @@ class TestIOFaultKinds:
         poisoned = run_with_io_chaos(code, path, {3: "corrupt_row"})
         assert poisoned == baseline  # tamper happens on disk, not in RAM
         calls = []
-        original = sharded._run_shard
+        original = sharded._run_task
         monkeypatch.setattr(
-            sharded, "_run_shard",
-            lambda spec: calls.append(spec) or original(spec),
+            sharded, "_run_task",
+            lambda specs: calls.extend(specs) or original(specs),
         )
         with pytest.warns(CacheCorrupt):
             replayed = run_with_io_chaos(code, path, None)
@@ -356,7 +356,7 @@ class TestCombinedChaos:
     ):
         """The full gauntlet: a crashing worker (BrokenProcessPool path)
         *and* a dying disk in one multiprocess run — still bit-for-bit."""
-        monkeypatch.setattr(runtime, "_guarded_run_shard", ChaosPlan({0: "crash"}))
+        monkeypatch.setattr(runtime, "_guarded_run_task", ChaosPlan({0: "crash"}))
         monkeypatch.setattr(
             runtime, "CheckpointJournal",
             chaos_journal(IOChaosPlan({2: "io_error_on_write"})),

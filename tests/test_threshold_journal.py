@@ -60,13 +60,13 @@ def run_key_for(protocol, code, shots, seed, num_shards):
 def spy_run_shard(monkeypatch):
     """Counts real shard executions so replays are observable."""
     calls = []
-    original = sharded._run_shard
+    original = sharded._run_task
 
-    def counting(spec):
-        calls.append(spec)
-        return original(spec)
+    def counting(specs):
+        calls.extend(specs)
+        return original(specs)
 
-    monkeypatch.setattr(sharded, "_run_shard", counting)
+    monkeypatch.setattr(sharded, "_run_task", counting)
     return calls
 
 

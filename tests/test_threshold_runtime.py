@@ -9,9 +9,14 @@ has to degrade, and raising ``ShardRetryExhausted`` only when the
 in-process fallback fails too.
 
 All fault injection is deterministic (``faults.ChaosPlan`` by shard index
-and attempt, installed over ``runtime._guarded_run_shard``), so every
-test here is exactly reproducible.
+and attempt, installed over ``runtime._guarded_run_task``), so every
+test here is exactly reproducible.  The plan here is 8 shards of 100
+shots: in-process they are one task of 8, and through two workers two
+tasks of 4 (shards 0-3 and 4-7), so a fault on any shard fails its whole
+task, which retries or degrades as one.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +62,7 @@ def baseline(protocol, code):
 def run_with_chaos(protocol, code, chaos, workers=2, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         if chaos is not None:
-            mp.setattr(runtime, "_guarded_run_shard", chaos)
+            mp.setattr(runtime, "_guarded_run_task", chaos)
         return memory_experiment(
             protocol, code, rounds=1, shots=800, seed=7, workers=workers,
             num_shards=8, **kwargs,
@@ -71,6 +76,12 @@ class TestChaosPlan:
         assert plan.fault_for(3, 2) == "exception"
         assert plan.fault_for(3, 3) is None
         assert plan.fault_for(4, 1) is None
+
+    def test_a_task_suffers_each_planned_shard_in_turn(self):
+        plan = ChaosPlan({1: "crash", 2: "hang"}, times=2)
+        faults = [plan.fault_for_task((0, 1, 2, 3), attempt) for attempt in range(1, 7)]
+        assert faults == ["crash", "crash", "hang", "hang", None, None]
+        assert plan.fault_for_task((4, 5), 1) is None
 
 
 class TestResilienceOptions:
@@ -92,13 +103,13 @@ class TestResilienceOptions:
         assert ResilienceOptions(max_retries=0, shard_timeout=2, resume=False).max_retries == 0
 
     def test_taxonomy_carries_structure(self):
-        timeout = ShardTimeout(3, 2, 1.5)
-        assert (timeout.shard_index, timeout.attempt, timeout.timeout) == (3, 2, 1.5)
-        exhausted = ShardRetryExhausted(3, 4, timeout)
-        assert exhausted.shard_index == 3
+        timeout = ShardTimeout((3, 4), 2, 1.5)
+        assert (timeout.shards, timeout.attempt, timeout.timeout) == ((3, 4), 2, 1.5)
+        exhausted = ShardRetryExhausted((3, 4), 4, timeout)
+        assert exhausted.shards == (3, 4)
         assert exhausted.attempts == 4
         assert exhausted.last_error is timeout
-        assert "shard 3" in str(exhausted)
+        assert "shard 3, shard 4" in str(exhausted)
 
 
 class TestSerialChaos:
@@ -110,10 +121,14 @@ class TestSerialChaos:
         assert result == baseline
 
     def test_all_fault_kinds_map_to_exceptions(self, protocol, code, baseline):
+        # The four planned shards share the one in-process task, which
+        # suffers them on attempts 1-4 and succeeds on the fifth.
         chaos = ChaosPlan(
             {0: "crash", 2: "hang", 4: "exception", 6: "unpicklable"}, times=1
         )
-        result = run_with_chaos(protocol, code, chaos, workers=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RunDegraded)
+            result = run_with_chaos(protocol, code, chaos, workers=1, max_retries=4)
         assert result == baseline
 
     def test_exhaustion_degrades_with_warning(self, protocol, code, baseline):
@@ -131,15 +146,15 @@ class TestSerialChaos:
         fallback that fails too raises, carrying the fallback's error."""
         fallback_error = ChaosError("in-process fallback failed")
 
-        def failing_fallback(spec):
+        def failing_fallback(specs):
             raise fallback_error
 
-        monkeypatch.setattr(runtime, "_run_shard_inprocess", failing_fallback)
+        monkeypatch.setattr(runtime, "_run_task_inprocess", failing_fallback)
         chaos = ChaosPlan({5: "exception"}, times=10)
         with pytest.warns(RunDegraded, match="shard 5"):
             with pytest.raises(ShardRetryExhausted) as excinfo:
                 run_with_chaos(protocol, code, chaos, workers=1, max_retries=1)
-        assert excinfo.value.shard_index == 5
+        assert excinfo.value.shards == tuple(range(8))  # the task holding shard 5
         assert excinfo.value.attempts == 3  # two attempts, then the fallback
         assert excinfo.value.last_error is fallback_error
 
@@ -186,7 +201,7 @@ class TestMultiprocessChaos:
             code, 5e-3, rounds=2, shots=400, seed=9, workers=1, num_shards=4
         )
         monkeypatch.setattr(
-            runtime, "_guarded_run_shard", ChaosPlan({1: "exception"}, times=1)
+            runtime, "_guarded_run_task", ChaosPlan({1: "exception"}, times=1)
         )
         faulted = code_capacity_memory(
             code, 5e-3, rounds=2, shots=400, seed=9, workers=2, num_shards=4,
@@ -199,7 +214,7 @@ class TestMultiprocessChaos:
         """The montecarlo entry point routes a sharded call through the
         runtime's attempt entry, where the fault lands."""
         monkeypatch.setattr(
-            runtime, "_guarded_run_shard", ChaosPlan({3: "exception"}, times=1)
+            runtime, "_guarded_run_task", ChaosPlan({3: "exception"}, times=1)
         )
         result = memory_experiment(
             protocol, code, rounds=1, shots=800, seed=7, workers=2,
@@ -217,7 +232,7 @@ class TestMultiprocessChaos:
         self, protocol, code, baseline
     ):
         chaos = ChaosPlan({1: "hang"}, times=10, hang_seconds=60)
-        with pytest.warns(RunDegraded, match=r"shard 1 .*ShardTimeout"):
+        with pytest.warns(RunDegraded, match=r"shard 1\b.*ShardTimeout"):
             result = run_with_chaos(
                 protocol, code, chaos, shard_timeout=0.75, max_retries=0
             )

@@ -270,11 +270,11 @@ class TestShardPayload:
         fresh = []
         for spec in specs:
             sharded._forget_args()
-            fresh.append(sharded._run_shard(spec))
+            fresh.extend(sharded._run_task([spec]))
         sharded._forget_args()
         reused, held = [], set()
         for spec in specs:
-            reused.append(sharded._run_shard(spec))
+            reused.extend(sharded._run_task([spec]))
             warm = sharded._shard_args(spec[1])[0]
             held.add(id(warm))
             for buffers in warm._buffers.values():
