@@ -20,18 +20,47 @@ import numpy as np
 
 __all__ = ["parity_planes", "decode_syndrome_planes"]
 
+# Each check's support as a tuple of row indices, by matrix content.  A
+# process meets a handful of check matrices, so the cache is not bounded.
+_SUPPORTS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
-def parity_planes(h: np.ndarray, planes: np.ndarray) -> np.ndarray:
+
+def _supports(h: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    h = np.asarray(h)
+    key = (h.dtype.str, h.shape, h.tobytes())
+    support = _SUPPORTS.get(key)
+    if support is None:
+        support = _SUPPORTS[key] = tuple(
+            tuple(np.flatnonzero(row).tolist()) for row in h.astype(bool)
+        )
+    return support
+
+
+def parity_planes(
+    h: np.ndarray, planes: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The GF(2) product ``h @ planes`` on packed rows.
 
     ``h`` is an ``(r, rows)`` 0/1 matrix and ``planes`` is ``(rows, words)``
     uint64.  Row ``i`` of the ``(r, words)`` result is the XOR of the
-    planes in the support of ``h[i]``; an empty support gives zeros.
+    planes in the support of ``h[i]``; an empty support gives zeros.  Each
+    row is XORed straight into its output row, in ``out`` when given.
     """
-    support = np.asarray(h, dtype=bool)
-    out = np.empty((support.shape[0], planes.shape[1]), dtype=np.uint64)
-    for i, row in enumerate(support):
-        np.bitwise_xor.reduce(planes[row], axis=0, out=out[i])
+    support = _supports(h)
+    shape = (len(support), planes.shape[1])
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
+    for row, rows in zip(out, support):
+        if len(rows) > 1:
+            np.bitwise_xor(planes[rows[0]], planes[rows[1]], out=row)
+            for r in rows[2:]:
+                row ^= planes[r]
+        elif rows:
+            row[:] = planes[rows[0]]
+        else:
+            row[:] = 0
     return out
 
 

@@ -248,7 +248,9 @@ class StabilizerCode:
     ) -> np.ndarray:
         """Row i: the lanes whose frame anticommutes with ``paulis[i]``."""
         sym = self._symplectic_matrix(paulis).reshape(len(paulis), 2 * self.n)
-        return parity_planes(sym[:, self.n :], fx) ^ parity_planes(sym[:, : self.n], fz)
+        planes = parity_planes(sym[:, self.n :], fx)
+        planes ^= parity_planes(sym[:, : self.n], fz)
+        return planes
 
     def syndrome_planes(self, fx: np.ndarray, fz: np.ndarray) -> np.ndarray:
         """Packed twin of :meth:`syndrome_of_frame`: ``(n, words)`` frame

@@ -156,16 +156,27 @@ class SteaneCode(CSSCode):
         logical operator.  The weight-1 correction flips the parity exactly
         when the syndrome is nonzero, so the corrected parity is
         ``XOR(rows) ^ OR(H·rows)``.  Both check matrices are H (Eq. 1), so
-        this decodes X frames, Z frames and measured blocks alike.
+        this decodes X frames, Z frames and measured blocks alike.  Both
+        chains run in place, over one parity row and the three syndrome
+        rows.
         """
-        parity = np.bitwise_xor.reduce(rows, axis=0)
-        return parity ^ np.bitwise_or.reduce(parity_planes(self.hz, rows), axis=0)
+        parity = np.bitwise_xor(rows[0], rows[1])
+        for row in rows[2:]:
+            parity ^= row
+        syn = parity_planes(self.hz, rows)
+        flagged = np.bitwise_or(syn[0], syn[1], out=syn[0])
+        for row in syn[2:]:
+            flagged |= row
+        parity ^= flagged
+        return parity
 
     def logical_failure_plane(self, fx: np.ndarray, fz: np.ndarray) -> np.ndarray:
         """:meth:`StabilizerCode.logical_failure_plane` through the parity
         identity: a residual frame, ideally decoded, acts as X̄ (Z̄) exactly
         when its corrected X (Z) parity is odd (:meth:`corrected_parity_plane`)."""
-        return self.corrected_parity_plane(fx) | self.corrected_parity_plane(fz)
+        failed = self.corrected_parity_plane(fx)
+        failed |= self.corrected_parity_plane(fz)
+        return failed
 
     def decode_bitflip_syndrome(self, syndrome: np.ndarray) -> np.ndarray:
         """Map 3-bit Hamming syndromes to 7-bit correction masks.

@@ -40,6 +40,14 @@ for every segment.  ``engine="legacy"`` keeps the original per-operation
 interpreter and per-layout factory runs; the parity suite checks the two
 agree.
 
+What a round builds from its shape alone (the code's content, the
+repetitions and whether ancillas are verified) lives in one
+:class:`_RoundState` per shape and process: the extraction and factory
+objects, their circuits, the round's packed buffers and the fold scratch.
+Every protocol of that shape shares it, so the protocols of a grid scan,
+and each one a worker unpickles, find it built and warm.  Only the
+compiled programs, which carry the noise, belong to each protocol.
+
 A protocol pickles only its constructor arguments and is rebuilt through
 its constructor when unpickled.  No program, packed buffer or fold scratch
 travels, so its pickle, which a sharded run's key hashes, is the same
@@ -48,8 +56,11 @@ before and after any number of rounds.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
+from repro.circuits.circuit import Circuit
 from repro.codes.css import CSSCode, _classical_correction, _correction_table
 from repro.codes.packed_decode import decode_syndrome_planes
 from repro.codes.steane import SteaneCode
@@ -187,6 +198,91 @@ def _lane_block(planes: np.ndarray, start: int, shots: int, out: np.ndarray) -> 
         out[..., -1] &= np.uint64((1 << (shots % 64)) - 1)
 
 
+class _RoundState:
+    """A protocol shape's noise-independent round state, shared by every
+    protocol of that shape in the process (:func:`_round_state`).
+
+    A process runs one round at a time, so the programs of every protocol
+    of the shape share the fold scratch and the packed buffers.  Each
+    circuit's buffers are its X and Z frames, one ``(2, qubits, words)``
+    array, and its ``(cbits, words)`` flips, each a C-contiguous view of
+    the prefix of a flat buffer of its own (a :class:`FoldScratch`):
+    allocated at the first round, grown to the largest plan, and never
+    shared by two circuits, since a round copies one program's frames into
+    another's.  A round overwrites
+    every buffer row it reads, so what a buffer held before never reaches
+    a count.
+    """
+
+    def __init__(self, circuits: dict[object, Circuit]) -> None:
+        self.circuits = circuits
+        self.scratch = FoldScratch()
+        self._flat: dict[object, tuple[FoldScratch, FoldScratch]] = {}
+
+    def buffers(self, name: object, words: int) -> tuple[np.ndarray, np.ndarray]:
+        """Circuit ``name``'s frames and flips over ``words`` words."""
+        circuit = self.circuits[name]
+        flat = self._flat.get(name)
+        if flat is None:
+            flat = self._flat[name] = FoldScratch(), FoldScratch()
+        return (
+            flat[0].rows(2, circuit.num_qubits, words),
+            flat[1].rows(max(1, circuit.num_cbits), words),
+        )
+
+
+class _SteaneRound(_RoundState):
+    def __init__(self, code: SteaneCode, repetitions: int, verify: bool) -> None:
+        self.extraction = SteaneSyndromeExtraction(code, repetitions)
+        self.prep = SteaneAncillaPrep(code, verify=verify)
+        super().__init__(
+            {"factory": self.prep.circuit(), "extract": self.extraction.extraction_circuit()}
+        )
+
+
+class _ShorRound(_RoundState):
+    def __init__(self, code: StabilizerCode, repetitions: int, verify: bool) -> None:
+        self.extraction = ShorSyndromeExtraction(code, repetitions, verify)
+        # Blocks of equal width share one factory; batched sampling fills
+        # them in circuit order from consecutive shot slices.
+        widths = self.extraction.factory_widths()
+        self.width_blocks = {
+            w: [b for b in self.extraction.blocks if len(b.qubits) == w] for w in widths
+        }
+        circuits = {w: self.extraction.ancilla_factory(w)[0] for w in widths}
+        super().__init__({"extract": self.extraction.extraction_circuit(), **circuits})
+
+
+# Round states by shape, least recently used first, bounded as the
+# compiled streams are.  A protocol keeps its own state alive.  Keyed by
+# content, because each run a worker unpickles brings a fresh code.
+_ROUNDS: dict[tuple, _RoundState] = {}
+_ROUNDS_MAX = 16
+
+
+def _round_state(kind: type[_RoundState], content: tuple, *args) -> _RoundState:
+    """The process's round state of shape ``(kind, *content)``, built from
+    ``args`` on a miss."""
+    key = (kind, *content)
+    state = _ROUNDS.pop(key, None)
+    if state is None:
+        state = kind(*args)
+        if len(_ROUNDS) >= _ROUNDS_MAX:
+            del _ROUNDS[next(iter(_ROUNDS))]
+    _ROUNDS[key] = state  # the most recently used come last
+    return state
+
+
+def _content(matrix: np.ndarray) -> tuple:
+    return matrix.dtype.str, matrix.shape, matrix.tobytes()
+
+
+@cache
+def _default_code() -> SteaneCode:
+    """The code of every Steane-EC protocol built without one."""
+    return SteaneCode()
+
+
 def _run_round_via_packed(
     protocol,
     shots: int,
@@ -226,7 +322,13 @@ class SteaneECProtocol:
     repetitions: syndrome measurements per type per round (Fig. 9 uses 2).
     policy: see module docstring.
     verify_ancilla: run the §3.3 two-block verification in the factory.
+    code: the Steane code; protocols built without one share one per
+        process.
     engine: ``"compiled"`` (packed, default) or ``"legacy"``.
+
+    The extraction, the factory and their circuits come from the round
+    state of this shape (:class:`_RoundState`), shared with every other
+    protocol of the shape; the compiled programs are this protocol's own.
     """
 
     def __init__(
@@ -240,27 +342,27 @@ class SteaneECProtocol:
     ) -> None:
         _check_engine(engine)
         _check_policy(policy, repetitions)
-        self.code = code or SteaneCode()
+        self.code = code or _default_code()
         self.noise = noise
         self.policy = policy
         self.engine = engine
-        self.extraction = SteaneSyndromeExtraction(self.code, repetitions)
-        self.prep = SteaneAncillaPrep(self.code, verify=verify_ancilla)
+        content = (type(self.code), _content(self.code.hz), _content(self.code.hx))
+        state = _round_state(
+            _SteaneRound, (*content, repetitions, verify_ancilla),
+            self.code, repetitions, verify_ancilla,
+        )
+        self._state = state
+        self.extraction = state.extraction
+        self.prep = state.prep
+        factory, extract = state.circuits["factory"], state.circuits["extract"]
         if engine == "compiled":
-            self._factory_prog = CompiledFrameProgram(self.prep.circuit(), noise)
-            self._extract_prog = CompiledFrameProgram(
-                self.extraction.extraction_circuit(), noise
-            )
+            self._factory_prog = CompiledFrameProgram(factory, noise)
+            self._extract_prog = CompiledFrameProgram(extract, noise)
             self._factory_sim = self._factory_prog
             self._extract_sim = self._extract_prog
-            self._buffers: dict[int, tuple] = {}
-            # One fold scratch for both programs, which run in turn.
-            self._scratch = FoldScratch()
         else:
-            self._factory_sim = FrameSimulator(self.prep.circuit(), noise, backend="legacy")
-            self._extract_sim = FrameSimulator(
-                self.extraction.extraction_circuit(), noise, backend="legacy"
-            )
+            self._factory_sim = FrameSimulator(factory, noise, backend="legacy")
+            self._extract_sim = FrameSimulator(extract, noise, backend="legacy")
 
     def __reduce__(self) -> tuple:
         reps, verify = self.extraction.repetitions, self.prep.verify
@@ -279,25 +381,6 @@ class SteaneECProtocol:
         flip = self.prep.parse(res.meas_flips) if self.prep.verify else np.zeros(shots, np.uint8)
         fx = self.prep.apply_fixups(res.fx[:, :7], flip)
         return fx, res.fz[:, :7].copy()
-
-    def _round_buffers(self, plan: LanePlan) -> tuple:
-        """Pre-allocated packed buffers, reused across rounds and keyed by
-        word count: every shape depends only on the plan's words and every
-        round overwrites them, so the uneven shots of one shard plan share
-        one set.
-
-        The factory batch lays the layouts out one after another, each as
-        many words as the data frames, so layout slices are word ranges —
-        the batched factory output feeds the extraction buffer without ever
-        unpacking.
-        """
-        nwords = plan.words
-        buf = self._buffers.get(nwords)
-        if buf is None:
-            ext = self._extract_prog.new_buffers(plan.lanes)
-            fac = self._factory_prog.new_buffers(nwords * 64 * len(self.extraction.layouts))
-            buf = self._buffers[nwords] = ext + fac
-        return buf
 
     def _corrections_packed(self, syn: np.ndarray) -> np.ndarray:
         """Packed twin of :meth:`_corrections`.
@@ -330,36 +413,35 @@ class SteaneECProtocol:
         layout is one column range), verification decode and the syndrome
         policy are evaluated as plane algebra
         (:meth:`SteaneAncillaPrep.parse_packed`,
-        :meth:`_corrections_packed`), and every buffer is allocated once
-        per word count and reused across rounds.
+        :meth:`_corrections_packed`), and the buffers are the shape's, reused
+        across rounds and protocols (:class:`_RoundState`).  No buffer is
+        cleared: every factory qubit is reset before it is read, and the
+        data rows and the layouts' ancilla rows cover the extraction.
         """
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
         plan, rngs = plan_streams(shots, rng)
-        ext_fx, ext_fz, ext_flips, fac_fx, fac_fz, fac_flips = self._round_buffers(plan)
-        layouts = self.extraction.layouts
-        nwords = plan.words
+        state, layouts, nwords = self._state, self.extraction.layouts, plan.words
+        (ext_fx, ext_fz), ext_flips = state.buffers("extract", nwords)
+        (fac_fx, fac_fz), fac_flips = state.buffers("factory", nwords * len(layouts))
+        # The factory batch lays the layouts out one after another, each as
+        # many words as the data frames, so a layout is a word range.
         factory = LanePlan(tuple(64 * words_for(size) for size in plan.sizes), len(layouts))
-        fac_fx[:] = 0
-        fac_fz[:] = 0
-        self._factory_prog.run_packed(factory, rngs, fac_fx, fac_fz, fac_flips, scratch=self._scratch)
-        afx = fac_fx[:7]
-        afz = fac_fz[:7]
+        self._factory_prog.run_packed(factory, rngs, fac_fx, fac_fz, fac_flips, scratch=state.scratch)
+        afx, afz = fac_fx[:7], fac_fz[:7]
         if self.prep.verify:
-            afx = afx ^ self.prep.parse_packed(fac_flips)[None, :]
-        ext_fx[:] = 0
-        ext_fz[:] = 0
+            afx ^= self.prep.parse_packed(fac_flips)
         ext_fx[:7] = data_fx
         ext_fz[:7] = data_fz
         for k, layout in enumerate(layouts):
             cols = slice(k * nwords, (k + 1) * nwords)
-            anc = list(layout.anc_qubits)
+            anc = slice(layout.anc_qubits[0], layout.anc_qubits[-1] + 1)
             ext_fx[anc] = afx[:, cols]
             ext_fz[anc] = afz[:, cols]
-        self._extract_prog.run_packed(plan, rngs, ext_fx, ext_fz, ext_flips, scratch=self._scratch)
+        self._extract_prog.run_packed(plan, rngs, ext_fx, ext_fz, ext_flips, scratch=state.scratch)
         x_syn, z_syn = self.extraction.parse_syndromes_packed(ext_flips)
-        data_fx[:] = ext_fx[:7] ^ self._corrections_packed(x_syn)
-        data_fz[:] = ext_fz[:7] ^ self._corrections_packed(z_syn)
+        np.bitwise_xor(ext_fx[:7], self._corrections_packed(x_syn), out=data_fx)
+        np.bitwise_xor(ext_fz[:7], self._corrections_packed(z_syn), out=data_fz)
 
     def run_round(
         self,
@@ -410,6 +492,11 @@ class ShorECProtocol:
     extraction circuit measures every generator ``repetitions`` times.  In
     the compiled engine all blocks of one width are drawn from a single
     batched factory run per round.
+
+    The extraction, its blocks by width and the circuits come from the
+    round state of this shape (:class:`_RoundState`), shared with every
+    other protocol of the shape; the compiled programs are this protocol's
+    own.
     """
 
     def __init__(
@@ -427,34 +514,27 @@ class ShorECProtocol:
         self.noise = noise
         self.policy = policy
         self.engine = engine
-        self.extraction = ShorSyndromeExtraction(code, repetitions, verify_ancilla)
         self.verify_ancilla = verify_ancilla
-        # Blocks of equal width share one factory; batched sampling fills
-        # them in circuit order from consecutive shot slices.
-        self._width_blocks = {
-            w: [b for b in self.extraction.blocks if len(b.qubits) == w]
-            for w in self.extraction.factory_widths()
-        }
+        generators = _content(code._symplectic_matrix(code.generators))
+        state = _round_state(
+            _ShorRound, (code.name, generators, repetitions, verify_ancilla),
+            code, repetitions, verify_ancilla,
+        )
+        self._state = state
+        self.extraction = state.extraction
+        self._width_blocks = state.width_blocks
+        circuits = state.circuits
         if engine == "compiled":
-            self._extract_prog = CompiledFrameProgram(
-                self.extraction.extraction_circuit(), noise
-            )
+            self._extract_prog = CompiledFrameProgram(circuits["extract"], noise)
             self._factory_progs = {
-                w: CompiledFrameProgram(self.extraction.ancilla_factory(w)[0], noise)
-                for w in self.extraction.factory_widths()
+                w: CompiledFrameProgram(circuits[w], noise) for w in self._width_blocks
             }
             self._extract_sim = self._extract_prog
             self._factories = self._factory_progs
-            self._buffers: dict[tuple, tuple] = {}
-            # One fold scratch for every program, which run in turn.
-            self._scratch = FoldScratch()
         else:
-            self._extract_sim = FrameSimulator(
-                self.extraction.extraction_circuit(), noise, backend="legacy"
-            )
+            self._extract_sim = FrameSimulator(circuits["extract"], noise, backend="legacy")
             self._factories = {
-                w: FrameSimulator(self.extraction.ancilla_factory(w)[0], noise, backend="legacy")
-                for w in self.extraction.factory_widths()
+                w: FrameSimulator(circuits[w], noise, backend="legacy") for w in self._width_blocks
             }
 
     def __reduce__(self) -> tuple:
@@ -512,10 +592,12 @@ class ShorECProtocol:
         """
         plan, rngs = plan_streams(shots, rng)
         factory = LanePlan(plan.sizes, blocks)
-        prog = self._factory_progs[width]
-        frames, flips = self._round_buffers(prog, factory.lanes)
-        frames[:] = 0
-        prog.run_packed(factory, rngs, frames[0], frames[1], flips, scratch=self._scratch)
+        # Every cat factory resets each qubit before it reads it, so the
+        # frames are not cleared.
+        frames, flips = self._state.buffers(width, factory.words)
+        self._factory_progs[width].run_packed(
+            factory, rngs, frames[0], frames[1], flips, scratch=self._state.scratch
+        )
         cats = frames[:, :width]
         if not self.verify_ancilla:
             return cats
@@ -545,17 +627,6 @@ class ShorECProtocol:
         _copy_lanes(cats, np.concatenate(src), np.concatenate(dst), flips[0])
         return cats
 
-    def _round_buffers(self, prog: CompiledFrameProgram, shots: int) -> tuple:
-        """One program's scratch per word count, reused across rounds and
-        shot counts (every round overwrites it): its X and Z frames in one
-        ``(2, qubits, words)`` buffer, and its flips."""
-        key = (prog, words_for(shots))
-        buf = self._buffers.get(key)
-        if buf is None:
-            fx, fz, flips = prog.new_buffers(shots)
-            buf = self._buffers[key] = (np.stack((fx, fz)), flips)
-        return buf
-
     def run_round_packed(
         self,
         shots: int | LanePlan,
@@ -579,7 +650,7 @@ class ShorECProtocol:
         if self.engine != "compiled":
             raise ValueError("run_round_packed requires engine='compiled'")
         plan, rngs = plan_streams(shots, rng)
-        frames, flips = self._round_buffers(self._extract_prog, plan.lanes)
+        frames, flips = self._state.buffers("extract", plan.words)
         n = self.code.n
         frames[0, :n] = data_fx
         frames[1, :n] = data_fz
@@ -590,12 +661,12 @@ class ShorECProtocol:
                 wires = slice(block.qubits[0], block.qubits[0] + width)
                 _lane_block(cats, int(starts[k, 0]), plan.lanes, out=frames[:, wires])
         self._extract_prog.run_packed(
-            plan, rngs, frames[0], frames[1], flips, scratch=self._scratch
+            plan, rngs, frames[0], frames[1], flips, scratch=self._state.scratch
         )
         syn = self.extraction.parse_syndromes_packed(flips)
         corr_x, corr_z = self._corrections_packed(syn)
-        data_fx[:] = frames[0, :n] ^ corr_x
-        data_fz[:] = frames[1, :n] ^ corr_z
+        np.bitwise_xor(frames[0, :n], corr_x, out=data_fx)
+        np.bitwise_xor(frames[1, :n], corr_z, out=data_fz)
 
     def run_round(
         self,

@@ -102,7 +102,9 @@ class SteaneAncillaPrep:
         without unpacking a single shot.
         """
         decode = self.code.corrected_parity_plane
-        return decode(flips[0:7]) & decode(flips[7:14])
+        fixup = decode(flips[0:7])
+        fixup &= decode(flips[7:14])
+        return fixup
 
 
 @dataclass(frozen=True)
@@ -206,14 +208,17 @@ class SteaneSyndromeExtraction:
         ``flips`` is ``(total_cbits, words)`` uint64.  Returns
         ``(x_syn, z_syn)`` of shape ``(repetitions, 3, words)``: packed
         syndrome bit-planes, each the XOR of the measurement rows in one
-        Hamming check's support.
+        Hamming check's support.  A layout's cbits are consecutive, so its
+        record is a slice of ``flips``, and the layouts fill every
+        repetition of both outputs.
         """
         nwords = flips.shape[1]
-        x_syn = np.zeros((self.repetitions, 3, nwords), dtype=np.uint64)
-        z_syn = np.zeros_like(x_syn)
+        x_syn = np.empty((self.repetitions, 3, nwords), dtype=np.uint64)
+        z_syn = np.empty_like(x_syn)
         for layout in self.layouts:
             target = x_syn if layout.kind == "bitflip" else z_syn
-            target[layout.repetition] = parity_planes(self.code.hz, flips[list(layout.cbits)])
+            record = flips[layout.cbits[0] : layout.cbits[-1] + 1]
+            parity_planes(self.code.hz, record, out=target[layout.repetition])
         return x_syn, z_syn
 
     def ancilla_factory(self) -> SteaneAncillaPrep:

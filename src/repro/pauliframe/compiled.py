@@ -373,11 +373,12 @@ def plan_streams(shots: int | LanePlan, rng) -> tuple[LanePlan, list[np.random.G
 
 
 class FoldScratch:
-    """The fold's output buffer, reused by every run of the programs that
-    share it.  A protocol's programs run one after another, so one scratch
-    serves them all.  It holds only what ``_execute`` reads, grows with a
-    quarter to spare (hit counts scatter from run to run) and never
-    shrinks."""
+    """A flat ``uint64`` buffer handed out by prefix and reused run after
+    run.  As the fold's output it serves every program of a round, since
+    they run one after another, and holds only what ``_execute`` reads;
+    it also holds a round's packed buffers.  It grows with a quarter to
+    spare (hit counts scatter from run to run) and never shrinks, and its
+    old contents show through: a caller overwrites what it reads."""
 
     def __init__(self) -> None:
         self._words = np.empty(0, dtype=np.uint64)
@@ -387,6 +388,10 @@ class FoldScratch:
         if self._words.size < size:
             self._words = np.empty(size + size // 4, dtype=np.uint64)
         return self._words[:size]
+
+    def rows(self, *shape: int) -> np.ndarray:
+        """The prefix as a C-contiguous array of ``shape``."""
+        return self.words(math.prod(shape)).reshape(shape)
 
 
 @dataclass
@@ -624,18 +629,37 @@ def _row_tables(
     return rows
 
 
+def _reads_unassigned_cbit(instrs: list[tuple], num_cbits: int) -> bool:
+    """Whether a run of ``instrs`` can read a ``flips`` row that no M or MX
+    has assigned yet: a COND or a measurement fault reads one, or a row
+    (the one row of a circuit without cbits included) is never assigned."""
+    assigned = np.zeros(max(1, num_cbits), dtype=bool)
+    for ins in instrs:
+        op = ins[0]
+        if op in (_OP_M, _OP_MX):
+            assigned[ins[2]] = True
+        elif (op == _OP_COND and not assigned[ins[4]].all()) or (
+            op == _OP_NM and not assigned[ins[1]].all()
+        ):
+            return True
+    return not assigned.all()
+
+
 @dataclass(frozen=True)
 class _Stream:
     """A lowered instruction stream, its per-class location counts and its
     row tables, verified once and shared by every program whose circuit
     (size and operations), fusion and nonzero rates match: the stream
-    depends on nothing else.  Its arrays are read-only.
+    depends on nothing else.  Its arrays are read-only.  ``zero_flips``
+    says whether a run must clear ``flips`` first
+    (:func:`_reads_unassigned_cbit`).
     """
 
     instructions: list[tuple]
     counts: dict[str, int]
     row_tables: dict[str, np.ndarray]
     dims: tuple[int, int]  # the circuit's (num_qubits, num_cbits)
+    zero_flips: bool
 
     @classmethod
     def of(cls, instrs: list[tuple], counts: dict[str, int], circuit: Circuit) -> "_Stream":
@@ -648,7 +672,21 @@ class _Stream:
         for arr in [*row_tables.values(), *(a for ins in instrs for a in ins)]:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        return cls(instrs, counts, row_tables, (circuit.num_qubits, circuit.num_cbits))
+        dims = (circuit.num_qubits, circuit.num_cbits)
+        return cls(instrs, counts, row_tables, dims, _reads_unassigned_cbit(instrs, dims[1]))
+
+
+class _Ops(tuple):
+    """A circuit's operations as part of a stream key, hashed once: a
+    lookup and the refresh that follows it hash the key twice."""
+
+    def __new__(cls, operations) -> "_Ops":
+        ops = super().__new__(cls, operations)
+        ops._hash = tuple.__hash__(ops)
+        return ops
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # Streams by everything they depend on, least recently used first.  The
@@ -728,7 +766,7 @@ class CompiledFrameProgram:
         key = (
             circuit.num_qubits,
             circuit.num_cbits,
-            tuple(circuit.operations),
+            _Ops(circuit.operations),
             self.fuse,
             tuple(getattr(noise, rate) > 0 for rate in _RATE.values()),
         )
@@ -883,8 +921,12 @@ class CompiledFrameProgram:
         ``shots`` and ``rng`` are a lane count and a seed or generator, or
         a :class:`LanePlan` and one generator per segment
         (:func:`plan_streams`).  ``fx``/``fz`` carry the initial frames on
-        entry and the residual frames on exit; ``flips`` is zeroed here
-        before execution.  Buffers must have the plan's ``words`` columns
+        entry and the residual frames on exit; the rows the program resets
+        before reading them are ignored on entry, so they may hold anything.
+        ``flips`` carries the measurement flips on exit, whatever it held
+        on entry: it is zeroed first only when the stream can read a cbit
+        before an M or MX assigns it (:func:`_reads_unassigned_cbit`).
+        Buffers must have the plan's ``words`` columns
         (reuse across rounds is the point of this entry) and be
         C-contiguous: faults are applied through flat indices into
         ``reshape(-1)`` views, which on any other layout would be copies
@@ -899,7 +941,8 @@ class CompiledFrameProgram:
         for name, buf, shape in buffers:
             if buf.shape != shape or not buf.flags.c_contiguous:
                 raise ValueError(f"{name} must be a C-contiguous {shape} uint64 buffer")
-        flips[:] = 0
+        if self._stream.zero_flips:
+            flips[:] = 0
         faults = self._sample_planes(rngs, plan, scratch)
         self._execute(self._instructions, fx, fz, flips, faults)
 

@@ -61,7 +61,7 @@ key hashes it (:func:`~repro.threshold.journal.compute_run_key`).  A
 task's specs share one payload object, so its message carries the bytes
 once.  Each process keeps the last payload it unpickled
 (:func:`_shard_args`): a worker's later tasks of the run reuse that
-protocol together with its warm packed buffers, and
+protocol, every protocol of its shape shares warm packed buffers, and
 :func:`~repro.threshold.runtime.execute_batch` drops the calling
 process's copy when it returns.
 """
@@ -198,7 +198,7 @@ _args_cache: tuple[bytes, tuple] | None = None
 def _shard_args(payload: bytes) -> tuple:
     """The run args that ``payload`` pickles, from the cache when it holds
     equal bytes, so a worker's later tasks of a run reuse its protocol
-    with warm packed buffers (each round overwrites them).  Any other
+    (whose shape's packed buffers stay warm across runs).  Any other
     payload releases the cached args before it is unpickled, so a process
     never holds two runs' protocols."""
     global _args_cache

@@ -62,7 +62,7 @@ def test_run_key_independent_of_scratch_buffers():
     # they travelled in the pickle, the payload (and thus the key) would
     # now differ from the fresh protocol's.
     memory_experiment(protocol, code, rounds=2, shots=64, seed=7)
-    assert protocol._buffers, "expected the run to populate scratch buffers"
+    assert protocol._state._flat, "expected the run to populate scratch buffers"
 
     assert compute_run_key("memory", _payload(protocol, code), 200, fingerprint, 2) == fresh_key
 

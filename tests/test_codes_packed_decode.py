@@ -22,6 +22,7 @@ from repro.codes.packed_decode import decode_syndrome_planes, parity_planes
 from repro.ft import ShorECProtocol, SteaneECProtocol, resolve_syndrome_policy
 from repro.ft.exrec import resolve_syndrome_policy_packed
 from repro.ft.shor_ec import ShorSyndromeExtraction
+from repro.ft.steane_ec import SteaneAncillaPrep, SteaneSyndromeExtraction
 from repro.noise import NoiseModel
 from repro.codes.stabilizer_code import StabilizerCode
 from repro.pauliframe import pack_rows, pack_shot_major, unpack_rows, unpack_shot_major
@@ -133,13 +134,38 @@ class TestTableDecoder:
         with pytest.raises(ValueError):
             decode_syndrome_planes(np.zeros((8, 7), np.uint8), np.zeros((2, 1), np.uint64))
 
-    def test_parity_planes_is_gf2_product(self):
-        rng = np.random.default_rng(0)
-        h = rng.integers(0, 2, size=(5, 9)).astype(np.uint8)
-        h[2] = 0  # an empty check gives a zero plane
-        bits = rng.integers(0, 2, size=(9, 200)).astype(np.uint8)
-        got = unpack_rows(parity_planes(h, pack_rows(bits)), 200)
-        np.testing.assert_array_equal(got, (h.astype(int) @ bits) % 2)
+    @staticmethod
+    def _matrix(name: str) -> np.ndarray:
+        if name == "random":
+            h = np.random.default_rng(0).integers(0, 2, size=(5, 9)).astype(np.uint8)
+            h[2] = 0  # an empty check gives a zero plane
+            return h
+        if name in ("steane_hz", "steane_hx"):
+            return getattr(SteaneCode(), name[-2:])
+        code = ShorNineCode() if name == "shor9" else FiveQubitCode()
+        return StabilizerCode._symplectic_matrix(code.generators)
+
+    # A tiny call, a shard, a 100k-shot memory round and a 2-shard
+    # factory batch.
+    @pytest.mark.parametrize("words", [1, 977, 1563, 7816])
+    @pytest.mark.parametrize("matrix", ["random", "steane_hz", "steane_hx", "shor9", "five"])
+    def test_parity_planes_is_gf2_product(self, matrix, words):
+        h = self._matrix(matrix)
+        rng = np.random.default_rng(words)
+        planes = rng.integers(0, 2**64, size=(h.shape[1], words), dtype=np.uint64)
+        shots = 64 * words
+        want = (h.astype(np.uint8) @ unpack_rows(planes, shots)) % 2
+        np.testing.assert_array_equal(unpack_rows(parity_planes(h, planes), shots), want)
+        # Into a row slice of a larger buffer, whose other rows stay.
+        big = rng.integers(0, 2**64, size=(h.shape[0] + 3, words), dtype=np.uint64)
+        around = big.copy()
+        out = big[1 : 1 + h.shape[0]]
+        assert parity_planes(h, planes, out=out) is out
+        np.testing.assert_array_equal(unpack_rows(out, shots), want)
+        np.testing.assert_array_equal(big[0], around[0])
+        np.testing.assert_array_equal(big[1 + h.shape[0] :], around[1 + h.shape[0] :])
+        with pytest.raises(ValueError, match="out must have shape"):
+            parity_planes(h, planes, out=big[: h.shape[0] - 1])
 
 
 class TestSyndromePolicy:
@@ -204,6 +230,27 @@ class TestProtocolDecode:
         got_x, got_z = proto._corrections_packed(planes)
         np.testing.assert_array_equal(unpack_shot_major(got_x, shots), want_x)
         np.testing.assert_array_equal(unpack_shot_major(got_z, shots), want_z)
+
+    @pytest.mark.parametrize("words", [1, 977, 1563, 7816])
+    def test_steane_syndrome_parse(self, words):
+        ext = SteaneSyndromeExtraction(SteaneCode(), repetitions=2)
+        shots = 64 * words - 5
+        rng = np.random.default_rng(words)
+        flips = (rng.random((shots, ext.total_cbits)) < 0.2).astype(np.uint8)
+        x_syn, z_syn = ext.parse_syndromes_packed(with_junk(pack_shot_major(flips), shots, rng))
+        want_x, want_z = ext.parse_syndromes(flips)
+        for r in range(ext.repetitions):
+            np.testing.assert_array_equal(unpack_shot_major(x_syn[r], shots), want_x[:, r])
+            np.testing.assert_array_equal(unpack_shot_major(z_syn[r], shots), want_z[:, r])
+
+    @pytest.mark.parametrize("words", [1, 977, 1563, 7816])
+    def test_steane_verification_parse(self, words):
+        prep = SteaneAncillaPrep(SteaneCode())
+        shots = 64 * words - 5
+        rng = np.random.default_rng(words)
+        flips = (rng.random((shots, prep.num_cbits)) < 0.2).astype(np.uint8)
+        fixup = prep.parse_packed(with_junk(pack_shot_major(flips), shots, rng))
+        np.testing.assert_array_equal(unpack_rows(fixup[None], shots)[0], prep.parse(flips))
 
     @pytest.mark.parametrize("shots", SHOTS)
     def test_shor_syndrome_parse(self, code, shots):

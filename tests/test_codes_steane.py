@@ -192,6 +192,20 @@ class TestFrameDecoding:
                 corrupted[i] ^= 1
                 assert code.destructive_measurement_decode(corrupted)[0] == expected
 
+    @pytest.mark.parametrize("words", [1, 977, 1563, 7816])
+    def test_corrected_parity_plane_is_the_destructive_decode(self, code, words):
+        """The packed parity identity, ``XOR(rows) ^ OR(H·rows)``, is §3.5's
+        destructive decode of every lane, and leaves its input as it was."""
+        rng = np.random.default_rng(words)
+        rows = rng.integers(0, 2**64, size=(7, words), dtype=np.uint64)
+        rows &= rng.integers(0, 2**64, size=(7, words), dtype=np.uint64)  # a quarter set
+        before = rows.copy()
+        got = code.corrected_parity_plane(rows)
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").T
+        want = code.destructive_measurement_decode(bits)
+        np.testing.assert_array_equal(np.unpackbits(got.view(np.uint8), bitorder="little"), want)
+        np.testing.assert_array_equal(rows, before)
+
     def test_decode_bitflip_syndrome_positions(self, code):
         for q in range(7):
             fx = np.zeros((1, 7), dtype=np.uint8)

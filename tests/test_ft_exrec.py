@@ -8,6 +8,7 @@ import pytest
 
 from repro.codes import FiveQubitCode, ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol, resolve_syndrome_policy
+from repro.ft import exrec
 from repro.ft.exrec import _copy_lanes, _lane_block, _set_lanes
 from repro.noise import NoiseModel, circuit_level
 from repro.pauliframe import pack_rows, unpack_rows, words_for
@@ -210,30 +211,33 @@ class TestShorProtocol:
 
 
 class TestScratchByWordCount:
-    """Packed scratch is keyed by word count, so the uneven shot counts of
-    one shard plan share one buffer set per program, and a set left by
-    another shot count gives a fresh protocol's frames."""
+    """Packed buffers belong to the protocol's shape: one set per program,
+    each grown to the largest plan and handed out by prefix, so the uneven
+    shot counts of one shard plan share it, and a set left by another shot
+    count gives the frames of a protocol whose shape state is new."""
 
     # 257 and 258 shots both take 5 words, and 257 * b and 258 * b lanes
     # take the same word count for every factory batch of b <= 32 blocks.
     SHOTS = 257
 
     @staticmethod
-    def _protocol(case: str) -> tuple:
-        """A protocol at 3e-3 and the number of programs it runs."""
+    def _protocol(case: str, eps: float = 3e-3) -> tuple:
+        """A protocol at ``eps`` and the number of programs it runs."""
         if case == "steane":
-            return SteaneECProtocol(circuit_level(3e-3)), 1
+            return SteaneECProtocol(circuit_level(eps)), 2
         code = SteaneCode() if case == "shor_steane" else ShorNineCode()
-        proto = ShorECProtocol(code, circuit_level(3e-3))
+        proto = ShorECProtocol(code, circuit_level(eps))
         return proto, 1 + len(proto._factory_progs)
 
     @pytest.mark.parametrize("case", ["steane", "shor_steane", "shor9"])
-    def test_one_set_per_program_and_fresh_frames(self, case):
+    def test_one_set_per_program_and_fresh_frames(self, case, monkeypatch):
         used, programs = self._protocol(case)
-        fresh, _ = self._protocol(case)
         n, shots = used.code.n, self.SHOTS
         warm = np.zeros((n, words_for(shots + 1)), dtype=np.uint64)
         used.run_round_packed(shots + 1, 7, warm, warm.copy())
+        monkeypatch.setattr(exrec, "_ROUNDS", {})
+        fresh, _ = self._protocol(case)
+        assert fresh._state is not used._state
         frames = []
         for proto in (used, fresh):
             rng = np.random.default_rng(8)
@@ -242,7 +246,7 @@ class TestScratchByWordCount:
             for _ in range(2):
                 proto.run_round_packed(shots, rng, dfx, dfz)
             frames.append(np.stack((unpack_rows(dfx, shots), unpack_rows(dfz, shots))))
-        assert len(used._buffers) == programs
+        assert len(used._state._flat) == programs
         assert frames[1].any()
         np.testing.assert_array_equal(frames[0], frames[1])
 
@@ -262,13 +266,139 @@ class TestScratchStaysOutOfPickles:
             assert name not in before
         dfx = np.zeros((proto.code.n, words_for(100_000)), dtype=np.uint64)
         proto.run_round_packed(100_000, 3, dfx, dfx.copy())
-        assert proto._buffers and proto._scratch._words.size > 0
+        assert proto._state._flat and proto._state.scratch._words.size > 0
         after = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
         assert after == before
         assert compute_run_key("memory", after, 100_000, (1, ()), 16) == key
-        # An unpickled protocol is rebuilt with empty scratch of its own.
+        # An unpickled protocol is rebuilt with programs of its own, and
+        # finds its shape's state, buffers included, already there.
         copy = pickle.loads(before)[0]
-        assert copy._buffers == {} and copy._scratch is not proto._scratch
+        assert copy._state is proto._state
+        assert copy._extract_prog is not proto._extract_prog
+
+
+class TestRoundStatePerShape:
+    """What a round builds from its shape alone is built once per process
+    and shape, and shared by every protocol of that shape; the compiled
+    programs, which carry the noise, stay each protocol's own."""
+
+    CASES = ["steane", "shor_steane", "shor9"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_two_rates_and_an_unpickled_copy_share_one_state(self, case):
+        low, _ = TestScratchByWordCount._protocol(case, 1e-3)
+        high, _ = TestScratchByWordCount._protocol(case, 2e-3)
+        copy = pickle.loads(pickle.dumps(low, pickle.HIGHEST_PROTOCOL))
+        assert low._state is high._state is copy._state
+        assert low.extraction is high.extraction
+        assert low._extract_prog is not high._extract_prog
+        if case == "steane":
+            other = SteaneECProtocol(circuit_level(1e-3), repetitions=3, policy="majority")
+        else:
+            other = ShorECProtocol(low.code, circuit_level(1e-3), verify_ancilla=False)
+        assert other._state is not low._state
+
+    def test_built_without_a_code_shares_one_code(self):
+        a = SteaneECProtocol(circuit_level(1e-3))
+        b = SteaneECProtocol(circuit_level(2e-3), engine="legacy")
+        assert a.code is b.code and a._state is b._state
+        # An equal code of the caller's is kept, and finds the same state.
+        mine = SteaneCode()
+        c = SteaneECProtocol(circuit_level(1e-3), code=mine)
+        assert c.code is mine and c._state is a._state
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_running_one_leaves_the_others_payload_and_key(self, case):
+        ran, _ = TestScratchByWordCount._protocol(case, 1e-3)
+        other, _ = TestScratchByWordCount._protocol(case, 2e-3)
+        args = (other, other.code, 1)
+        before = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
+        key = compute_run_key("memory", before, 10_000, (1, ()), 16)
+        dfx = np.zeros((ran.code.n, words_for(10_000)), dtype=np.uint64)
+        ran.run_round_packed(10_000, 3, dfx, dfx.copy())
+        after = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
+        assert after == before
+        assert compute_run_key("memory", after, 10_000, (1, ()), 16) == key
+
+    def test_a_larger_plan_regrows_and_a_smaller_one_reuses(self, monkeypatch):
+        monkeypatch.setattr(exrec, "_ROUNDS", {})  # buffers other tests have not grown
+        proto, _ = TestScratchByWordCount._protocol("steane", 1e-3)
+        state = proto._state
+        flat = {}
+
+        def run(shots: int) -> None:
+            dfx = np.zeros((7, words_for(shots)), dtype=np.uint64)
+            proto.run_round_packed(shots, 1, dfx, dfx.copy())
+            for name, pair in state._flat.items():
+                flat[name] = [scratch._words for scratch in pair]
+
+        run(64)
+        small = {name: list(arrays) for name, arrays in flat.items()}
+        run(50_000)
+        large = {name: list(arrays) for name, arrays in flat.items()}
+        run(640)
+        for name in ("factory", "extract"):
+            for before, grown, now in zip(small[name], large[name], flat[name]):
+                assert grown is not before and grown.size > before.size
+                assert now is grown
+            frames, flips = state.buffers(name, 10)
+            assert frames.flags.c_contiguous and flips.flags.c_contiguous
+            assert frames.base is flat[name][0] and flips.base is flat[name][1]
+            assert frames[0].flags.c_contiguous and frames[1].flags.c_contiguous
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_later_rate_matches_a_fresh_process(self, case, fresh_process_rounds):
+        # Rounds at one rate leave the shape's buffers and scratch behind;
+        # a protocol at another rate then gives what a process that never
+        # ran the first one gives.
+        first, _ = TestScratchByWordCount._protocol(case, 2e-2)
+        dfx = np.zeros((first.code.n, words_for(3000)), dtype=np.uint64)
+        for _ in range(2):
+            first.run_round_packed(3000, 11, dfx, dfx.copy())
+        assert fresh_process_rounds[case] == _later_rate_rounds(case)
+
+
+def _later_rate_rounds(case: str) -> tuple[str, int]:
+    """A digest of the frames of two rounds at 3e-3, and the failures of a
+    2-round memory run, for ``case``'s protocol."""
+    import hashlib
+
+    from repro.threshold import memory_experiment
+
+    proto, _ = TestScratchByWordCount._protocol(case, 3e-3)
+    dfx = np.zeros((proto.code.n, words_for(2000)), dtype=np.uint64)
+    dfz = np.zeros_like(dfx)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        proto.run_round_packed(2000, rng, dfx, dfz)
+    frames = np.stack((unpack_rows(dfx, 2000), unpack_rows(dfz, 2000)))
+    failures = memory_experiment(proto, proto.code, 2, 3000, seed=6).failures
+    return hashlib.sha256(frames.tobytes()).hexdigest(), failures
+
+
+@pytest.fixture(scope="module")
+def fresh_process_rounds() -> dict:
+    """:func:`_later_rate_rounds` of every case, computed in a new process
+    that builds no other protocol of the case's shape first."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(tests)!r})\n"
+        "from test_ft_exrec import TestRoundStatePerShape, _later_rate_rounds\n"
+        "print(json.dumps({c: _later_rate_rounds(c) for c in sys.argv[1:]}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), *sys.path]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *TestRoundStatePerShape.CASES],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return {case: tuple(value) for case, value in json.loads(run.stdout).items()}
 
 
 CAT_CODES = {"steane": SteaneCode, "shor9": ShorNineCode, "five": FiveQubitCode}

@@ -520,7 +520,7 @@ class TestBufferContract:
         rows, words = buffers[field].shape
         buffers[field] = np.zeros((rows, 2 * words), dtype=np.uint64)[:, :words]
         for buf in buffers.values():
-            buf[:] = 1  # run_packed zeroes flips first, so any touch shows
+            buf[:] = 1  # a run writes every buffer, so any touch shows
         with pytest.raises(ValueError, match=f"{field} must be a C-contiguous"):
             prog.run_packed(640, 0, **buffers)
         assert all((buf == 1).all() for buf in buffers.values())
@@ -555,12 +555,15 @@ class TestSeededDeterminism:
         # The scratch grows to 100k shots, is reused by a run that needs
         # far less of it, then grows no further; every run must give a
         # fresh program's frames.  At 2e-2 many words take several hits,
-        # so repeated entries are merged in every run.
+        # so repeated entries are merged in every run.  The flips start
+        # as garbage: a run clears them or assigns each row first.
         c = random_clifford_circuit(np.random.default_rng(8), conditional=True)
         noise = circuit_level(2e-2)
         prog, scratch = CompiledFrameProgram(c, noise), FoldScratch()
+        garbage = np.random.default_rng(9)
         for shots in (100_000, 37, 100_000):
             ours = prog.new_buffers(shots)
+            ours[2][:] = garbage.integers(0, 2**64, size=ours[2].shape, dtype=np.uint64)
             prog.run_packed(shots, 5, *ours, scratch=scratch)
             fresh = CompiledFrameProgram(c, noise)
             theirs = fresh.new_buffers(shots)
@@ -568,6 +571,28 @@ class TestSeededDeterminism:
             for a, b in zip(ours, theirs):
                 np.testing.assert_array_equal(a, b)
             assert ours[0].any()
+
+    def test_a_cbit_read_before_it_is_measured_keeps_flips_zeroed(self):
+        # The COND reads cbit 0 before the M assigns it, so a run clears
+        # the flips first, and garbage in them never reaches the frames.
+        c = Circuit(2, 2).h(0).x(1, condition=(0,)).measure(0, 0).measure(1, 1)
+        prog = CompiledFrameProgram(c, circuit_level(0.05))
+        assert prog._stream.zero_flips
+        runs = []
+        for fill in (~np.uint64(0), np.uint64(0)):
+            fx, fz, flips = prog.new_buffers(200)
+            flips[:] = fill
+            prog.run_packed(200, 3, fx, fz, flips)
+            runs.append((fx, fz, flips))
+        for a, b in zip(*runs):
+            np.testing.assert_array_equal(a, b)
+        assert not runs[0][0][1].any()  # the X never fired on the cleared cbit
+
+    def test_shipped_programs_assign_every_cbit_first(self, shipped_programs):
+        # Their runs leave the flips as they find them until an M or MX
+        # assigns each row, so a round need not clear them.
+        for name, prog in shipped_programs.items():
+            assert not prog._stream.zero_flips, name
 
     def test_packed_buffer_reuse_is_clean(self):
         # Reusing buffers across runs must not leak state between rounds.

@@ -262,8 +262,9 @@ class TestShardPayload:
     @pytest.mark.parametrize("case", sorted(PROTOCOLS))
     def test_reused_scratch_cannot_leak_into_counts(self, case):
         """The uneven shards of one plan, each from a fresh unpickle, then
-        all through one reused protocol whose every buffer is set to ones
-        between shards: the counts are the same."""
+        all through one reused protocol whose every buffer (its shape's,
+        fold scratch included) is set to ones between shards: the counts
+        are the same."""
         protocol, code = PROTOCOLS[case]()
         specs, _ = sharded._build_specs("memory", (protocol, code, 2), 1001, 5, 4)
         assert [spec[2] for spec in specs] == [251, 250, 250, 250]
@@ -277,9 +278,9 @@ class TestShardPayload:
             reused.extend(sharded._run_task([spec]))
             warm = sharded._shard_args(spec[1])[0]
             held.add(id(warm))
-            for buffers in warm._buffers.values():
-                for buf in buffers:
-                    buf.fill(~np.uint64(0))
+            state = warm._state
+            for flat in (state.scratch, *(f for pair in state._flat.values() for f in pair)):
+                flat._words.fill(~np.uint64(0))
         assert len(held) == 1
         assert sum(failures for _, failures in fresh) > 0
         assert reused == fresh

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from repro.codes import SteaneCode
+from repro.codes import ShorNineCode, SteaneCode
 from repro.ft import ShorECProtocol, SteaneECProtocol
 from repro.noise import circuit_level
 from repro.pauliframe.compiled import LanePlan
@@ -46,7 +46,7 @@ RATES = (0.0, 1e-4, 1e-3, 0.06)
 def protocol(kind: str, eps: float):
     if kind == "steane":
         return SteaneECProtocol(circuit_level(eps))
-    return ShorECProtocol(SteaneCode(), circuit_level(eps))
+    return ShorECProtocol(ShorNineCode() if kind == "shor9" else SteaneCode(), circuit_level(eps))
 
 
 def seeds(n: int) -> list[np.random.SeedSequence]:
@@ -125,6 +125,39 @@ class TestPlanIsSoloRuns:
         dfx = np.zeros((code.n, plan.words), dtype=np.uint64)
         with pytest.raises(ValueError, match="2 segment"):
             proto.run_round_packed(plan, [np.random.default_rng(1)], dfx, dfx.copy())
+
+
+class TestOldBufferContents:
+    """A round overwrites every buffer row it reads, so what the shape's
+    buffers and fold scratch held before never reaches a count: a round
+    over garbage gives the data frames and generator states of a round
+    over zeroed buffers."""
+
+    @pytest.mark.parametrize("sizes", [(1000,), (63, 1000)], ids=["one", "two"])
+    @pytest.mark.parametrize("kind", ["steane", "shor", "shor9"])
+    def test_garbage_gives_the_round_of_zeroed_buffers(self, kind, sizes):
+        proto = protocol(kind, 3e-3)
+        state, n, plan = proto._state, proto.code.n, LanePlan(sizes)
+        fill = np.random.default_rng(5)
+        runs = []
+        for garbage in (True, False):
+            # A first round sizes every buffer for this plan.
+            dfx = np.zeros((n, plan.words), dtype=np.uint64)
+            proto.run_round_packed(plan, [np.random.default_rng(0)] * len(sizes), dfx, dfx.copy())
+            flats = [state.scratch, *(flat for pair in state._flat.values() for flat in pair)]
+            for flat in flats:
+                words = flat._words
+                words[:] = fill.integers(0, 2**64, size=words.size, dtype=np.uint64) if garbage else 0
+            rngs = [np.random.default_rng(s) for s in seeds(len(sizes))]
+            dfx = np.zeros((n, plan.words), dtype=np.uint64)
+            dfz = np.zeros_like(dfx)
+            proto.run_round_packed(plan, rngs, dfx, dfz)
+            runs.append((dfx, dfz, [rng.bit_generator.state for rng in rngs]))
+        (gfx, gfz, gstates), (zfx, zfz, zstates) = runs
+        np.testing.assert_array_equal(gfx, zfx)
+        np.testing.assert_array_equal(gfz, zfz)
+        assert gstates == zstates
+        assert zfx.any() and zfz.any()
 
 
 class TestTaskGroups:
